@@ -1,0 +1,75 @@
+"""Byte-for-byte regression oracle for the command-line interface.
+
+Each directory under ``tests/golden/`` is one case. ``case.json`` holds the
+command line (without ``--scenario`` and ``--out``) and the exit code,
+``scenario.json`` the scenario when the case has one, ``stdout.json`` the
+report printed to stdout, and ``report.csv`` the CSV written beside
+``--out`` when the command writes one. The test reruns every case through
+``cli.main`` in process and requires the same bytes.
+
+The corpus holds only reports whose digits do not depend on summation
+order: QFT runs on basis inputs and the default input, no malformed
+scenarios. After a deliberate change of a report format, rewrite the
+expected outputs with ``PYTHONPATH=src python tests/test_golden.py``.
+"""
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+from pathlib import Path
+
+import pytest
+
+from udmlab import cli
+
+GOLDEN = Path(__file__).parent / "golden"
+CASES = sorted(p.name for p in GOLDEN.iterdir() if p.is_dir())
+
+
+def _read(path: Path) -> str | None:
+    return path.read_text(encoding="utf-8") if path.exists() else None
+
+
+def run_case(case_dir: Path, out_dir: Path) -> tuple[int, str, str | None, str | None]:
+    """(exit code, stdout, --out file, CSV file) of one case."""
+    argv = list(json.loads((case_dir / "case.json").read_text(encoding="utf-8"))["argv"])
+    if (case_dir / "scenario.json").exists():
+        argv += ["--scenario", str(case_dir / "scenario.json")]
+    out = out_dir / "report.json"
+    argv += ["--out", str(out)]
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = cli.main(argv)
+    return code, stdout.getvalue(), _read(out), _read(out.with_suffix(".csv"))
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_golden_report(name, tmp_path, monkeypatch):
+    monkeypatch.delenv(cli.ENV_TOL_OVERRIDE, raising=False)
+    case_dir = GOLDEN / name
+    code, stdout, written, csv = run_case(case_dir, tmp_path)
+    case = json.loads((case_dir / "case.json").read_text(encoding="utf-8"))
+    assert code == case["exit_code"]
+    assert stdout == _read(case_dir / "stdout.json")
+    assert written == stdout
+    assert csv == _read(case_dir / "report.csv")
+
+
+if __name__ == "__main__":
+    import os
+    import tempfile
+
+    os.environ.pop(cli.ENV_TOL_OVERRIDE, None)
+    for name in CASES:
+        case_dir = GOLDEN / name
+        with tempfile.TemporaryDirectory() as tmp:
+            code, stdout, _, csv = run_case(case_dir, Path(tmp))
+        case = json.loads((case_dir / "case.json").read_text(encoding="utf-8"))
+        case["exit_code"] = code
+        (case_dir / "case.json").write_text(json.dumps(case, indent=2) + "\n", encoding="utf-8")
+        (case_dir / "stdout.json").write_text(stdout, encoding="utf-8")
+        (case_dir / "report.csv").unlink(missing_ok=True)
+        if csv is not None:
+            (case_dir / "report.csv").write_text(csv, encoding="utf-8")
+        print(f"{name}: exit {code}")
