@@ -11,7 +11,6 @@ from .linalg import (
     kron,
     partial_trace,
     matexp_hermitian,
-    hermitian_eig,
     svd,
     pseudo_inverse,
 )

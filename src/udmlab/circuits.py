@@ -8,6 +8,11 @@ immediately before and after it, with spectator qubits traced out (the
 reduced pair state may be mixed when spectators are entangled with it,
 so the mixed-state negativity is the diagnostic). SWAPs are placed and
 audited as single atomic gates, not decomposed.
+
+The register is held as a (2,)*n tensor with one axis per qubit; each gate
+is contracted into its own qubits' axes at O(2^n) work, and no 2^n x 2^n
+matrix is built per gate. ``circuit_unitary`` runs the same contraction on
+all 2^n basis columns at once.
 """
 from __future__ import annotations
 
@@ -120,22 +125,20 @@ def build_qft(n: int) -> Circuit:
     return Circuit(n, tuple(placed))
 
 
-def _embed(u: np.ndarray, qubits: tuple[int, ...], n: int) -> np.ndarray:
-    """Lift a small gate matrix to the full 2^n-dimensional register."""
+def _apply(u: np.ndarray, qubits: tuple[int, ...], t: np.ndarray) -> np.ndarray:
+    """Contract a gate matrix into the qubits' axes of a (2,)*n register tensor.
+
+    Axes past the first n (a batch of columns) are carried along untouched.
+    """
+    k = len(qubits)
     axes = [q - 1 for q in qubits]
-    rest = [a for a in range(n) if a not in axes]
-    perm = axes + rest
-    inv = list(np.argsort(perm))
-    full = np.kron(u, np.eye(2 ** (n - len(qubits)), dtype=complex))
-    t = full.reshape([2] * (2 * n))
-    return t.transpose(inv + [n + i for i in inv]).reshape(2**n, 2**n)
+    out = np.tensordot(u.reshape((2,) * (2 * k)), t, axes=(list(range(k, 2 * k)), axes))
+    return np.moveaxis(out, list(range(k)), axes)
 
 
-def _pair_density(amps: np.ndarray, n: int, q1: int, q2: int) -> DensityMatrix:
+def _pair_density(t: np.ndarray, q1: int, q2: int) -> DensityMatrix:
     """Reduced density matrix of the ordered pair (q1, q2), spectators traced out."""
-    t = amps.reshape([2] * n)
-    rest = [a for a in range(n) if a not in (q1 - 1, q2 - 1)]
-    m = t.transpose([q1 - 1, q2 - 1] + rest).reshape(4, -1)
+    m = np.moveaxis(t, (q1 - 1, q2 - 1), (0, 1)).reshape(4, -1)
     return DensityMatrix(m @ m.conj().T)
 
 
@@ -151,15 +154,14 @@ def run_circuit(
         raise ValueError(
             f"circuit has {circuit.n_qubits} qubits, input has {input_state.n_qubits}"
         )
-    n = circuit.n_qubits
-    amps = input_state.amplitudes.copy()
+    t = input_state.amplitudes.reshape((2,) * circuit.n_qubits)
     records = []
     for pos, g in enumerate(circuit.gates, start=1):
         if len(g.qubits) == 2:
             q1, q2 = g.qubits
-            neg_in = negativity(_pair_density(amps, n, q1, q2))
-            amps = _embed(g.matrix(), g.qubits, n) @ amps
-            neg_out = negativity(_pair_density(amps, n, q1, q2))
+            neg_in = negativity(_pair_density(t, q1, q2))
+            t = _apply(g.matrix(), g.qubits, t)
+            neg_out = negativity(_pair_density(t, q1, q2))
             records.append(
                 AuditRecord(
                     pos, g.name, (q1, q2), neg_in, neg_out,
@@ -167,17 +169,17 @@ def run_circuit(
                 )
             )
         else:
-            amps = _embed(g.matrix(), g.qubits, n) @ amps
-    return PureState(amps), BlockAudit(tuple(records))
+            t = _apply(g.matrix(), g.qubits, t)
+    return PureState(t.reshape(-1)), BlockAudit(tuple(records))
 
 
 def circuit_unitary(circuit: Circuit) -> np.ndarray:
-    """Ordered product of the embedded gate unitaries."""
+    """Ordered product of the gate unitaries: the circuit run on every basis column."""
     dim = 2**circuit.n_qubits
-    u = np.eye(dim, dtype=complex)
+    t = np.eye(dim, dtype=complex).reshape((2,) * circuit.n_qubits + (dim,))
     for g in circuit.gates:
-        u = _embed(g.matrix(), g.qubits, circuit.n_qubits) @ u
-    return u
+        t = _apply(g.matrix(), g.qubits, t)
+    return t.reshape(dim, dim)
 
 
 def dft_matrix(n: int) -> np.ndarray:

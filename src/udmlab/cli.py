@@ -78,9 +78,26 @@ def _parse_complex(value) -> complex:
 
 
 def _parse_matrix(rows) -> np.ndarray:
-    if not isinstance(rows, list) or not rows:
-        raise ValueError("matrix must be a non-empty list of rows")
+    if not isinstance(rows, list) or not rows or not all(isinstance(r, list) for r in rows):
+        raise ValueError("generator.matrix must be a non-empty list of rows, each a list")
     return np.array([[_parse_complex(v) for v in row] for row in rows], dtype=complex)
+
+
+def _number(value, field: str) -> float:
+    """A finite JSON number; null, strings, booleans and lists are input errors."""
+    # type() keeps booleans out; the comparison is False for nan and inf and
+    # exact for JSON integers of any size
+    if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
+        raise ValueError(f"{field} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _integer(value, field: str) -> int:
+    if type(value) is float and value.is_integer():
+        value = int(value)
+    if type(value) is not int:
+        raise ValueError(f"{field} must be an integer, got {value!r}")
+    return value
 
 
 def _load_scenario(path: str | None) -> dict:
@@ -94,11 +111,8 @@ def _load_scenario(path: str | None) -> dict:
 
 
 def _resolve_tolerances(scenario: dict, args) -> tuple[Tolerances, dict | None]:
-    tol = DEFAULT
-    overrides = scenario.get("tolerances", {})
-    if overrides:
-        _check_tol_keys(overrides, "scenario tolerances")
-        tol = tol.override(**{k: float(v) for k, v in overrides.items()})
+    # Tolerances itself rejects values that are not finite and positive
+    tol = DEFAULT.override(**_tolerance_values(scenario.get("tolerances", {}), "tolerances"))
     if getattr(args, "tol_cp", None) is not None:
         tol = tol.override(cp=args.tol_cp)
     env_raw = os.environ.get(ENV_TOL_OVERRIDE)
@@ -108,20 +122,20 @@ def _resolve_tolerances(scenario: dict, args) -> tuple[Tolerances, dict | None]:
             env_echo = json.loads(env_raw)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{ENV_TOL_OVERRIDE} is not valid JSON: {exc}") from exc
-        if not isinstance(env_echo, dict):
-            raise ValueError(f"{ENV_TOL_OVERRIDE} must hold a JSON object")
-        _check_tol_keys(env_echo, ENV_TOL_OVERRIDE)
-        tol = tol.override(**{k: float(v) for k, v in env_echo.items()})
+        tol = tol.override(**_tolerance_values(env_echo, ENV_TOL_OVERRIDE))
     return tol, env_echo
 
 
-def _check_tol_keys(mapping: dict, where: str):
+def _tolerance_values(mapping, where: str) -> dict:
+    if not isinstance(mapping, dict):
+        raise ValueError(f"{where} must be a JSON object of tolerance values, got {mapping!r}")
     unknown = set(mapping) - _TOL_FIELDS
     if unknown:
         raise ValueError(
             f"{where}: unknown tolerance name(s) {sorted(unknown)}; "
             f"expected among {sorted(_TOL_FIELDS)}"
         )
+    return {k: _number(v, f"{where}.{k}") for k, v in mapping.items()}
 
 
 def _resolve_seed(scenario: dict, args) -> int:
@@ -144,15 +158,15 @@ def _gate_from_scenario(scenario: dict) -> gates.Gate:
         if not isinstance(spec, dict) or "name" not in spec:
             raise ValueError("'gate' must be an object with a 'name'")
         name = spec["name"]
-        duration = float(spec.get("duration", 1.0))
+        duration = _number(spec.get("duration", 1.0), "gate.duration")
         if name == "cphase":
-            return gates.c_phase(_require_phi(spec), duration)
+            return gates.c_phase(_number(spec.get("phi"), "gate.phi"), duration)
         if name == "local-phase":
-            return gates.local_phase(_require_phi(spec), duration)
+            return gates.local_phase(_number(spec.get("phi"), "gate.phi"), duration)
         if name == "swap":
             return gates.swap_gate(duration)
         if name == "identity":
-            return gates.identity_gate(int(spec.get("n_qubits", 2)), duration)
+            return gates.identity_gate(_integer(spec.get("n_qubits", 2), "gate.n_qubits"), duration)
         if name == "x":
             return gates.x_gate(duration)
         if name == "hadamard":
@@ -163,14 +177,9 @@ def _gate_from_scenario(scenario: dict) -> gates.Gate:
         if not isinstance(spec, dict) or "matrix" not in spec:
             raise ValueError("'generator' must be an object with a 'matrix'")
         k = _parse_matrix(spec["matrix"])
-        return gates.gate_from_generator(k, float(spec.get("duration", 1.0)))
+        duration = _number(spec.get("duration", 1.0), "generator.duration")
+        return gates.gate_from_generator(k, duration)
     raise ValueError("scenario must specify a 'gate' or a 'generator'")
-
-
-def _require_phi(spec: dict) -> float:
-    if "phi" not in spec:
-        raise ValueError(f"gate {spec['name']!r} requires a 'phi' value (radians)")
-    return float(spec["phi"])
 
 
 def _input_from_scenario(scenario: dict, n_qubits: int | None = None) -> states.PureState:
@@ -180,6 +189,8 @@ def _input_from_scenario(scenario: dict, n_qubits: int | None = None) -> states.
     if isinstance(spec, list) and all(isinstance(s, str) for s in spec):
         psi = states.product_state(spec)
     elif isinstance(spec, dict) and "amplitudes" in spec:
+        if not isinstance(spec["amplitudes"], list):
+            raise ValueError("input.amplitudes must be a list of numbers or [re, im] pairs")
         psi = states.PureState([_parse_complex(v) for v in spec["amplitudes"]])
     else:
         raise ValueError(
@@ -195,12 +206,12 @@ def _grid_from_scenario(scenario: dict, args, duration: float) -> dynamics.TimeG
     spec = scenario.get("grid", {})
     if not isinstance(spec, dict):
         raise ValueError("'grid' must be an object")
-    t_start = float(spec.get("t_start", 0.0))
-    t_end = float(spec.get("t_end", t_start + duration))
-    steps = spec.get("steps", dynamics.DEFAULT_STEPS)
+    t_start = _number(spec.get("t_start", 0.0), "grid.t_start")
+    t_end = _number(spec.get("t_end", t_start + duration), "grid.t_end")
+    steps = _integer(spec.get("steps", dynamics.DEFAULT_STEPS), "grid.steps")
     if getattr(args, "steps", None) is not None:
         steps = args.steps
-    return dynamics.TimeGrid(t_start, t_end, int(steps))
+    return dynamics.TimeGrid(t_start, t_end, steps)
 
 
 def _two_qubit_gate(scenario: dict) -> gates.Gate:
@@ -220,6 +231,14 @@ def _product_input(scenario: dict, tol: Tolerances) -> states.PureState:
             "product state rho_1 (x) rho_2 with a fixed environment state"
         )
     return psi
+
+
+def _split_product(scenario: dict, rho: states.DensityMatrix):
+    """(which, env, marg1, marg2): the described qubit, its environment and both marginals."""
+    marg1 = states.DensityMatrix(linalg.partial_trace(rho.matrix, keep=1))
+    marg2 = states.DensityMatrix(linalg.partial_trace(rho.matrix, keep=2))
+    which = _integer(scenario.get("which_qubit", 1), "which_qubit")
+    return which, (marg2 if which == 1 else marg1), marg1, marg2
 
 
 def _envelope(command: str, seed: int, tol: Tolerances, env_echo: dict | None) -> dict:
@@ -338,10 +357,7 @@ def _cmd_map(args) -> tuple[dict, str | None]:
     psi = _product_input(scenario, tol)
     grid = _grid_from_scenario(scenario, args, gate.duration)
     t = grid.t_end - grid.t_start
-    rho = states.densify(psi)
-    marg1 = states.DensityMatrix(linalg.partial_trace(rho.matrix, keep=1))
-    marg2 = states.DensityMatrix(linalg.partial_trace(rho.matrix, keep=2))
-    which = int(scenario.get("which_qubit", 1))
+    which, env, marg1, marg2 = _split_product(scenario, states.densify(psi))
 
     report = _envelope("map", seed, tol, env_echo)
     report["evolution_time"] = _sig15(t)
@@ -354,7 +370,6 @@ def _cmd_map(args) -> tuple[dict, str | None]:
             float(np.linalg.norm(e1.superoperator - e2.superoperator))
         )
     else:
-        env = marg2 if which == 1 else marg1
         m = maps.induced_map(gate.generator, env, t, which=which)
         report["map"] = _map_report(m, tol, np.random.default_rng(seed))
     return report, None
@@ -368,17 +383,14 @@ def _cmd_divisibility(args) -> tuple[dict, str | None]:
     grid = _grid_from_scenario(scenario, args, gate.duration)
     if "t1" not in scenario:
         raise ValueError("divisibility needs a 't1' intermediate time in the scenario")
-    t1 = float(scenario["t1"])
+    t1 = _number(scenario["t1"], "t1")
     if not grid.t_start < t1 < grid.t_end:
         raise ValueError(
             f"t1={t1} must lie strictly inside ({grid.t_start}, {grid.t_end}); "
             "the sub-interval must be non-empty"
         )
     rho = states.densify(psi)
-    marg1 = states.DensityMatrix(linalg.partial_trace(rho.matrix, keep=1))
-    marg2 = states.DensityMatrix(linalg.partial_trace(rho.matrix, keep=2))
-    which = int(scenario.get("which_qubit", 1))
-    env = marg2 if which == 1 else marg1
+    which, env, _, _ = _split_product(scenario, rho)
 
     k = gate.generator
     e_short = maps.induced_map(k, env, t1 - grid.t_start, which=which)
@@ -424,7 +436,7 @@ def _cmd_qft(args) -> tuple[dict, str | None]:
     n = args.n if args.n is not None else scenario.get("n_qubits")
     if n is None:
         raise ValueError("qft needs --n or an 'n_qubits' scenario entry")
-    circuit = circuits.build_qft(int(n))
+    circuit = circuits.build_qft(_integer(n, "n_qubits"))
     if "input" in scenario:
         psi = _input_from_scenario(scenario, n_qubits=circuit.n_qubits)
     else:

@@ -117,9 +117,11 @@ def find_entangled_instant(
     """Earliest grid point whose joint state has negativity above tol.
 
     A hit certifies that the joint state there is not the product of its
-    marginals; absence means no grid point crossed the threshold.
+    marginals; absence means no grid point crossed the threshold. The scan
+    stops at the first hit.
     """
-    for p in entanglement_profile(traj):
-        if p.negativity > tol:
-            return p.t, p.negativity
+    for t, state in zip(traj.grid.times(), traj.joint_states):
+        neg = negativity(state)
+        if neg > tol:
+            return float(t), neg
     return None

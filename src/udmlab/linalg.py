@@ -16,7 +16,6 @@ __all__ = [
     "kron",
     "partial_trace",
     "matexp_hermitian",
-    "hermitian_eig",
     "svd",
     "pseudo_inverse",
     "hermiticity_defect",
@@ -81,28 +80,6 @@ def matexp_hermitian(k, t: float) -> np.ndarray:
         raise ValueError("matexp_hermitian requires a Hermitian generator")
     w, v = np.linalg.eigh(k)
     return (v * np.exp(-1j * w * float(t))) @ v.conj().T
-
-
-def hermitian_eig(m) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix, deterministically ordered.
-
-    Eigenvalues come back descending. Each eigenvector's phase is fixed so
-    that its first component above 1e-12 in magnitude is real-positive;
-    together with the descending sort this makes the output reproducible,
-    which golden-file tests rely on.
-    """
-    m = as_matrix(m)
-    if hermiticity_defect(m) > DEFAULT.hermiticity:
-        raise ValueError("hermitian_eig requires a Hermitian matrix")
-    w, v = np.linalg.eigh(m)
-    w = w[::-1].copy()
-    v = v[:, ::-1].copy()
-    for col in range(v.shape[1]):
-        idx = np.flatnonzero(np.abs(v[:, col]) > 1e-12)
-        if idx.size:
-            pivot = v[idx[0], col]
-            v[:, col] *= np.conj(pivot) / abs(pivot)
-    return w, v
 
 
 def svd(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .states import DensityMatrix
+from .states import DensityMatrix, trace_distance
 from .tolerances import DEFAULT
 
 __all__ = [
@@ -342,7 +342,7 @@ def udm_witness_subinterval(
     u2 = linalg.matexp_hermitian(k, t_star - t1)
     out_true = linalg.partial_trace(u2 @ sigma @ u2.conj().T, keep=1)
     out_erased = linalg.partial_trace(u2 @ sigma_product @ u2.conj().T, keep=1)
-    dist = float(0.5 * np.sum(np.abs(np.linalg.eigvalsh(out_true - out_erased))))
+    dist = trace_distance(DensityMatrix(out_true), DensityMatrix(out_erased))
     return WitnessReport(float(t1), float(t_star), dist, correlation)
 
 

@@ -3,8 +3,10 @@
 Everything runs in double precision on dense matrices of dimension <= 256,
 which leaves large headroom; the defaults below are fixed globally rather
 than tuned per call site. The CP tolerance is looser than the state
-tolerances because pseudo-inverse composition amplifies noise.
+tolerances because pseudo-inverse composition amplifies noise. Every
+tolerance must be finite and positive, whoever sets it.
 """
+import math
 from dataclasses import dataclass, asdict, replace
 
 
@@ -18,6 +20,11 @@ class Tolerances:
     entanglement: float = 1e-6   # "entangled at t1" threshold on negativity
     cp: float = 1e-7             # Choi-eigenvalue slack for CP verdicts
     pinv_cutoff: float = 1e-10   # relative singular-value cutoff
+
+    def __post_init__(self):
+        for name, value in self.as_dict().items():
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"tolerance {name} must be finite and > 0, got {value!r}")
 
     def as_dict(self) -> dict:
         return asdict(self)

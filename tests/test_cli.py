@@ -302,3 +302,45 @@ def test_reports_are_byte_identical_across_runs(scenario_file, capsys):
         assert first[1] == second[1]
         outputs.append(first[1])
     assert len(set(outputs)) == len(outputs)  # distinct commands, distinct reports
+
+
+PLUS_PLUS = {"input": ["+", "+"]}
+
+
+@pytest.mark.parametrize(
+    "command, scenario, extra, env, field",
+    [
+        ("map", {"gate": CPI, **PLUS_PLUS, "tolerances": 5}, [], None, "tolerances"),
+        ("map", {"gate": CPI, **PLUS_PLUS, "tolerances": {"cp": None}}, [], None, "tolerances.cp"),
+        ("map", {"gate": CPI, **PLUS_PLUS, "tolerances": {"cp": -1}}, [], None, "cp"),
+        ("map", {"gate": CPI, **PLUS_PLUS}, ["--tol-cp", "nan"], None, "cp"),
+        ("map", {"gate": CPI, **PLUS_PLUS}, ["--tol-cp", "-1"], None, "cp"),
+        ("map", {"gate": CPI, **PLUS_PLUS}, [], '{"cp": -1}', "cp"),
+        ("analyze-gate", {"gate": {"name": "swap", "duration": None}}, [], None, "gate.duration"),
+        ("trajectory", {"gate": CPI, **PLUS_PLUS, "grid": {"t_start": [0]}}, [], None,
+         "grid.t_start"),
+        ("qft", {"n_qubits": [3]}, [], None, "n_qubits"),
+        ("analyze-gate", {"generator": {"matrix": [None]}}, [], None, "generator.matrix"),
+        ("trajectory", {"gate": CPI, "input": {"amplitudes": None}}, [], None, "input.amplitudes"),
+        # typed nulls
+        ("trajectory", {"gate": {"name": "cphase", "phi": 1.1}, "input": ["+", "0"],
+                        "grid": {"steps": None}}, [], None, "grid.steps"),
+        ("trajectory", {"gate": {"name": "cphase", "phi": 1.2}, "input": ["0", "+"],
+                        "grid": {"t_end": None}}, [], None, "grid.t_end"),
+        ("analyze-gate", {"gate": {"name": "cphase", "phi": None}}, [], None, "gate.phi"),
+        ("map", {"gate": {"name": "cphase", "phi": 1.3}, "input": ["+", "1"],
+                 "which_qubit": None}, [], None, "which_qubit"),
+        ("divisibility", {"gate": {"name": "cphase", "phi": 1.4}, "input": ["1", "+"],
+                          "t1": None}, [], None, "t1"),
+    ],
+)
+def test_malformed_input_exits_2_naming_the_field(
+    scenario_file, capsys, monkeypatch, command, scenario, extra, env, field
+):
+    if env is None:
+        monkeypatch.delenv("UDMLAB_TOL_OVERRIDE", raising=False)
+    else:
+        monkeypatch.setenv("UDMLAB_TOL_OVERRIDE", env)
+    code, _, err = run(capsys, command, "--scenario", scenario_file(scenario), *extra)
+    assert code == 2, err
+    assert field in err

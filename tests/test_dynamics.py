@@ -126,6 +126,24 @@ def test_find_entangled_instant_on_cpi():
     assert find_entangled_instant(basis, tol=1e-6) is None
 
 
+def test_find_entangled_instant_stops_at_first_hit(monkeypatch):
+    import udmlab.dynamics as dynamics_mod
+
+    calls = []
+    real = dynamics_mod.negativity
+
+    def counting(rho):
+        calls.append(rho)
+        return real(rho)
+
+    traj = evolve_trajectory(
+        c_phase(np.pi).generator, densify(product_state(["+", "+"])), TimeGrid(0.0, 1.0, 100)
+    )
+    monkeypatch.setattr(dynamics_mod, "negativity", counting)
+    assert find_entangled_instant(traj) is not None
+    assert len(calls) <= 2  # t = 0 is a product, t = 0.01 is already entangled
+
+
 def test_entangling_cphases_create_entanglement_for_some_product():
     names = ["0", "1", "+", "-", "+i", "-i"]
     grid = TimeGrid(0.0, 1.0, 20)

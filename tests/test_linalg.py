@@ -129,31 +129,6 @@ def test_matexp_rejects_non_hermitian():
         linalg.matexp_hermitian(np.array([[0, 1], [0, 0]]), 1.0)
 
 
-def test_hermitian_eig_identity_and_diagonal():
-    w, _ = linalg.hermitian_eig(I2)
-    np.testing.assert_allclose(w, [1, 1], atol=1e-15)
-    w, _ = linalg.hermitian_eig(np.diag([3.0, 1.0, 0.0, 0.0]).astype(complex))
-    np.testing.assert_allclose(w, [3, 1, 0, 0], atol=1e-15)
-
-
-def test_hermitian_eig_x_gate():
-    w, v = linalg.hermitian_eig(X)
-    np.testing.assert_allclose(w, [1, -1], atol=1e-14)
-    # 2x2 characteristic polynomial gives (|0> +/- |1>)/sqrt(2); phase fixing
-    # makes the first component real-positive
-    np.testing.assert_allclose(v[:, 0], np.array([1, 1]) / np.sqrt(2), atol=1e-14)
-    np.testing.assert_allclose(v[:, 1], np.array([1, -1]) / np.sqrt(2), atol=1e-14)
-
-
-def test_hermitian_eig_reconstruction_and_order(rng):
-    for _ in range(10):
-        m = random_hermitian(rng, 4)
-        w, v = linalg.hermitian_eig(m)
-        assert np.all(np.diff(w) <= 1e-12)
-        np.testing.assert_allclose((v * w) @ v.conj().T, m, atol=1e-9)
-        assert np.max(np.abs(v.conj().T @ v - np.eye(4))) < 1e-9
-
-
 def test_svd_known_values():
     s, _, _ = linalg.svd(I2)
     np.testing.assert_allclose(s, [1, 1], atol=1e-15)
