@@ -8,7 +8,6 @@ grids, and audits the separability structure of QFT circuits.
 
 from .tolerances import DEFAULT, Tolerances
 from .linalg import (
-    kron,
     partial_trace,
     matexp_hermitian,
     svd,

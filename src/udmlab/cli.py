@@ -7,6 +7,10 @@ audit table (trajectory, qft) write a CSV next to it with the extension
 swapped to .csv. Numbers are serialized with 15 significant digits so that
 reruns of the same scenario and seed are byte-identical.
 
+``main`` loads the scenario, resolves tolerances and seed and writes the
+report envelope; each ``_cmd_*`` returns only its own report keys and CSV
+text. A subcommand accepts only the flags its command reads.
+
 Exit codes: 0 success, 2 input/scenario error, 3 internal invariant
 violation. The UDMLAB_TOL_OVERRIDE environment variable may hold a JSON
 object of tolerance overrides; it is applied last and echoed in the
@@ -113,7 +117,7 @@ def _load_scenario(path: str | None) -> dict:
 def _resolve_tolerances(scenario: dict, args) -> tuple[Tolerances, dict | None]:
     # Tolerances itself rejects values that are not finite and positive
     tol = DEFAULT.override(**_tolerance_values(scenario.get("tolerances", {}), "tolerances"))
-    if getattr(args, "tol_cp", None) is not None:
+    if args.tol_cp is not None:
         tol = tol.override(cp=args.tol_cp)
     env_raw = os.environ.get(ENV_TOL_OVERRIDE)
     env_echo = None
@@ -139,18 +143,17 @@ def _tolerance_values(mapping, where: str) -> dict:
 
 
 def _resolve_seed(scenario: dict, args) -> int:
-    if getattr(args, "seed", None) is not None:
-        return int(args.seed)
-    seed = scenario.get("seed", 0)
-    if not isinstance(seed, int):
-        raise ValueError(f"seed must be an integer, got {seed!r}")
+    seed = args.seed if args.seed is not None else _integer(scenario.get("seed", 0), "seed")
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
     return seed
 
 
-_NAMED_GATES = ("cphase", "local-phase", "swap", "identity", "x", "hadamard")
+_NAMED_GATES = ("cphase", "local-phase", "swap", "identity")
 
 
 def _gate_from_scenario(scenario: dict) -> gates.Gate:
+    """The 2-qubit gate a scenario names, or the one its 4x4 generator drives."""
     if "gate" in scenario and "generator" in scenario:
         raise ValueError("scenario must give either 'gate' or 'generator', not both")
     if "gate" in scenario:
@@ -166,17 +169,15 @@ def _gate_from_scenario(scenario: dict) -> gates.Gate:
         if name == "swap":
             return gates.swap_gate(duration)
         if name == "identity":
-            return gates.identity_gate(_integer(spec.get("n_qubits", 2), "gate.n_qubits"), duration)
-        if name == "x":
-            return gates.x_gate(duration)
-        if name == "hadamard":
-            return gates.hadamard(duration)
-        raise ValueError(f"unknown gate name {name!r}; expected one of {_NAMED_GATES}")
+            return gates.identity_gate(2, duration)
+        raise ValueError(f"unknown 2-qubit gate name {name!r}; expected one of {_NAMED_GATES}")
     if "generator" in scenario:
         spec = scenario["generator"]
         if not isinstance(spec, dict) or "matrix" not in spec:
             raise ValueError("'generator' must be an object with a 'matrix'")
         k = _parse_matrix(spec["matrix"])
+        if k.shape != (4, 4):
+            raise ValueError(f"generator.matrix must be 4x4 for a 2-qubit gate, got {k.shape}")
         duration = _number(spec.get("duration", 1.0), "generator.duration")
         return gates.gate_from_generator(k, duration)
     raise ValueError("scenario must specify a 'gate' or a 'generator'")
@@ -209,19 +210,13 @@ def _grid_from_scenario(scenario: dict, args, duration: float) -> dynamics.TimeG
     t_start = _number(spec.get("t_start", 0.0), "grid.t_start")
     t_end = _number(spec.get("t_end", t_start + duration), "grid.t_end")
     steps = _integer(spec.get("steps", dynamics.DEFAULT_STEPS), "grid.steps")
-    if getattr(args, "steps", None) is not None:
+    if args.steps is not None:
         steps = args.steps
     return dynamics.TimeGrid(t_start, t_end, steps)
 
 
-def _two_qubit_gate(scenario: dict) -> gates.Gate:
-    g = _gate_from_scenario(scenario)
-    if g.n_qubits != 2:
-        raise ValueError("this command needs a 2-qubit gate or a 4x4 generator")
-    return g
-
-
-def _product_input(scenario: dict, tol: Tolerances) -> states.PureState:
+def _product_input(scenario: dict, tol: Tolerances):
+    """(joint state, described qubit, its environment, both marginals) of a product input."""
     psi = _input_from_scenario(scenario, n_qubits=2)
     tau = states.pure_entanglement(psi)
     if tau > tol.separability:
@@ -230,15 +225,13 @@ def _product_input(scenario: dict, tol: Tolerances) -> states.PureState:
             "state-independent map exists only when the composite starts in a "
             "product state rho_1 (x) rho_2 with a fixed environment state"
         )
-    return psi
-
-
-def _split_product(scenario: dict, rho: states.DensityMatrix):
-    """(which, env, marg1, marg2): the described qubit, its environment and both marginals."""
+    which = _integer(scenario.get("which_qubit", 1), "which_qubit")
+    if which not in (1, 2):
+        raise ValueError(f"which_qubit must be 1 or 2, got {which}")
+    rho = states.densify(psi)
     marg1 = states.DensityMatrix(linalg.partial_trace(rho.matrix, keep=1))
     marg2 = states.DensityMatrix(linalg.partial_trace(rho.matrix, keep=2))
-    which = _integer(scenario.get("which_qubit", 1), "which_qubit")
-    return which, (marg2 if which == 1 else marg1), marg1, marg2
+    return rho, which, (marg2 if which == 1 else marg1), (marg1, marg2)
 
 
 def _envelope(command: str, seed: int, tol: Tolerances, env_echo: dict | None) -> dict:
@@ -256,33 +249,26 @@ def _envelope(command: str, seed: int, tol: Tolerances, env_echo: dict | None) -
 # commands
 
 
-def _cmd_analyze_gate(args) -> tuple[dict, str | None]:
-    scenario = _load_scenario(args.scenario)
-    tol, env_echo = _resolve_tolerances(scenario, args)
-    gate = _two_qubit_gate(scenario)
+def _cmd_analyze_gate(scenario: dict, args, tol: Tolerances, seed: int) -> tuple[dict, None]:
+    gate = _gate_from_scenario(scenario)
     schmidt = gates.operator_schmidt_values(gate.unitary)
     entangling, rank = gates.is_entangling(gate, tol=tol.separability)
-    report = _envelope("analyze-gate", _resolve_seed(scenario, args), tol, env_echo)
-    report.update(
-        {
-            "n_qubits": gate.n_qubits,
-            "duration": _sig15(gate.duration),
-            "unitary": _cmatrix(gate.unitary),
-            "operator_schmidt_values": _reals(schmidt),
-            "operator_schmidt_rank": rank,
-            "entangling": entangling,
-            "generator_principal_log": _cmatrix(
-                gates.generator_from_unitary(gate.unitary, gate.duration)
-            ),
-        }
-    )
-    return report, None
+    body = {
+        "n_qubits": gate.n_qubits,
+        "duration": _sig15(gate.duration),
+        "unitary": _cmatrix(gate.unitary),
+        "operator_schmidt_values": _reals(schmidt),
+        "operator_schmidt_rank": rank,
+        "entangling": entangling,
+        "generator_principal_log": _cmatrix(
+            gates.generator_from_unitary(gate.unitary, gate.duration)
+        ),
+    }
+    return body, None
 
 
-def _cmd_trajectory(args) -> tuple[dict, str | None]:
-    scenario = _load_scenario(args.scenario)
-    tol, env_echo = _resolve_tolerances(scenario, args)
-    gate = _two_qubit_gate(scenario)
+def _cmd_trajectory(scenario: dict, args, tol: Tolerances, seed: int) -> tuple[dict, str]:
+    gate = _gate_from_scenario(scenario)
     psi = _input_from_scenario(scenario, n_qubits=2)
     grid = _grid_from_scenario(scenario, args, gate.duration)
     traj = dynamics.evolve_trajectory(gate.generator, states.densify(psi), grid)
@@ -297,22 +283,19 @@ def _cmd_trajectory(args) -> tuple[dict, str | None]:
         )
     csv_text = "\n".join(lines) + "\n"
 
-    report = _envelope("trajectory", _resolve_seed(scenario, args), tol, env_echo)
-    report.update(
-        {
-            "grid": {
-                "t_start": _sig15(grid.t_start),
-                "t_end": _sig15(grid.t_end),
-                "steps": grid.steps,
-                "epsilon": _sig15(grid.epsilon),
-            },
-            "t1": None if hit is None else _sig15(hit[0]),
-            "t1_negativity": None if hit is None else _sig15(hit[1]),
-            "max_negativity": _sig15(max(p.negativity for p in profile)),
-            "endpoint_purity": _sig15(profile[-1].purity),
-        }
-    )
-    return report, csv_text
+    body = {
+        "grid": {
+            "t_start": _sig15(grid.t_start),
+            "t_end": _sig15(grid.t_end),
+            "steps": grid.steps,
+            "epsilon": _sig15(grid.epsilon),
+        },
+        "t1": None if hit is None else _sig15(hit[0]),
+        "t1_negativity": None if hit is None else _sig15(hit[1]),
+        "max_negativity": _sig15(max(p.negativity for p in profile)),
+        "endpoint_purity": _sig15(profile[-1].purity),
+    }
+    return body, csv_text
 
 
 def _map_report(m: maps.DynamicalMap, tol: Tolerances, rng) -> dict:
@@ -349,37 +332,30 @@ def _random_density(rng) -> states.DensityMatrix:
     return states.DensityMatrix(m / float(np.trace(m).real))
 
 
-def _cmd_map(args) -> tuple[dict, str | None]:
-    scenario = _load_scenario(args.scenario)
-    tol, env_echo = _resolve_tolerances(scenario, args)
-    seed = _resolve_seed(scenario, args)
-    gate = _two_qubit_gate(scenario)
-    psi = _product_input(scenario, tol)
+def _cmd_map(scenario: dict, args, tol: Tolerances, seed: int) -> tuple[dict, None]:
+    gate = _gate_from_scenario(scenario)
+    _, which, env, marginals = _product_input(scenario, tol)
     grid = _grid_from_scenario(scenario, args, gate.duration)
     t = grid.t_end - grid.t_start
-    which, env, marg1, marg2 = _split_product(scenario, states.densify(psi))
+    rng = np.random.default_rng(seed)
 
-    report = _envelope("map", seed, tol, env_echo)
-    report["evolution_time"] = _sig15(t)
+    body = {"evolution_time": _sig15(t)}
     if args.both_qubits:
-        e1, e2 = maps.local_pair_maps(gate.generator, marg1, marg2, t)
-        rng = np.random.default_rng(seed)
-        report["map_qubit1"] = _map_report(e1, tol, rng)
-        report["map_qubit2"] = _map_report(e2, tol, rng)
-        report["superoperator_distance"] = _sig15(
+        e1, e2 = maps.local_pair_maps(gate.generator, *marginals, t)
+        body["map_qubit1"] = _map_report(e1, tol, rng)
+        body["map_qubit2"] = _map_report(e2, tol, rng)
+        body["superoperator_distance"] = _sig15(
             float(np.linalg.norm(e1.superoperator - e2.superoperator))
         )
     else:
         m = maps.induced_map(gate.generator, env, t, which=which)
-        report["map"] = _map_report(m, tol, np.random.default_rng(seed))
-    return report, None
+        body["map"] = _map_report(m, tol, rng)
+    return body, None
 
 
-def _cmd_divisibility(args) -> tuple[dict, str | None]:
-    scenario = _load_scenario(args.scenario)
-    tol, env_echo = _resolve_tolerances(scenario, args)
-    gate = _two_qubit_gate(scenario)
-    psi = _product_input(scenario, tol)
+def _cmd_divisibility(scenario: dict, args, tol: Tolerances, seed: int) -> tuple[dict, None]:
+    gate = _gate_from_scenario(scenario)
+    rho, which, env, _ = _product_input(scenario, tol)
     grid = _grid_from_scenario(scenario, args, gate.duration)
     if "t1" not in scenario:
         raise ValueError("divisibility needs a 't1' intermediate time in the scenario")
@@ -389,8 +365,6 @@ def _cmd_divisibility(args) -> tuple[dict, str | None]:
             f"t1={t1} must lie strictly inside ({grid.t_start}, {grid.t_end}); "
             "the sub-interval must be non-empty"
         )
-    rho = states.densify(psi)
-    which, env, _, _ = _split_product(scenario, rho)
 
     k = gate.generator
     e_short = maps.induced_map(k, env, t1 - grid.t_start, which=which)
@@ -407,32 +381,27 @@ def _cmd_divisibility(args) -> tuple[dict, str | None]:
     else:
         verdict = "markovian"
 
-    report = _envelope("divisibility", _resolve_seed(scenario, args), tol, env_echo)
-    report.update(
-        {
-            "t1": _sig15(t1),
-            "t_star": _sig15(grid.t_end),
-            "which_qubit": which,
-            "intermediate_map": {
-                "cp": inter.cp,
-                "min_choi_eigenvalue": _sig15(inter.min_choi_eigenvalue),
-                "short_map_rank": inter.short_map_rank,
-                "verdict": inter.verdict,
-                "superoperator": _cmatrix(inter.candidate.superoperator),
-            },
-            "witness": {
-                "trace_distance": _sig15(witness.trace_distance),
-                "correlation_at_t1": _sig15(witness.correlation_at_t1),
-            },
-            "verdict": verdict,
-        }
-    )
-    return report, None
+    body = {
+        "t1": _sig15(t1),
+        "t_star": _sig15(grid.t_end),
+        "which_qubit": which,
+        "intermediate_map": {
+            "cp": inter.cp,
+            "min_choi_eigenvalue": _sig15(inter.min_choi_eigenvalue),
+            "short_map_rank": inter.short_map_rank,
+            "verdict": inter.verdict,
+            "superoperator": _cmatrix(inter.candidate.superoperator),
+        },
+        "witness": {
+            "trace_distance": _sig15(witness.trace_distance),
+            "correlation_at_t1": _sig15(witness.correlation_at_t1),
+        },
+        "verdict": verdict,
+    }
+    return body, None
 
 
-def _cmd_qft(args) -> tuple[dict, str | None]:
-    scenario = _load_scenario(args.scenario)
-    tol, env_echo = _resolve_tolerances(scenario, args)
+def _cmd_qft(scenario: dict, args, tol: Tolerances, seed: int) -> tuple[dict, str]:
     n = args.n if args.n is not None else scenario.get("n_qubits")
     if n is None:
         raise ValueError("qft needs --n or an 'n_qubits' scenario entry")
@@ -472,19 +441,16 @@ def _cmd_qft(args) -> tuple[dict, str | None]:
         if "phi" in g:
             g["phi"] = _sig15(g["phi"])
 
-    report = _envelope("qft", _resolve_seed(scenario, args), tol, env_echo)
-    report.update(
-        {
-            "n_qubits": circuit.n_qubits,
-            "gate_count": len(circuit.gates),
-            "circuit": circuit_dict,
-            "dft_residual": _sig15(residual),
-            "output_amplitudes": _cvector(out.amplitudes),
-            "audit": audit_rows,
-            "all_separable": audit.all_separable(),
-        }
-    )
-    return report, csv_text
+    body = {
+        "n_qubits": circuit.n_qubits,
+        "gate_count": len(circuit.gates),
+        "circuit": circuit_dict,
+        "dft_residual": _sig15(residual),
+        "output_amplitudes": _cvector(out.amplitudes),
+        "audit": audit_rows,
+        "all_separable": audit.all_separable(),
+    }
+    return body, csv_text
 
 
 _COMMANDS = {
@@ -502,6 +468,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Gate dynamics, reduced dynamical maps and QFT audits.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    subs = {}
     for name, helptext in [
         ("analyze-gate", "operator Schmidt analysis and entangling verdict of a 2-qubit gate"),
         ("trajectory", "joint-state evolution over a time grid with entanglement profile"),
@@ -509,17 +476,21 @@ def _build_parser() -> argparse.ArgumentParser:
         ("divisibility", "intermediate-map CP check and sub-interval witness"),
         ("qft", "build and audit a QFT circuit"),
     ]:
-        p = sub.add_parser(name, help=helptext)
+        p = subs[name] = sub.add_parser(name, help=helptext)
         p.add_argument("--scenario", help="path to a JSON scenario file")
         p.add_argument("--out", help="write the JSON report here (CSV beside it when produced)")
         p.add_argument("--tol-cp", type=float, default=None, help="override the CP tolerance")
-        p.add_argument("--steps", type=int, default=None, help="override the grid step count")
-        p.add_argument("--both-qubits", action="store_true",
-                       help="map: report the maps of both qubits")
         p.add_argument("--seed", type=int, default=None, help="seed for randomized sweeps")
-        if name == "qft":
-            p.add_argument("--n", type=int, default=None, help="number of qubits (2..8)")
+    for name in ("trajectory", "map", "divisibility"):
+        subs[name].add_argument("--steps", type=int, default=None,
+                                help="override the grid step count")
+    subs["map"].add_argument("--both-qubits", action="store_true",
+                             help="report the maps of both qubits")
+    subs["qft"].add_argument("--n", type=int, default=None, help="number of qubits (2..8)")
     return parser
+
+
+_PARSER = _build_parser()
 
 
 def _emit(report: dict, csv_text: str | None, out: str | None):
@@ -533,10 +504,13 @@ def _emit(report: dict, csv_text: str | None, out: str | None):
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
-        report, csv_text = _COMMANDS[args.command](args)
-        _emit(report, csv_text, args.out)
+        scenario = _load_scenario(args.scenario)
+        tol, env_echo = _resolve_tolerances(scenario, args)
+        seed = _resolve_seed(scenario, args)
+        body, csv_text = _COMMANDS[args.command](scenario, args, tol, seed)
+        _emit({**_envelope(args.command, seed, tol, env_echo), **body}, csv_text, args.out)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -26,6 +26,8 @@ __all__ = [
 ]
 
 DEFAULT_STEPS = 100
+# each grid point holds a validated 4x4 DensityMatrix, so the grid size bounds memory and time
+MAX_STEPS = 100_000
 
 
 @dataclass(frozen=True)
@@ -39,8 +41,8 @@ class TimeGrid:
     def __post_init__(self):
         if self.t_end <= self.t_start:
             raise ValueError("t_end must exceed t_start")
-        if self.steps < 1:
-            raise ValueError("steps must be a positive integer")
+        if not 1 <= self.steps <= MAX_STEPS:
+            raise ValueError(f"steps must be an integer in [1, {MAX_STEPS}], got {self.steps}")
 
     @property
     def epsilon(self) -> float:

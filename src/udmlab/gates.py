@@ -47,22 +47,28 @@ SWAP = np.array(
 
 @dataclass(frozen=True, eq=False)
 class Gate:
-    """A unitary together with the Hermitian generator and duration behind it."""
+    """A unitary together with the Hermitian generator and duration behind it.
+
+    Without a given unitary, the gate holds exp(-i K t*); a given one (an
+    exact named matrix) is checked against that exponential.
+    """
 
     n_qubits: int
     generator: np.ndarray
     duration: float
-    unitary: np.ndarray
+    unitary: np.ndarray | None = None
 
     def __post_init__(self):
         if self.n_qubits not in (1, 2):
             raise ValueError("gates act on 1 or 2 qubits")
         if self.duration <= 0.0:
             raise ValueError("gate duration must be positive")
-        if linalg.unitarity_defect(self.unitary) > DEFAULT.unitarity:
+        if self.unitary is not None and linalg.unitarity_defect(self.unitary) > DEFAULT.unitarity:
             raise ValueError("cached gate matrix is not unitary")
         rebuilt = linalg.matexp_hermitian(self.generator, self.duration)
-        if float(np.max(np.abs(rebuilt - self.unitary))) > DEFAULT.reconstruction:
+        if self.unitary is None:
+            object.__setattr__(self, "unitary", rebuilt)
+        elif float(np.max(np.abs(rebuilt - self.unitary))) > DEFAULT.reconstruction:
             raise ValueError("gate matrix does not match exp(-i K t*)")
 
 
@@ -71,8 +77,7 @@ def gate_from_generator(k, t_star: float) -> Gate:
     k = linalg.as_matrix(k)
     if k.shape not in ((2, 2), (4, 4)):
         raise ValueError(f"generator must be 2x2 or 4x4, got {k.shape}")
-    u = linalg.matexp_hermitian(k, t_star)
-    return Gate(1 if k.shape[0] == 2 else 2, k, float(t_star), u)
+    return Gate(1 if k.shape[0] == 2 else 2, k, float(t_star))
 
 
 def generator_from_unitary(u, t_star: float) -> np.ndarray:

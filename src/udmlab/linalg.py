@@ -13,7 +13,6 @@ from .tolerances import DEFAULT
 
 __all__ = [
     "as_matrix",
-    "kron",
     "partial_trace",
     "matexp_hermitian",
     "svd",
@@ -42,11 +41,6 @@ def unitarity_defect(u: np.ndarray) -> float:
     """Max-abs deviation of u u^dag from the identity."""
     u = np.asarray(u)
     return float(np.max(np.abs(u @ u.conj().T - np.eye(u.shape[0]))))
-
-
-def kron(a, b) -> np.ndarray:
-    """Kronecker product; block (i, j) of the result is a[i, j] * b."""
-    return np.kron(as_matrix(a), as_matrix(b))
 
 
 def partial_trace(rho, keep: int) -> np.ndarray:

@@ -301,8 +301,7 @@ def intermediate_map(
     candidate = DynamicalMap(
         e_long.superoperator @ pinv, None, (t1, t_star), e_long.which_qubit
     )
-    min_eig = float(choi(candidate).eigenvalues[-1])
-    cp = min_eig >= -cp_tol
+    cp, _, min_eig = is_cptp(candidate, tol=cp_tol)
     return IntermediateMapResult(candidate, cp, min_eig, rank, indeterminate=rank < 4)
 
 

@@ -282,7 +282,7 @@ def test_qft_report_embeds_circuit_description(capsys):
 def test_internal_invariant_violation_exits_3(scenario_file, capsys, monkeypatch):
     import udmlab.cli as cli_mod
 
-    def boom(args):
+    def boom(*_):
         raise RuntimeError("synthetic invariant breach")
 
     monkeypatch.setitem(cli_mod._COMMANDS, "map", boom)
@@ -290,6 +290,7 @@ def test_internal_invariant_violation_exits_3(scenario_file, capsys, monkeypatch
     code, _, err = run(capsys, "map", "--scenario", path)
     assert code == 3
     assert "internal error" in err
+    assert "synthetic invariant breach" in err
 
 
 def test_reports_are_byte_identical_across_runs(scenario_file, capsys):
@@ -332,6 +333,14 @@ PLUS_PLUS = {"input": ["+", "+"]}
                  "which_qubit": None}, [], None, "which_qubit"),
         ("divisibility", {"gate": {"name": "cphase", "phi": 1.4}, "input": ["1", "+"],
                           "t1": None}, [], None, "t1"),
+        # seed, which_qubit and the steps bound
+        ("analyze-gate", {"gate": CPI, "seed": True}, [], None, "seed"),
+        ("analyze-gate", {"gate": CPI, "seed": -1}, [], None, "seed"),
+        ("map", {"gate": CPI, **PLUS_PLUS}, ["--seed", "-3"], None, "seed"),
+        ("map", {"gate": CPI, **PLUS_PLUS, "which_qubit": 3}, [], None, "which_qubit"),
+        ("divisibility", {"gate": CPI, **PLUS_PLUS, "t1": 0.5, "which_qubit": 3}, [], None,
+         "which_qubit"),
+        ("trajectory", {"gate": CPI, **PLUS_PLUS}, ["--steps", "100001"], None, "steps"),
     ],
 )
 def test_malformed_input_exits_2_naming_the_field(
@@ -344,3 +353,20 @@ def test_malformed_input_exits_2_naming_the_field(
     code, _, err = run(capsys, command, "--scenario", scenario_file(scenario), *extra)
     assert code == 2, err
     assert field in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze-gate", "--steps", "3"],
+        ["analyze-gate", "--both-qubits"],
+        ["qft", "--both-qubits"],
+        ["trajectory", "--both-qubits"],
+        ["divisibility", "--n", "3"],
+    ],
+)
+def test_flag_the_command_does_not_read_is_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

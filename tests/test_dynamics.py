@@ -13,6 +13,7 @@ from udmlab import (
     gate_from_generator,
     product_state,
 )
+from udmlab.dynamics import MAX_STEPS
 from udmlab.gates import X
 from conftest import random_hermitian
 
@@ -26,8 +27,9 @@ def test_timegrid_points_and_epsilon():
     np.testing.assert_allclose(grid.times(), [0, 0.25, 0.5, 0.75, 1.0])
     with pytest.raises(ValueError):
         TimeGrid(1.0, 1.0, 4)
-    with pytest.raises(ValueError):
-        TimeGrid(0.0, 1.0, 0)
+    for steps in (0, MAX_STEPS + 1):
+        with pytest.raises(ValueError, match="steps"):
+            TimeGrid(0.0, 1.0, steps)
 
 
 def test_zero_generator_gives_constant_trajectory():

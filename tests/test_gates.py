@@ -22,6 +22,7 @@ from udmlab import (
     swap_gate,
     x_gate,
 )
+from udmlab import linalg
 from udmlab.gates import SWAP, X, Gate
 from conftest import random_hermitian, random_pure, random_unitary
 
@@ -47,6 +48,20 @@ def test_gate_from_projector_generator_is_cz():
 def test_gate_invariant_checked():
     with pytest.raises(ValueError):
         Gate(1, np.zeros((2, 2), dtype=complex), 1.0, X)  # exp(0) != X
+
+
+def test_gate_from_generator_exponentiates_once(monkeypatch):
+    k = c_phase(np.pi).generator
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return matexp_hermitian(*args)
+
+    monkeypatch.setattr(linalg, "matexp_hermitian", counting)
+    g = gate_from_generator(k, 1.0)
+    assert len(calls) == 1
+    np.testing.assert_array_equal(g.unitary, matexp_hermitian(k, 1.0))
 
 
 def test_generator_from_identity_is_zero():

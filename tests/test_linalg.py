@@ -10,52 +10,6 @@ BELL = np.zeros((4, 4), dtype=complex)
 BELL[np.ix_([0, 3], [0, 3])] = 0.5
 
 
-def test_kron_identity():
-    np.testing.assert_array_equal(linalg.kron(I2, I2), np.eye(4))
-
-
-def test_kron_basis_vectors():
-    ket0 = np.array([[1.0], [0.0]])
-    ket1 = np.array([[0.0], [1.0]])
-    np.testing.assert_array_equal(
-        linalg.kron(ket0, ket1).ravel(), [0, 1, 0, 0]
-    )
-
-
-def test_kron_local_phase_differs_from_cphase():
-    phi = 0.7
-    local = linalg.kron(I2, np.diag([1, np.exp(1j * phi)]))
-    np.testing.assert_allclose(
-        np.diag(local), [1, np.exp(1j * phi), 1, np.exp(1j * phi)], atol=1e-15
-    )
-    cphase = np.diag([1, 1, 1, np.exp(1j * phi)])
-    assert np.max(np.abs(local - cphase)) > 0.1
-
-
-def test_kron_mixed_product_and_associativity(rng):
-    # associativity is exact when the entry products are exact floats
-    ints = [np.round(rng.integers(-3, 4, size=(2, 2)) + 1j * rng.integers(-3, 4, size=(2, 2))) for _ in range(3)]
-    np.testing.assert_array_equal(
-        linalg.kron(linalg.kron(ints[0], ints[1]), ints[2]),
-        linalg.kron(ints[0], linalg.kron(ints[1], ints[2])),
-    )
-    for _ in range(10):
-        a, b, c, d = (random_hermitian(rng, 2) for _ in range(4))
-        lhs = linalg.kron(a, b) @ linalg.kron(c, d)
-        np.testing.assert_allclose(lhs, linalg.kron(a @ c, b @ d), atol=1e-12)
-        np.testing.assert_allclose(
-            linalg.kron(linalg.kron(a, b), c),
-            linalg.kron(a, linalg.kron(b, c)),
-            atol=1e-12,
-        )
-
-
-def test_kron_rejects_nonfinite():
-    bad = np.array([[np.nan, 0], [0, 1]])
-    with pytest.raises(ValueError):
-        linalg.kron(bad, I2)
-
-
 def test_partial_trace_product_states():
     rho0 = np.diag([1.0, 0.0]).astype(complex)
     np.testing.assert_allclose(
@@ -90,6 +44,12 @@ def test_partial_trace_preserves_trace(rng):
 def test_partial_trace_rejects_wrong_shape():
     with pytest.raises(ValueError):
         linalg.partial_trace(I2, keep=1)
+
+
+def test_partial_trace_rejects_nonfinite():
+    bad = np.diag([np.nan, 0, 0, 1]).astype(complex)
+    with pytest.raises(ValueError, match="non-finite"):
+        linalg.partial_trace(bad, keep=1)
 
 
 def test_matexp_zero_time_is_identity(rng):
