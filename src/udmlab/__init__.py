@@ -10,7 +10,6 @@ from .tolerances import DEFAULT, Tolerances
 from .linalg import (
     partial_trace,
     matexp_hermitian,
-    svd,
     pseudo_inverse,
 )
 from .states import (
@@ -20,9 +19,7 @@ from .states import (
     product_state,
     densify,
     pure_entanglement,
-    schmidt_coefficients,
     negativity,
-    is_separable_pure,
     trace_distance,
 )
 from .gates import (
@@ -74,7 +71,6 @@ from .circuits import (
     circuit_unitary,
     dft_matrix,
     circuit_to_dict,
-    circuit_from_dict,
 )
 
 __version__ = "0.1.0"

@@ -34,7 +34,6 @@ __all__ = [
     "circuit_unitary",
     "dft_matrix",
     "circuit_to_dict",
-    "circuit_from_dict",
 ]
 
 GATE_ARITY = {"H": 1, "X": 1, "CPHASE": 2, "SWAP": 2}
@@ -198,18 +197,3 @@ def circuit_to_dict(circuit: Circuit) -> dict:
         gates.append(entry)
     return {"n_qubits": circuit.n_qubits, "gates": gates}
 
-
-def circuit_from_dict(data: dict) -> Circuit:
-    try:
-        n = int(data["n_qubits"])
-        gates = tuple(
-            PlacedGate(
-                str(g["name"]),
-                tuple(int(q) for q in g["qubits"]),
-                phi=float(g["phi"]) if "phi" in g else None,
-            )
-            for g in data["gates"]
-        )
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed circuit description: {exc}") from exc
-    return Circuit(n, gates)

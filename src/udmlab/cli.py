@@ -69,22 +69,26 @@ def _fmt_csv(x: float) -> str:
 # scenario parsing
 
 
-def _parse_complex(value) -> complex:
-    if isinstance(value, (int, float)):
-        return complex(value)
-    if (
-        isinstance(value, (list, tuple))
-        and len(value) == 2
-        and all(isinstance(x, (int, float)) for x in value)
-    ):
-        return complex(value[0], value[1])
-    raise ValueError(f"expected a number or [re, im] pair, got {value!r}")
+def _parse_complex(value, field: str) -> complex:
+    """A JSON number or an [re, im] pair of numbers."""
+    if not isinstance(value, list):
+        return complex(_number(value, field))
+    if len(value) != 2:
+        raise ValueError(f"{field} must be a number or [re, im] pair, got {value!r}")
+    return complex(_number(value[0], f"{field}[0]"), _number(value[1], f"{field}[1]"))
 
 
-def _parse_matrix(rows) -> np.ndarray:
+def _parse_matrix(rows, field: str) -> np.ndarray:
     if not isinstance(rows, list) or not rows or not all(isinstance(r, list) for r in rows):
-        raise ValueError("generator.matrix must be a non-empty list of rows, each a list")
-    return np.array([[_parse_complex(v) for v in row] for row in rows], dtype=complex)
+        raise ValueError(f"{field} must be a non-empty list of rows, each a list")
+    for i, row in enumerate(rows):
+        if len(row) != len(rows[0]):
+            raise ValueError(f"{field}[{i}] has {len(row)} entries, row 0 has {len(rows[0])}")
+    return np.array(
+        [[_parse_complex(v, f"{field}[{i}][{j}]") for j, v in enumerate(row)]
+         for i, row in enumerate(rows)],
+        dtype=complex,
+    )
 
 
 def _number(value, field: str) -> float:
@@ -175,7 +179,7 @@ def _gate_from_scenario(scenario: dict) -> gates.Gate:
         spec = scenario["generator"]
         if not isinstance(spec, dict) or "matrix" not in spec:
             raise ValueError("'generator' must be an object with a 'matrix'")
-        k = _parse_matrix(spec["matrix"])
+        k = _parse_matrix(spec["matrix"], "generator.matrix")
         if k.shape != (4, 4):
             raise ValueError(f"generator.matrix must be 4x4 for a 2-qubit gate, got {k.shape}")
         duration = _number(spec.get("duration", 1.0), "generator.duration")
@@ -192,7 +196,9 @@ def _input_from_scenario(scenario: dict, n_qubits: int | None = None) -> states.
     elif isinstance(spec, dict) and "amplitudes" in spec:
         if not isinstance(spec["amplitudes"], list):
             raise ValueError("input.amplitudes must be a list of numbers or [re, im] pairs")
-        psi = states.PureState([_parse_complex(v) for v in spec["amplitudes"]])
+        psi = states.PureState(
+            [_parse_complex(v, f"input.amplitudes[{i}]") for i, v in enumerate(spec["amplitudes"])]
+        )
     else:
         raise ValueError(
             "'input' must be a list of per-qubit state names "

@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from . import linalg
 from .states import DensityMatrix, PureState
@@ -92,29 +91,23 @@ def generator_from_unitary(u, t_star: float) -> np.ndarray:
         raise ValueError("duration must be positive")
     if linalg.unitarity_defect(u) > DEFAULT.unitarity:
         raise ValueError("generator_from_unitary requires a unitary matrix")
-    # complex Schur of a normal matrix = unitary eigendecomposition
-    tri, z = scipy.linalg.schur(u, output="complex")
-    phases = -np.angle(np.diag(tri))
+    # u = v diag(lam) v^-1 holds for any eigenbasis of a diagonalisable u,
+    # orthonormal or not, so degenerate eigenphases need no special care
+    lam, v = np.linalg.eig(u)
+    phases = -np.angle(lam)
     phases[phases <= -np.pi + 1e-12] = np.pi
-    k = (z * (phases / float(t_star))) @ z.conj().T
+    k = (v * (phases / float(t_star))) @ np.linalg.inv(v)
     return (k + k.conj().T) / 2.0
 
 
 def c_phase(phi: float, t_star: float = 1.0) -> Gate:
-    """Controlled-phase gate diag(1, 1, 1, e^{i phi}).
+    """Controlled-phase gate diag(1, 1, 1, e^{i phi}), symmetric under control/target exchange.
 
-    The generator is the minimal diagonal one consistent with the
-    exponential convention: (theta / t*) |11><11| with theta the principal
-    representative of -phi (boundary folded to +pi, so phi = pi gives the
-    generator pi |11><11|). Symmetric under control/target exchange.
+    Its generator is the principal log (theta / t*) |11><11|, theta the
+    principal representative of -phi: phi = pi gives pi |11><11|.
     """
     unitary = np.diag([1.0, 1.0, 1.0, np.exp(1j * float(phi))]).astype(complex)
-    theta = -float(np.angle(np.exp(1j * float(phi))))
-    if theta <= -np.pi + 1e-12:
-        theta = np.pi
-    gen = np.zeros((4, 4), dtype=complex)
-    gen[3, 3] = theta / float(t_star)
-    return Gate(2, gen, float(t_star), unitary)
+    return Gate(2, generator_from_unitary(unitary, t_star), float(t_star), unitary)
 
 
 def local_phase(phi: float, t_star: float = 1.0) -> Gate:

@@ -15,7 +15,6 @@ __all__ = [
     "as_matrix",
     "partial_trace",
     "matexp_hermitian",
-    "svd",
     "pseudo_inverse",
     "hermiticity_defect",
     "unitarity_defect",
@@ -76,13 +75,6 @@ def matexp_hermitian(k, t: float) -> np.ndarray:
     return (v * np.exp(-1j * w * float(t))) @ v.conj().T
 
 
-def svd(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Singular value decomposition m = U diag(s) V^dag, s descending."""
-    m = as_matrix(m)
-    u, s, vh = np.linalg.svd(m)
-    return s, u, vh.conj().T
-
-
 def pseudo_inverse(m, cutoff: float = DEFAULT.pinv_cutoff) -> tuple[np.ndarray, int]:
     """Moore-Penrose inverse with a relative singular-value cutoff.
 
@@ -91,11 +83,11 @@ def pseudo_inverse(m, cutoff: float = DEFAULT.pinv_cutoff) -> tuple[np.ndarray, 
     reported, never fatal.
     """
     m = as_matrix(m)
-    s, u, v = svd(m)
+    u, s, vh = np.linalg.svd(m)
     if s.size == 0 or s[0] == 0.0:
         return np.zeros((m.shape[1], m.shape[0]), dtype=complex), 0
     keep = s > cutoff * s[0]
     rank = int(np.count_nonzero(keep))
     inv_s = np.zeros_like(s)
     inv_s[keep] = 1.0 / s[keep]
-    return (v * inv_s) @ u.conj().T, rank
+    return (vh.conj().T * inv_s) @ u.conj().T, rank

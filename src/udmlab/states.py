@@ -24,9 +24,7 @@ __all__ = [
     "product_state",
     "densify",
     "pure_entanglement",
-    "schmidt_coefficients",
     "negativity",
-    "is_separable_pure",
     "trace_distance",
 ]
 
@@ -143,17 +141,6 @@ def pure_entanglement(psi: PureState) -> float:
     return float(abs(g[0] * g[3] - g[1] * g[2]))
 
 
-def schmidt_coefficients(psi: PureState) -> np.ndarray:
-    """Descending singular values of the reshaped 2x2 coefficient matrix.
-
-    Equivalent diagnostic to the determinant condition: the second
-    coefficient vanishes iff the state is separable, and the pair is
-    normalized (s1^2 + s2^2 = 1).
-    """
-    _require_two_qubits(psi)
-    return np.linalg.svd(psi.amplitudes.reshape(2, 2), compute_uv=False)
-
-
 def negativity(rho: DensityMatrix) -> float:
     """Sum of |negative eigenvalues| of the partial transpose over qubit 2.
 
@@ -166,11 +153,6 @@ def negativity(rho: DensityMatrix) -> float:
     pt = rho.matrix.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
     w = np.linalg.eigvalsh(pt)
     return float(np.abs(w[w < 0.0]).sum())
-
-
-def is_separable_pure(psi: PureState, tol: float = DEFAULT.separability) -> bool:
-    """True iff the determinant diagnostic is at most tol."""
-    return pure_entanglement(psi) <= tol
 
 
 def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import udmlab
 from udmlab.cli import main
 
 
@@ -341,6 +346,15 @@ PLUS_PLUS = {"input": ["+", "+"]}
         ("divisibility", {"gate": CPI, **PLUS_PLUS, "t1": 0.5, "which_qubit": 3}, [], None,
          "which_qubit"),
         ("trajectory", {"gate": CPI, **PLUS_PLUS}, ["--steps", "100001"], None, "steps"),
+        # matrix and amplitude entries
+        ("analyze-gate", {"generator": {"matrix": [[0] * 4, [0] * 4, [0] * 3, [0] * 4]}}, [],
+         None, "generator.matrix[2]"),
+        ("trajectory", {"gate": CPI, "input": {"amplitudes": [1, "a", 0, 0]}}, [], None,
+         "input.amplitudes[1]"),
+        ("trajectory", {"gate": CPI, "input": {"amplitudes": [True, False, [True, 0], 0]}}, [],
+         None, "input.amplitudes[0]"),
+        ("analyze-gate", {"generator": {"matrix": [[True, 0, 0, 0]] + [[0] * 4] * 3}}, [], None,
+         "generator.matrix[0][0]"),
     ],
 )
 def test_malformed_input_exits_2_naming_the_field(
@@ -370,3 +384,26 @@ def test_flag_the_command_does_not_read_is_rejected(argv, capsys):
         main(argv)
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+NO_SCIPY = """
+import sys
+sys.modules["scipy"] = None  # any import of scipy now raises ImportError
+from udmlab.cli import main
+sys.exit(max([main(["analyze-gate", "--scenario", path]) for path in sys.argv[1:]]))
+"""
+
+
+def test_cli_runs_without_scipy(scenario_file):
+    swap = scenario_file({"gate": {"name": "swap"}}, "swap.json")
+    generator = scenario_file(
+        {"generator": {"matrix": np.diag([0.0, 0.5, -1.0, 2.0]).tolist(), "duration": 0.7}},
+        "generator.json",
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(udmlab.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY, swap, generator],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.count('"command": "analyze-gate"') == 2

@@ -12,7 +12,6 @@ from udmlab import (
     hadamard,
     identity_gate,
     is_entangling,
-    is_separable_pure,
     local_phase,
     matexp_hermitian,
     named_state,
@@ -96,6 +95,29 @@ def test_generator_unitary_roundtrip(rng):
             np.testing.assert_allclose(g.unitary, u, atol=1e-9)
 
 
+def _near_degenerate_unitary(rng, gap):
+    """Random 4x4 unitary whose first two eigenphases differ by gap."""
+    a, b, c = rng.uniform(-3.0, 3.0, size=3)
+    w = random_unitary(rng, 4)
+    return (w * np.exp(1j * np.array([a, a + gap, b, c]))) @ w.conj().T
+
+
+DEGENERATE = {"swap": SWAP, "cz": np.diag([1, 1, 1, -1]).astype(complex), "identity": np.eye(4)}
+
+
+@pytest.mark.parametrize("case", ["swap", "cz", "identity", 0.0, 1e-12, 1e-8])
+def test_generator_from_degenerate_spectra(rng, case):
+    for t in (1.0, 0.3, 2.5):
+        for _ in range(1 if isinstance(case, str) else 20):
+            u = DEGENERATE[case] if isinstance(case, str) else _near_degenerate_unitary(rng, case)
+            k = generator_from_unitary(u, t)
+            assert linalg.hermiticity_defect(k) == 0.0
+            np.testing.assert_allclose(matexp_hermitian(k, t), u, rtol=0, atol=1e-13)
+            phases = np.linalg.eigvalsh(k) * t
+            # principal branch (-pi, pi], with round-off allowed at the folded +pi
+            assert phases[0] > -np.pi and phases[-1] <= np.pi + 1e-12
+
+
 def test_cphase_matrix_and_generator():
     assert equal_up_to_phase(c_phase(0.0).unitary, np.eye(4), tol=1e-12)
     np.testing.assert_allclose(c_phase(np.pi).unitary, np.diag([1, 1, 1, -1]), atol=1e-15)
@@ -118,7 +140,7 @@ def test_cphase_on_superposed_control():
     out = apply(c_phase(phi), psi)
     expected = np.kron(np.array([1, np.exp(1j * phi)]) / np.sqrt(2), [0, 1])
     np.testing.assert_allclose(out.amplitudes, expected, atol=1e-14)
-    assert is_separable_pure(out, tol=1e-12)
+    assert pure_entanglement(out) <= 1e-12
 
 
 def test_cphase_leaves_companion_zero_branch_unchanged():

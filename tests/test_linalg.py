@@ -89,21 +89,6 @@ def test_matexp_rejects_non_hermitian():
         linalg.matexp_hermitian(np.array([[0, 1], [0, 0]]), 1.0)
 
 
-def test_svd_known_values():
-    s, _, _ = linalg.svd(I2)
-    np.testing.assert_allclose(s, [1, 1], atol=1e-15)
-    s, _, _ = linalg.svd(np.array([[0, 1], [0, 0]], dtype=complex))  # |0><1|
-    np.testing.assert_allclose(s, [1, 0], atol=1e-15)
-    s, _, _ = linalg.svd(np.diag([1, 1]) / np.sqrt(2))  # Bell coefficient matrix
-    np.testing.assert_allclose(s, [1 / np.sqrt(2), 1 / np.sqrt(2)], atol=1e-15)
-
-
-def test_svd_reconstructs(rng):
-    m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    s, u, v = linalg.svd(m)
-    np.testing.assert_allclose(u @ np.diag(s) @ v.conj().T, m, atol=1e-9)
-
-
 def test_pseudo_inverse_identity_and_diagonal():
     pinv, rank = linalg.pseudo_inverse(np.eye(4))
     np.testing.assert_allclose(pinv, np.eye(4), atol=1e-14)

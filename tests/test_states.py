@@ -5,15 +5,12 @@ from udmlab import (
     DensityMatrix,
     PureState,
     densify,
-    is_separable_pure,
     named_state,
     negativity,
     product_state,
     pure_entanglement,
-    schmidt_coefficients,
     trace_distance,
 )
-from udmlab.gates import c_phase, apply
 from conftest import random_density, random_pure, random_unitary
 
 BELL = PureState([1, 0, 0, 1])
@@ -69,26 +66,6 @@ def test_pure_entanglement_requires_two_qubits():
         pure_entanglement(named_state("0"))
 
 
-def test_schmidt_coefficients_examples():
-    np.testing.assert_allclose(
-        schmidt_coefficients(product_state(["+", "1"])), [1, 0], atol=1e-15
-    )
-    np.testing.assert_allclose(
-        schmidt_coefficients(BELL), [1 / np.sqrt(2), 1 / np.sqrt(2)], atol=1e-15
-    )
-    # C_pi output on |++>
-    out = apply(c_phase(np.pi), product_state(["+", "+"]))
-    np.testing.assert_allclose(
-        schmidt_coefficients(out), [1 / np.sqrt(2), 1 / np.sqrt(2)], atol=1e-12
-    )
-
-
-def test_schmidt_normalization(rng):
-    for _ in range(20):
-        s = schmidt_coefficients(PureState(random_pure(rng, 4)))
-        assert abs(s[0] ** 2 + s[1] ** 2 - 1.0) < 1e-9
-
-
 def test_negativity_examples(rng):
     rho_a = DensityMatrix(random_density(rng, 2))
     rho_b = DensityMatrix(random_density(rng, 2))
@@ -103,10 +80,10 @@ def test_is_separable_pure_examples(rng):
     for _ in range(10):
         alpha = random_pure(rng, 2)
         beta = random_pure(rng, 2)
-        assert is_separable_pure(PureState(np.kron(alpha, beta)), tol=1e-9)
+        assert pure_entanglement(PureState(np.kron(alpha, beta))) <= 1e-9
     # uniform input with a phase pi/2 on the last amplitude: 1 != 1/e^{i phi}
-    assert not is_separable_pure(PureState([1, 1, 1, 1j]), tol=1e-9)
-    assert is_separable_pure(product_state(["0", "1"]), tol=1e-9)
+    assert pure_entanglement(PureState([1, 1, 1, 1j])) > 1e-9
+    assert pure_entanglement(product_state(["0", "1"])) <= 1e-9
 
 
 def test_product_states_have_no_entanglement(rng):
@@ -131,7 +108,7 @@ def test_negativity_and_tau_agree_on_pure_states(rng):
         neg = negativity(densify(psi))
         assert (neg > 1e-9) == (tau > 1e-9)
         # two independent formulas for one quantity
-        s = schmidt_coefficients(psi)
+        s = np.linalg.svd(psi.amplitudes.reshape(2, 2), compute_uv=False)
         assert abs(2 * tau - 2 * s[0] * s[1]) < 1e-9
 
 
