@@ -8,8 +8,11 @@ swapped to .csv. Numbers are serialized with 15 significant digits so that
 reruns of the same scenario and seed are byte-identical.
 
 ``main`` loads the scenario, resolves tolerances and seed and writes the
-report envelope; each ``_cmd_*`` returns only its own report keys and CSV
-text. A subcommand accepts only the flags its command reads.
+report envelope; each ``_cmd_*`` returns only its own report keys, as
+plain library values (floats, complex arrays, tuples), and CSV text.
+``_plain`` (the JSON report) and ``_csv`` (the CSV records) are the only
+places that format numbers. A subcommand accepts only the flags its
+command reads.
 
 Exit codes: 0 success, 2 input/scenario error, 3 internal invariant
 violation. The UDMLAB_TOL_OVERRIDE environment variable may hold a JSON
@@ -44,25 +47,48 @@ def _sig15(x: float) -> float:
     return float(f"{float(x):.15g}")
 
 
-def _cnum(z) -> list[float]:
-    z = complex(z)
-    return [_sig15(z.real), _sig15(z.imag)]
+def _plain(x):
+    """The JSON value of a report entry, numbers at 15 significant digits.
+
+    Arrays become nested lists, a complex number an [re, im] pair, a tuple a
+    list; dicts are converted entry by entry, and bools, ints, strings and
+    None pass through.
+    """
+    if isinstance(x, dict):
+        return {k: _plain(v) for k, v in x.items()}
+    if isinstance(x, np.ndarray):
+        x = x.tolist()
+    if isinstance(x, (list, tuple)):
+        return [_plain(v) for v in x]
+    if isinstance(x, complex):
+        return [_sig15(x.real), _sig15(x.imag)]
+    if isinstance(x, float):
+        return _sig15(x)
+    return x
 
 
-def _cmatrix(m) -> list:
-    return [[_cnum(z) for z in row] for row in np.asarray(m)]
+def _csv(records) -> str:
+    """CSV of dataclass records: their field names, then one line per record.
+
+    Floats take 15 significant digits, None an empty cell, booleans are
+    lower-case and a tuple of qubits is joined with ';'.
+    """
+    rows = [vars(r) for r in records]
+    lines = [",".join(rows[0])]
+    lines += [",".join(_csv_cell(v) for v in row.values()) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
-def _cvector(v) -> list:
-    return [_cnum(z) for z in np.asarray(v).reshape(-1)]
-
-
-def _reals(v) -> list[float]:
-    return [_sig15(x) for x in np.asarray(v, dtype=float).reshape(-1)]
-
-
-def _fmt_csv(x: float) -> str:
-    return f"{float(x):.15g}"
+def _csv_cell(x) -> str:
+    if x is None:
+        return ""
+    if isinstance(x, bool):
+        return str(x).lower()
+    if isinstance(x, tuple):
+        return ";".join(map(str, x))
+    if isinstance(x, float):
+        return f"{x:.15g}"
+    return str(x)
 
 
 # ---------------------------------------------------------------------------
@@ -240,35 +266,21 @@ def _product_input(scenario: dict, tol: Tolerances):
     return rho, which, (marg2 if which == 1 else marg1), (marg1, marg2)
 
 
-def _envelope(command: str, seed: int, tol: Tolerances, env_echo: dict | None) -> dict:
-    report = {
-        "command": command,
-        "seed": seed,
-        "tolerances": {k: _sig15(v) for k, v in tol.as_dict().items()},
-    }
-    if env_echo is not None:
-        report["env_tol_override"] = env_echo
-    return report
-
-
 # ---------------------------------------------------------------------------
 # commands
 
 
 def _cmd_analyze_gate(scenario: dict, args, tol: Tolerances, seed: int) -> tuple[dict, None]:
     gate = _gate_from_scenario(scenario)
-    schmidt = gates.operator_schmidt_values(gate.unitary)
     entangling, rank = gates.is_entangling(gate, tol=tol.separability)
     body = {
         "n_qubits": gate.n_qubits,
-        "duration": _sig15(gate.duration),
-        "unitary": _cmatrix(gate.unitary),
-        "operator_schmidt_values": _reals(schmidt),
+        "duration": gate.duration,
+        "unitary": gate.unitary,
+        "operator_schmidt_values": gates.operator_schmidt_values(gate.unitary),
         "operator_schmidt_rank": rank,
         "entangling": entangling,
-        "generator_principal_log": _cmatrix(
-            gates.generator_from_unitary(gate.unitary, gate.duration)
-        ),
+        "generator_principal_log": gates.generator_from_unitary(gate.unitary, gate.duration),
     }
     return body, None
 
@@ -280,28 +292,19 @@ def _cmd_trajectory(scenario: dict, args, tol: Tolerances, seed: int) -> tuple[d
     traj = dynamics.evolve_trajectory(gate.generator, states.densify(psi), grid)
     profile = dynamics.entanglement_profile(traj)
     hit = dynamics.find_entangled_instant(traj, tol=tol.entanglement)
-
-    lines = ["t,negativity,tau,purity"]
-    for p in profile:
-        tau = "" if p.tau is None else _fmt_csv(p.tau)
-        lines.append(
-            f"{_fmt_csv(p.t)},{_fmt_csv(p.negativity)},{tau},{_fmt_csv(p.purity)}"
-        )
-    csv_text = "\n".join(lines) + "\n"
-
     body = {
         "grid": {
-            "t_start": _sig15(grid.t_start),
-            "t_end": _sig15(grid.t_end),
+            "t_start": grid.t_start,
+            "t_end": grid.t_end,
             "steps": grid.steps,
-            "epsilon": _sig15(grid.epsilon),
+            "epsilon": grid.epsilon,
         },
-        "t1": None if hit is None else _sig15(hit[0]),
-        "t1_negativity": None if hit is None else _sig15(hit[1]),
-        "max_negativity": _sig15(max(p.negativity for p in profile)),
-        "endpoint_purity": _sig15(profile[-1].purity),
+        "t1": None if hit is None else hit[0],
+        "t1_negativity": None if hit is None else hit[1],
+        "max_negativity": max(p.negativity for p in profile),
+        "endpoint_purity": profile[-1].purity,
     }
-    return body, csv_text
+    return body, _csv(profile)
 
 
 def _map_report(m: maps.DynamicalMap, tol: Tolerances, rng) -> dict:
@@ -317,18 +320,16 @@ def _map_report(m: maps.DynamicalMap, tol: Tolerances, rng) -> dict:
     completeness = sum(op.conj().T @ op for op in kraus.operators)
     return {
         "which_qubit": m.which_qubit,
-        "interval": [_sig15(m.interval[0]), _sig15(m.interval[1])],
-        "environment_state": _cmatrix(m.environment_state.matrix),
-        "superoperator": _cmatrix(m.superoperator),
-        "choi_eigenvalues": _reals(c.eigenvalues),
+        "interval": m.interval,
+        "environment_state": m.environment_state.matrix,
+        "superoperator": m.superoperator,
+        "choi_eigenvalues": c.eigenvalues,
         "cp": cp,
         "tp": tp,
-        "min_choi_eigenvalue": _sig15(min_eig),
+        "min_choi_eigenvalue": min_eig,
         "kraus_count": len(kraus.operators),
-        "kraus_reconstruction_residual": _sig15(residual),
-        "kraus_completeness_residual": _sig15(
-            float(np.max(np.abs(completeness - np.eye(2))))
-        ),
+        "kraus_reconstruction_residual": residual,
+        "kraus_completeness_residual": float(np.max(np.abs(completeness - np.eye(2)))),
     }
 
 
@@ -345,14 +346,12 @@ def _cmd_map(scenario: dict, args, tol: Tolerances, seed: int) -> tuple[dict, No
     t = grid.t_end - grid.t_start
     rng = np.random.default_rng(seed)
 
-    body = {"evolution_time": _sig15(t)}
+    body = {"evolution_time": t}
     if args.both_qubits:
         e1, e2 = maps.local_pair_maps(gate.generator, *marginals, t)
         body["map_qubit1"] = _map_report(e1, tol, rng)
         body["map_qubit2"] = _map_report(e2, tol, rng)
-        body["superoperator_distance"] = _sig15(
-            float(np.linalg.norm(e1.superoperator - e2.superoperator))
-        )
+        body["superoperator_distance"] = float(np.linalg.norm(e1.superoperator - e2.superoperator))
     else:
         m = maps.induced_map(gate.generator, env, t, which=which)
         body["map"] = _map_report(m, tol, rng)
@@ -388,19 +387,19 @@ def _cmd_divisibility(scenario: dict, args, tol: Tolerances, seed: int) -> tuple
         verdict = "markovian"
 
     body = {
-        "t1": _sig15(t1),
-        "t_star": _sig15(grid.t_end),
+        "t1": t1,
+        "t_star": grid.t_end,
         "which_qubit": which,
         "intermediate_map": {
             "cp": inter.cp,
-            "min_choi_eigenvalue": _sig15(inter.min_choi_eigenvalue),
+            "min_choi_eigenvalue": inter.min_choi_eigenvalue,
             "short_map_rank": inter.short_map_rank,
             "verdict": inter.verdict,
-            "superoperator": _cmatrix(inter.candidate.superoperator),
+            "superoperator": inter.candidate.superoperator,
         },
         "witness": {
-            "trace_distance": _sig15(witness.trace_distance),
-            "correlation_at_t1": _sig15(witness.correlation_at_t1),
+            "trace_distance": witness.trace_distance,
+            "correlation_at_t1": witness.correlation_at_t1,
         },
         "verdict": verdict,
     }
@@ -420,43 +419,16 @@ def _cmd_qft(scenario: dict, args, tol: Tolerances, seed: int) -> tuple[dict, st
     residual = float(
         np.linalg.norm(circuits.circuit_unitary(circuit) - circuits.dft_matrix(circuit.n_qubits))
     )
-
-    audit_rows = [
-        {
-            "position": r.position,
-            "name": r.name,
-            "qubits": list(r.qubits),
-            "negativity_in": _sig15(r.negativity_in),
-            "negativity_out": _sig15(r.negativity_out),
-            "separable_in": r.separable_in,
-            "separable_out": r.separable_out,
-        }
-        for r in audit.records
-    ]
-    lines = ["position,name,qubits,negativity_in,negativity_out,separable_in,separable_out"]
-    for r in audit.records:
-        lines.append(
-            f"{r.position},{r.name},{r.qubits[0]};{r.qubits[1]},"
-            f"{_fmt_csv(r.negativity_in)},{_fmt_csv(r.negativity_out)},"
-            f"{str(r.separable_in).lower()},{str(r.separable_out).lower()}"
-        )
-    csv_text = "\n".join(lines) + "\n"
-
-    circuit_dict = circuits.circuit_to_dict(circuit)
-    for g in circuit_dict["gates"]:
-        if "phi" in g:
-            g["phi"] = _sig15(g["phi"])
-
     body = {
         "n_qubits": circuit.n_qubits,
         "gate_count": len(circuit.gates),
-        "circuit": circuit_dict,
-        "dft_residual": _sig15(residual),
-        "output_amplitudes": _cvector(out.amplitudes),
-        "audit": audit_rows,
+        "circuit": circuits.circuit_to_dict(circuit),
+        "dft_residual": residual,
+        "output_amplitudes": out.amplitudes,
+        "audit": [vars(r) for r in audit.records],
         "all_separable": audit.all_separable(),
     }
-    return body, csv_text
+    return body, _csv(audit.records)
 
 
 _COMMANDS = {
@@ -516,7 +488,10 @@ def main(argv=None) -> int:
         tol, env_echo = _resolve_tolerances(scenario, args)
         seed = _resolve_seed(scenario, args)
         body, csv_text = _COMMANDS[args.command](scenario, args, tol, seed)
-        _emit({**_envelope(args.command, seed, tol, env_echo), **body}, csv_text, args.out)
+        report = {"command": args.command, "seed": seed, "tolerances": _plain(tol.as_dict())}
+        if env_echo is not None:
+            report["env_tol_override"] = env_echo  # exactly as given
+        _emit({**report, **_plain(body)}, csv_text, args.out)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
