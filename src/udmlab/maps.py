@@ -12,11 +12,10 @@ Conventions (used everywhere, all reported numbers assume them):
   positive semidefinite.
 
 A map induced from a product initial condition with a fixed environment
-state is reconstructed tomographically: the four physical probe inputs
-|0><0|, |1><1|, |+><+|, |+i><+i| span the 2x2 operator space, each is
-evolved jointly with the environment and reduced, and the linear system
-pins the superoperator. Such maps are state-independent and CPTP by
-construction; both properties are verified, not assumed.
+state rho_E is computed from its definition, E_t(rho) =
+Tr_E[U_t (rho (x) rho_E) U_t^dag], as one contraction of U_t, rho_E and
+conj(U_t) into the superoperator. Such maps are state-independent and
+CPTP by construction; both properties are verified, not assumed.
 
 Two certificates operationalize the failure of a state-independent
 description on a sub-interval that starts from a correlated joint state:
@@ -65,16 +64,6 @@ __all__ = [
     "udm_witness_subinterval",
     "local_pair_maps",
 ]
-
-# probe inputs |0><0|, |1><1|, |+><+|, |+i><+i|: physical states spanning
-# the Hermitian 2x2 operator space
-_PROBES = [
-    np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex),
-    np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex),
-    np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex),
-    np.array([[0.5, -0.5j], [0.5j, 0.5]], dtype=complex),
-]
-
 
 def vec(m: np.ndarray) -> np.ndarray:
     """Column-stack a matrix into a vector."""
@@ -163,17 +152,12 @@ class WitnessReport:
     correlation_at_t1: float
 
 
-def _joint(rho_sys: np.ndarray, env: np.ndarray, which: int) -> np.ndarray:
-    return np.kron(rho_sys, env) if which == 1 else np.kron(env, rho_sys)
-
-
 def induced_map(k, env: DensityMatrix, t: float, which: int = 1) -> DynamicalMap:
-    """Tomographic reconstruction of the map induced on one qubit.
+    """The map E(rho) = Tr_E[U (rho (x) env) U^dag] induced on one qubit.
 
-    The qubit ``which`` starts in each probe state, jointly evolves with
-    the fixed environment ``env`` under e^{-i k t}, and is reduced back;
-    solving the resulting linear system gives the superoperator. The
-    output is checked to be CPTP, which maps induced this way always are.
+    The qubit ``which`` and the fixed environment ``env`` evolve jointly
+    under U = e^{-i k t}, and the environment is traced out. The output is
+    checked to be CPTP, which maps induced this way always are.
     """
     k = linalg.as_matrix(k)
     if k.shape != (4, 4):
@@ -184,13 +168,13 @@ def induced_map(k, env: DensityMatrix, t: float, which: int = 1) -> DynamicalMap
         raise ValueError("evolution time must be positive")
     if which not in (1, 2):
         raise ValueError("which must be 1 or 2")
-    u = linalg.matexp_hermitian(k, t)
-    ins, outs = [], []
-    for probe in _PROBES:
-        evolved = u @ _joint(probe, env.matrix, which) @ u.conj().T
-        outs.append(vec(linalg.partial_trace(evolved, keep=which)))
-        ins.append(vec(probe))
-    superop = np.column_stack(outs) @ np.linalg.inv(np.column_stack(ins))
+    # axes (out-sys, out-env, in-sys, in-env); qubit 2 as the system swaps the factors
+    u = linalg.matexp_hermitian(k, t).reshape(2, 2, 2, 2)
+    if which == 2:
+        u = u.transpose(1, 0, 3, 2)
+    # S[(a, a'), (b, b')] = sum_{e, f, g} U[a, e, b, f] env[f, g] conj(U[a', e, b', g]),
+    # with the column-stacking order putting the primed index first
+    superop = np.einsum("aebf,fg,cedg->cadb", u, env.matrix, u.conj()).reshape(4, 4)
     m = DynamicalMap(superop, env, (0.0, float(t)), which)
     cp, tp, min_eig = is_cptp(m, tol=DEFAULT.cp)
     if not (cp and tp):
