@@ -134,11 +134,20 @@ def _integer(value, field: str) -> int:
     return value
 
 
+def _json(text: str, source: str):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{source} is not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise ValueError(f"{source} is nested too deeply to parse") from None
+
+
 def _load_scenario(path: str | None) -> dict:
     if path is None:
         return {}
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+        data = _json(fh.read(), f"scenario file {path}")
     if not isinstance(data, dict):
         raise ValueError("scenario file must contain a JSON object")
     return data
@@ -152,10 +161,7 @@ def _resolve_tolerances(scenario: dict, args) -> tuple[Tolerances, dict | None]:
     env_raw = os.environ.get(ENV_TOL_OVERRIDE)
     env_echo = None
     if env_raw:
-        try:
-            env_echo = json.loads(env_raw)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{ENV_TOL_OVERRIDE} is not valid JSON: {exc}") from exc
+        env_echo = _json(env_raw, ENV_TOL_OVERRIDE)
         tol = tol.override(**_tolerance_values(env_echo, ENV_TOL_OVERRIDE))
     return tol, env_echo
 
@@ -182,7 +188,7 @@ def _resolve_seed(scenario: dict, args) -> int:
 _NAMED_GATES = ("cphase", "local-phase", "swap", "identity")
 
 
-def _gate_from_scenario(scenario: dict) -> gates.Gate:
+def _gate_from_scenario(scenario: dict, tol: Tolerances) -> gates.Gate:
     """The 2-qubit gate a scenario names, or the one its 4x4 generator drives."""
     if "gate" in scenario and "generator" in scenario:
         raise ValueError("scenario must give either 'gate' or 'generator', not both")
@@ -209,7 +215,9 @@ def _gate_from_scenario(scenario: dict) -> gates.Gate:
         if k.shape != (4, 4):
             raise ValueError(f"generator.matrix must be 4x4 for a 2-qubit gate, got {k.shape}")
         duration = _number(spec.get("duration", 1.0), "generator.duration")
-        return gates.gate_from_generator(k, duration)
+        gate = gates.gate_from_generator(k, duration)
+        _check_phase(gate, duration, "generator.duration", tol)
+        return gate
     raise ValueError("scenario must specify a 'gate' or a 'generator'")
 
 
@@ -235,12 +243,31 @@ def _input_from_scenario(scenario: dict, n_qubits: int | None = None) -> states.
     return psi
 
 
-def _grid_from_scenario(scenario: dict, args, duration: float) -> dynamics.TimeGrid:
+def _check_phase(gate: gates.Gate, t: float, field: str, tol: Tolerances):
+    """Reject a time t at which e^{-i K t} is not known to tol.reconstruction.
+
+    A phase p = max|eig K| |t| carries p * eps of round-off, so the bound is
+    p <= tol.reconstruction / eps (about 4.5e6 rad at the default).
+    """
+    phase = float(np.max(np.abs(np.linalg.eigvalsh(gate.generator)))) * abs(t)
+    limit = tol.reconstruction / np.finfo(float).eps
+    if phase > limit:
+        raise ValueError(
+            f"{field}={t!r}: the phase max|eig K| * |t| is {phase:.3g} rad, beyond "
+            f"tolerances.reconstruction / eps = {limit:.3g} rad"
+        )
+
+
+def _grid_from_scenario(
+    scenario: dict, args, gate: gates.Gate, tol: Tolerances
+) -> dynamics.TimeGrid:
     spec = scenario.get("grid", {})
     if not isinstance(spec, dict):
         raise ValueError("'grid' must be an object")
     t_start = _number(spec.get("t_start", 0.0), "grid.t_start")
-    t_end = _number(spec.get("t_end", t_start + duration), "grid.t_end")
+    _check_phase(gate, t_start, "grid.t_start", tol)
+    t_end = _number(spec.get("t_end", t_start + gate.duration), "grid.t_end")
+    _check_phase(gate, t_end, "grid.t_end", tol)
     steps = _integer(spec.get("steps", dynamics.DEFAULT_STEPS), "grid.steps")
     if args.steps is not None:
         steps = args.steps
@@ -271,7 +298,7 @@ def _product_input(scenario: dict, tol: Tolerances):
 
 
 def _cmd_analyze_gate(scenario: dict, args, tol: Tolerances, seed: int) -> tuple[dict, None]:
-    gate = _gate_from_scenario(scenario)
+    gate = _gate_from_scenario(scenario, tol)
     entangling, rank = gates.is_entangling(gate, tol=tol.separability)
     body = {
         "n_qubits": gate.n_qubits,
@@ -286,9 +313,9 @@ def _cmd_analyze_gate(scenario: dict, args, tol: Tolerances, seed: int) -> tuple
 
 
 def _cmd_trajectory(scenario: dict, args, tol: Tolerances, seed: int) -> tuple[dict, str]:
-    gate = _gate_from_scenario(scenario)
+    gate = _gate_from_scenario(scenario, tol)
     psi = _input_from_scenario(scenario, n_qubits=2)
-    grid = _grid_from_scenario(scenario, args, gate.duration)
+    grid = _grid_from_scenario(scenario, args, gate, tol)
     traj = dynamics.evolve_trajectory(gate.generator, states.densify(psi), grid)
     profile = dynamics.entanglement_profile(traj)
     hit = dynamics.find_entangled_instant(traj, tol=tol.entanglement)
@@ -340,9 +367,9 @@ def _random_density(rng) -> states.DensityMatrix:
 
 
 def _cmd_map(scenario: dict, args, tol: Tolerances, seed: int) -> tuple[dict, None]:
-    gate = _gate_from_scenario(scenario)
+    gate = _gate_from_scenario(scenario, tol)
     _, which, env, marginals = _product_input(scenario, tol)
-    grid = _grid_from_scenario(scenario, args, gate.duration)
+    grid = _grid_from_scenario(scenario, args, gate, tol)
     t = grid.t_end - grid.t_start
     rng = np.random.default_rng(seed)
 
@@ -359,9 +386,9 @@ def _cmd_map(scenario: dict, args, tol: Tolerances, seed: int) -> tuple[dict, No
 
 
 def _cmd_divisibility(scenario: dict, args, tol: Tolerances, seed: int) -> tuple[dict, None]:
-    gate = _gate_from_scenario(scenario)
+    gate = _gate_from_scenario(scenario, tol)
     rho, which, env, _ = _product_input(scenario, tol)
-    grid = _grid_from_scenario(scenario, args, gate.duration)
+    grid = _grid_from_scenario(scenario, args, gate, tol)
     if "t1" not in scenario:
         raise ValueError("divisibility needs a 't1' intermediate time in the scenario")
     t1 = _number(scenario["t1"], "t1")
@@ -450,7 +477,7 @@ def _build_parser() -> argparse.ArgumentParser:
     for name, helptext in [
         ("analyze-gate", "operator Schmidt analysis and entangling verdict of a 2-qubit gate"),
         ("trajectory", "joint-state evolution over a time grid with entanglement profile"),
-        ("map", "tomographic reduced dynamical map with Choi/Kraus/CPTP report"),
+        ("map", "reduced dynamical map of one qubit with Choi/Kraus/CPTP report"),
         ("divisibility", "intermediate-map CP check and sub-interval witness"),
         ("qft", "build and audit a QFT circuit"),
     ]:

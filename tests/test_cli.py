@@ -15,7 +15,7 @@ from udmlab.cli import main
 def scenario_file(tmp_path):
     def write(data, name="scenario.json"):
         path = tmp_path / name
-        path.write_text(json.dumps(data))
+        path.write_text(data if isinstance(data, str) else json.dumps(data))
         return str(path)
 
     return write
@@ -251,6 +251,14 @@ def test_env_tolerance_override_is_echoed(scenario_file, capsys, monkeypatch):
     report = json.loads(out)
     assert report["env_tol_override"] == {"cp": 1e-06}
     assert report["tolerances"]["cp"] == 1e-06
+    # the echo is the user's value; the tolerances show the 15-digit report form
+    monkeypatch.setenv("UDMLAB_TOL_OVERRIDE", '{"cp": 1.2345678901234567e-06}')
+    code, out, _ = run(capsys, "analyze-gate", "--scenario", path)
+    assert code == 0
+    report = json.loads(out)
+    assert report["env_tol_override"] == {"cp": 1.2345678901234567e-06}
+    assert '"cp": 1.2345678901234567e-06' in out
+    assert report["tolerances"]["cp"] == 1.23456789012346e-06
 
 
 def test_tol_cp_flag_overrides(scenario_file, capsys):
@@ -311,6 +319,8 @@ def test_reports_are_byte_identical_across_runs(scenario_file, capsys):
 
 
 PLUS_PLUS = {"input": ["+", "+"]}
+DEEP = "[" * 100_000 + "]" * 100_000
+GEN_Z = {"matrix": [[1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, -1]]}
 
 
 @pytest.mark.parametrize(
@@ -355,6 +365,22 @@ PLUS_PLUS = {"input": ["+", "+"]}
          None, "input.amplitudes[0]"),
         ("analyze-gate", {"generator": {"matrix": [[True, 0, 0, 0]] + [[0] * 4] * 3}}, [], None,
          "generator.matrix[0][0]"),
+        # JSON nested past the recursion limit
+        pytest.param("analyze-gate", '{"gate": %s}' % DEEP, [], None, "scenario file",
+                     id="deep-scenario"),
+        pytest.param("analyze-gate", {"gate": CPI}, [], '{"cp": %s}' % DEEP,
+                     "UDMLAB_TOL_OVERRIDE", id="deep-env-override"),
+        # times whose phases w t exceed tolerances.reconstruction / eps
+        ("trajectory", {"gate": CPI, **PLUS_PLUS, "grid": {"t_end": 1e300}}, [], None,
+         "grid.t_end"),
+        ("map", {"gate": CPI, **PLUS_PLUS, "grid": {"t_start": -1e300, "t_end": 1.0}}, [], None,
+         "grid.t_start"),
+        ("divisibility", {"gate": CPI, **PLUS_PLUS, "t1": 0.5, "grid": {"t_end": 1e7}}, [], None,
+         "grid.t_end"),
+        ("analyze-gate", {"generator": {**GEN_Z, "duration": 1e300}}, [], None,
+         "generator.duration"),
+        ("trajectory", {"generator": {**GEN_Z, "duration": 1e7}, **PLUS_PLUS}, [], None,
+         "generator.duration"),
     ],
 )
 def test_malformed_input_exits_2_naming_the_field(
