@@ -253,8 +253,8 @@ def _check_phase(gate: gates.Gate, t: float, field: str, tol: Tolerances):
     limit = tol.reconstruction / np.finfo(float).eps
     if phase > limit:
         raise ValueError(
-            f"{field}={t!r}: the phase max|eig K| * |t| is {phase:.3g} rad, beyond "
-            f"tolerances.reconstruction / eps = {limit:.3g} rad"
+            f"{field}: the phase max|eig K| * |t| reaches {phase:.3g} rad at |t| = "
+            f"{abs(t):.3g}, beyond tolerances.reconstruction / eps = {limit:.3g} rad"
         )
 
 
@@ -267,7 +267,8 @@ def _grid_from_scenario(
     t_start = _number(spec.get("t_start", 0.0), "grid.t_start")
     _check_phase(gate, t_start, "grid.t_start", tol)
     t_end = _number(spec.get("t_end", t_start + gate.duration), "grid.t_end")
-    _check_phase(gate, t_end, "grid.t_end", tol)
+    # the grid is evolved over t - t_start, so the span is bounded as well
+    _check_phase(gate, max(abs(t_end), t_end - t_start), "grid.t_end", tol)
     steps = _integer(spec.get("steps", dynamics.DEFAULT_STEPS), "grid.steps")
     if args.steps is not None:
         steps = args.steps

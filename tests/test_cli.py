@@ -381,6 +381,9 @@ GEN_Z = {"matrix": [[1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, -1]]}
          "generator.duration"),
         ("trajectory", {"generator": {**GEN_Z, "duration": 1e7}, **PLUS_PLUS}, [], None,
          "generator.duration"),
+        # each end within the bound, the span t_end - t_start beyond it
+        ("map", {"gate": CPI, **PLUS_PLUS, "grid": {"t_start": -1.4e6, "t_end": 1.4e6}}, [],
+         None, "grid.t_end"),
     ],
 )
 def test_malformed_input_exits_2_naming_the_field(
