@@ -172,8 +172,8 @@ def induced_map(k, env: DensityMatrix, t: float, which: int = 1) -> DynamicalMap
     u = linalg.matexp_hermitian(k, t).reshape(2, 2, 2, 2)
     if which == 2:
         u = u.transpose(1, 0, 3, 2)
-    # S[(a, a'), (b, b')] = sum_{e, f, g} U[a, e, b, f] env[f, g] conj(U[a', e, b', g]),
-    # with the column-stacking order putting the primed index first
+    # S[a + 2c, b + 2d] = sum_{e, f, g} U[a, e, b, f] env[f, g] conj(U[c, e, d, g]):
+    # column-stacking vec sends entry (row, col) to row + 2 col
     superop = np.einsum("aebf,fg,cedg->cadb", u, env.matrix, u.conj()).reshape(4, 4)
     m = DynamicalMap(superop, env, (0.0, float(t)), which)
     cp, tp, min_eig = is_cptp(m, tol=DEFAULT.cp)

@@ -398,6 +398,14 @@ def test_malformed_input_exits_2_naming_the_field(
     assert field in err
 
 
+def test_phase_bound_admits_times_below_it(scenario_file, capsys):
+    # pi * 1.4e6 = 4.4e6 rad, just under tolerances.reconstruction / eps = 4.5e6 rad
+    path = scenario_file({"gate": CPI, **PLUS_PLUS, "grid": {"t_end": 1.4e6, "steps": 2}})
+    code, out, err = run(capsys, "trajectory", "--scenario", path)
+    assert code == 0, err
+    assert json.loads(out)["grid"]["t_end"] == 1.4e6
+
+
 @pytest.mark.parametrize(
     "argv",
     [
