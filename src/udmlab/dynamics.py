@@ -41,6 +41,8 @@ class TimeGrid:
     def __post_init__(self):
         if self.t_end <= self.t_start:
             raise ValueError("t_end must exceed t_start")
+        if not np.isfinite([self.t_start, self.t_end]).all():
+            raise ValueError(f"grid ends must be finite, got [{self.t_start}, {self.t_end}]")
         if not 1 <= self.steps <= MAX_STEPS:
             raise ValueError(f"steps must be an integer in [1, {MAX_STEPS}], got {self.steps}")
 
@@ -59,7 +61,6 @@ class Trajectory:
 
     grid: TimeGrid
     joint_states: tuple[DensityMatrix, ...]
-    generator: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -88,7 +89,7 @@ def evolve_trajectory(k, rho_in: DensityMatrix, grid: TimeGrid) -> Trajectory:
         phase = np.exp(-1j * w * (t - grid.t_start))
         evolved = v @ (np.outer(phase, phase.conj()) * rho0) @ v.conj().T
         states.append(DensityMatrix(evolved))
-    traj = Trajectory(grid, tuple(states), k)
+    traj = Trajectory(grid, tuple(states))
     p0 = states[0].purity()
     drift = max(abs(s.purity() - p0) for s in states)
     if drift > DEFAULT.positivity:

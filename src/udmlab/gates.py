@@ -44,6 +44,14 @@ SWAP = np.array(
 )
 
 
+def _check_duration(t: float, what: str) -> None:
+    """Reject a duration outside 0 < t < inf, where e^{-i K t} is no finite unitary."""
+    if t <= 0.0:
+        raise ValueError(f"{what} must be positive")
+    if not np.isfinite(t):
+        raise ValueError(f"{what} must be finite, got {t}")
+
+
 @dataclass(frozen=True, eq=False)
 class Gate:
     """A unitary together with the Hermitian generator and duration behind it.
@@ -52,16 +60,15 @@ class Gate:
     exact named matrix) is checked against that exponential.
     """
 
-    n_qubits: int
     generator: np.ndarray
     duration: float
     unitary: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.n_qubits not in (1, 2):
-            raise ValueError("gates act on 1 or 2 qubits")
-        if self.duration <= 0.0:
-            raise ValueError("gate duration must be positive")
+        shape = np.shape(self.generator)
+        if shape not in ((2, 2), (4, 4)):
+            raise ValueError(f"gates act on 1 or 2 qubits: generator must be 2x2 or 4x4, got {shape}")
+        _check_duration(self.duration, "gate duration")
         if self.unitary is not None and linalg.unitarity_defect(self.unitary) > DEFAULT.unitarity:
             raise ValueError("cached gate matrix is not unitary")
         rebuilt = linalg.matexp_hermitian(self.generator, self.duration)
@@ -70,13 +77,14 @@ class Gate:
         elif float(np.max(np.abs(rebuilt - self.unitary))) > DEFAULT.reconstruction:
             raise ValueError("gate matrix does not match exp(-i K t*)")
 
+    @property
+    def n_qubits(self) -> int:
+        return 1 if len(self.generator) == 2 else 2
+
 
 def gate_from_generator(k, t_star: float) -> Gate:
     """Gate driven by Hermitian k for duration t_star."""
-    k = linalg.as_matrix(k)
-    if k.shape not in ((2, 2), (4, 4)):
-        raise ValueError(f"generator must be 2x2 or 4x4, got {k.shape}")
-    return Gate(1 if k.shape[0] == 2 else 2, k, float(t_star))
+    return Gate(linalg.as_matrix(k), float(t_star))
 
 
 def generator_from_unitary(u, t_star: float) -> np.ndarray:
@@ -87,8 +95,7 @@ def generator_from_unitary(u, t_star: float) -> np.ndarray:
     Round-trips through gate_from_generator by construction.
     """
     u = linalg.as_matrix(u)
-    if t_star <= 0.0:
-        raise ValueError("duration must be positive")
+    _check_duration(t_star, "duration")
     if linalg.unitarity_defect(u) > DEFAULT.unitarity:
         raise ValueError("generator_from_unitary requires a unitary matrix")
     # u = v diag(lam) v^-1 holds for any eigenbasis of a diagonalisable u,
@@ -107,31 +114,31 @@ def c_phase(phi: float, t_star: float = 1.0) -> Gate:
     principal representative of -phi: phi = pi gives pi |11><11|.
     """
     unitary = np.diag([1.0, 1.0, 1.0, np.exp(1j * float(phi))]).astype(complex)
-    return Gate(2, generator_from_unitary(unitary, t_star), float(t_star), unitary)
+    return Gate(generator_from_unitary(unitary, t_star), float(t_star), unitary)
 
 
 def local_phase(phi: float, t_star: float = 1.0) -> Gate:
     """The local counterpart 1 (x) diag(1, e^{i phi}): a phase on the target only."""
     unitary = np.diag([1.0, np.exp(1j * float(phi)), 1.0, np.exp(1j * float(phi))])
-    return Gate(2, generator_from_unitary(unitary, t_star), float(t_star), unitary.astype(complex))
+    return Gate(generator_from_unitary(unitary, t_star), float(t_star), unitary.astype(complex))
 
 
 def x_gate(t_star: float = 1.0) -> Gate:
     """Spin-flip gate with matrix exactly X."""
-    return Gate(1, generator_from_unitary(X, t_star), float(t_star), X.copy())
+    return Gate(generator_from_unitary(X, t_star), float(t_star), X.copy())
 
 
 def hadamard(t_star: float = 1.0) -> Gate:
-    return Gate(1, generator_from_unitary(H, t_star), float(t_star), H.copy())
+    return Gate(generator_from_unitary(H, t_star), float(t_star), H.copy())
 
 
 def swap_gate(t_star: float = 1.0) -> Gate:
-    return Gate(2, generator_from_unitary(SWAP, t_star), float(t_star), SWAP.copy())
+    return Gate(generator_from_unitary(SWAP, t_star), float(t_star), SWAP.copy())
 
 
 def identity_gate(n_qubits: int = 2, t_star: float = 1.0) -> Gate:
     dim = 2**n_qubits
-    return Gate(n_qubits, np.zeros((dim, dim), dtype=complex), float(t_star), np.eye(dim, dtype=complex))
+    return Gate(np.zeros((dim, dim), dtype=complex), float(t_star), np.eye(dim, dtype=complex))
 
 
 def apply(g: Gate, state):

@@ -244,8 +244,6 @@ def kraus_decompose(c: ChoiMatrix) -> KrausSet:
             # Choi row index is (output, input), row-major over the pair
             ops.append(np.sqrt(lam) * evecs[:, i].reshape(2, 2))
             weights.append(lam)
-    if len(ops) > 4:
-        raise RuntimeError("more than 4 Kraus operators for a qubit map")
     completeness = sum(op.conj().T @ op for op in ops)
     if float(np.max(np.abs(completeness - np.eye(2)))) > 1e-8:
         raise RuntimeError("Kraus completeness sum deviates from identity")

@@ -30,6 +30,9 @@ def test_timegrid_points_and_epsilon():
     for steps in (0, MAX_STEPS + 1):
         with pytest.raises(ValueError, match="steps"):
             TimeGrid(0.0, 1.0, steps)
+    for t_start, t_end in ((0.0, np.nan), (np.nan, 1.0), (0.0, np.inf), (-np.inf, 0.0)):
+        with pytest.raises(ValueError, match="finite"):
+            TimeGrid(t_start, t_end, 4)
 
 
 def test_zero_generator_gives_constant_trajectory():

@@ -46,7 +46,25 @@ def test_gate_from_projector_generator_is_cz():
 
 def test_gate_invariant_checked():
     with pytest.raises(ValueError):
-        Gate(1, np.zeros((2, 2), dtype=complex), 1.0, X)  # exp(0) != X
+        Gate(np.zeros((2, 2), dtype=complex), 1.0, X)  # exp(0) != X
+
+
+def test_gate_qubit_count_follows_its_generator():
+    assert Gate(np.zeros((2, 2)), 1.0).n_qubits == 1
+    assert Gate(np.zeros((4, 4)), 1.0).n_qubits == 2
+    with pytest.raises(AttributeError):
+        Gate(np.zeros((4, 4)), 1.0).n_qubits = 1
+    for shape in ((1, 1), (3, 3), (8, 8), (2, 4)):
+        with pytest.raises(ValueError, match="2x2 or 4x4"):
+            Gate(np.zeros(shape), 1.0)
+
+
+@pytest.mark.parametrize("t", [0.0, -1.0, np.nan, np.inf, -np.inf])
+def test_durations_outside_zero_to_inf_are_rejected(t):
+    with pytest.raises(ValueError, match="duration must be"):
+        gate_from_generator(X, t)
+    with pytest.raises(ValueError, match="duration must be"):
+        generator_from_unitary(X, t)
 
 
 def test_gate_from_generator_exponentiates_once(monkeypatch):

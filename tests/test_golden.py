@@ -10,7 +10,8 @@ report printed to stdout, and ``report.csv`` the CSV written beside
 The corpus holds only reports whose digits do not depend on summation
 order: QFT runs on basis inputs and the default input, no malformed
 scenarios. After a deliberate change of a report format, rewrite the
-expected outputs with ``PYTHONPATH=src python tests/test_golden.py``.
+expected outputs with ``PYTHONPATH=src python tests/test_golden.py``, or
+only the named cases with ``PYTHONPATH=src python tests/test_golden.py NAME...``.
 """
 from __future__ import annotations
 
@@ -58,10 +59,15 @@ def test_golden_report(name, tmp_path, monkeypatch):
 
 if __name__ == "__main__":
     import os
+    import sys
     import tempfile
 
+    names = sys.argv[1:] or CASES
+    unknown = sorted(set(names) - set(CASES))
+    if unknown:
+        sys.exit(f"unknown golden case(s) {unknown}; nothing written")
     os.environ.pop(cli.ENV_TOL_OVERRIDE, None)
-    for name in CASES:
+    for name in names:
         case_dir = GOLDEN / name
         with tempfile.TemporaryDirectory() as tmp:
             code, stdout, _, csv = run_case(case_dir, Path(tmp))
