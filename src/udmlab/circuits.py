@@ -7,7 +7,10 @@ the bipartite entanglement across exactly the pair the block touches,
 immediately before and after it, with spectator qubits traced out (the
 reduced pair state may be mixed when spectators are entangled with it,
 so the mixed-state negativity is the diagnostic). SWAPs are placed and
-audited as single atomic gates, not decomposed.
+audited as single atomic gates, not decomposed. The audit is evaluated once
+per run, over the stacked pair densities of all blocks: every density is
+still validated as a density matrix, and one batched partial-transpose
+eigendecomposition gives all the negativities.
 
 The register is held as a (2,)*n tensor with one axis per qubit; each gate
 is contracted into its own qubits' axes at O(2^n) work, and no 2^n x 2^n
@@ -20,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gates import H, SWAP, X
-from .states import DensityMatrix, PureState, negativity
+from .gates import H, SWAP, X, _integer
+from .states import PureState, _check_density, _negativities
 from .tolerances import DEFAULT
 
 __all__ = [
@@ -51,12 +54,16 @@ class PlacedGate:
     def __post_init__(self):
         if self.name not in GATE_ARITY:
             raise ValueError(f"unknown gate {self.name!r}; expected one of {sorted(GATE_ARITY)}")
+        qubits = tuple(_integer(q, f"{self.name} qubit index") for q in self.qubits)
+        object.__setattr__(self, "qubits", qubits)
         if len(self.qubits) != GATE_ARITY[self.name]:
             raise ValueError(f"{self.name} takes {GATE_ARITY[self.name]} qubit(s), got {self.qubits}")
         if len(set(self.qubits)) != len(self.qubits):
             raise ValueError(f"{self.name} qubits must be distinct, got {self.qubits}")
         if (self.name == "CPHASE") != (self.phi is not None):
             raise ValueError("phi is required for CPHASE and only for CPHASE")
+        if self.phi is not None and not np.isfinite(self.phi):
+            raise ValueError(f"CPHASE phi must be finite, got {self.phi!r}")
 
     def matrix(self) -> np.ndarray:
         if self.name == "H":
@@ -76,6 +83,7 @@ class Circuit:
     gates: tuple[PlacedGate, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "n_qubits", _integer(self.n_qubits, "circuit qubit count"))
         if not MIN_QUBITS <= self.n_qubits <= MAX_QUBITS:
             raise ValueError(f"n_qubits must be in [{MIN_QUBITS}, {MAX_QUBITS}], got {self.n_qubits}")
         for g in self.gates:
@@ -112,6 +120,7 @@ def build_qft(n: int) -> Circuit:
     each later qubit k; a tail of SWAPs reverses the qubit order. Gate
     count: n Hadamards, n(n-1)/2 controlled phases, floor(n/2) SWAPs.
     """
+    n = _integer(n, "QFT size")
     if not MIN_QUBITS <= n <= MAX_QUBITS:
         raise ValueError(f"QFT size must be in [{MIN_QUBITS}, {MAX_QUBITS}], got {n}")
     placed = []
@@ -135,12 +144,6 @@ def _apply(u: np.ndarray, qubits: tuple[int, ...], t: np.ndarray) -> np.ndarray:
     return np.moveaxis(out, list(range(k)), axes)
 
 
-def _pair_density(t: np.ndarray, q1: int, q2: int) -> DensityMatrix:
-    """Reduced density matrix of the ordered pair (q1, q2), spectators traced out."""
-    m = np.moveaxis(t, (q1 - 1, q2 - 1), (0, 1)).reshape(4, -1)
-    return DensityMatrix(m @ m.conj().T)
-
-
 def run_circuit(
     circuit: Circuit, input_state: PureState, tol: float = DEFAULT.separability
 ) -> tuple[PureState, BlockAudit]:
@@ -148,28 +151,38 @@ def run_circuit(
 
     Returns the output state and one audit record per two-qubit gate with
     the pair's negativity and separability verdict at the block boundary.
+    The loop keeps each block's pair density m m^dag (spectators traced out)
+    just before and just after the gate. The audit is then evaluated once,
+    over the stacked densities: every one is still validated as a density
+    matrix (finite, Hermitian, trace 1, positive), and one batched
+    eigendecomposition of their partial transposes gives the negativities.
     """
     if input_state.n_qubits != circuit.n_qubits:
         raise ValueError(
             f"circuit has {circuit.n_qubits} qubits, input has {input_state.n_qubits}"
         )
     t = input_state.amplitudes.reshape((2,) * circuit.n_qubits)
-    records = []
+    blocks, pairs = [], []
     for pos, g in enumerate(circuit.gates, start=1):
+        t_in, t = t, _apply(g.matrix(), g.qubits, t)
         if len(g.qubits) == 2:
-            q1, q2 = g.qubits
-            neg_in = negativity(_pair_density(t, q1, q2))
-            t = _apply(g.matrix(), g.qubits, t)
-            neg_out = negativity(_pair_density(t, q1, q2))
-            records.append(
-                AuditRecord(
-                    pos, g.name, (q1, q2), neg_in, neg_out,
-                    separable_in=neg_in <= tol, separable_out=neg_out <= tol,
-                )
+            blocks.append((pos, g))
+            for s in (t_in, t):
+                m = np.moveaxis(s, (g.qubits[0] - 1, g.qubits[1] - 1), (0, 1)).reshape(4, -1)
+                pairs.append(m @ m.conj().T)
+    records = ()
+    if pairs:
+        stack = np.array(pairs)
+        _check_density(stack)
+        negs = _negativities(stack).tolist()
+        records = tuple(
+            AuditRecord(
+                pos, g.name, g.qubits, neg_in, neg_out,
+                separable_in=neg_in <= tol, separable_out=neg_out <= tol,
             )
-        else:
-            t = _apply(g.matrix(), g.qubits, t)
-    return PureState(t.reshape(-1)), BlockAudit(tuple(records))
+            for (pos, g), neg_in, neg_out in zip(blocks, negs[0::2], negs[1::2])
+        )
+    return PureState(t.reshape(-1)), BlockAudit(records)
 
 
 def circuit_unitary(circuit: Circuit) -> np.ndarray:

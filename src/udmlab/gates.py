@@ -13,6 +13,7 @@ terms of the operator Schmidt expansion.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +43,16 @@ H = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
 SWAP = np.array(
     [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
 )
+
+
+def _integer(value, what: str) -> int:
+    """value as a Python int; numpy integers pass, booleans and floats do not."""
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
 
 
 def _check_duration(t: float, what: str) -> None:
@@ -137,6 +148,9 @@ def swap_gate(t_star: float = 1.0) -> Gate:
 
 
 def identity_gate(n_qubits: int = 2, t_star: float = 1.0) -> Gate:
+    n_qubits = _integer(n_qubits, "identity_gate qubit count")
+    if n_qubits not in (1, 2):
+        raise ValueError(f"identity_gate acts on 1 or 2 qubits, got {n_qubits}")
     dim = 2**n_qubits
     return Gate(np.zeros((dim, dim), dtype=complex), float(t_star), np.eye(dim, dtype=complex))
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import linalg
 from .tolerances import DEFAULT
 
 __all__ = [
@@ -70,20 +69,15 @@ class DensityMatrix:
     __slots__ = ("matrix", "n_qubits")
 
     def __init__(self, matrix):
-        m = linalg.as_matrix(matrix)
+        m = np.asarray(matrix, dtype=complex)
+        if m.ndim != 2:
+            raise ValueError(f"expected a matrix, got ndim={m.ndim}")
         if m.shape[0] != m.shape[1]:
             raise ValueError(f"density matrix must be square, got {m.shape}")
-        n = int(np.log2(m.shape[0]))
+        n = int(np.log2(m.shape[0])) if m.size else 0
         if 2**n != m.shape[0] or n < 1:
             raise ValueError(f"dimension {m.shape[0]} is not 2^n for n >= 1")
-        if linalg.hermiticity_defect(m) > DEFAULT.hermiticity:
-            raise ValueError("density matrix is not Hermitian")
-        tr = complex(np.trace(m))
-        if abs(tr - 1.0) > DEFAULT.hermiticity:
-            raise ValueError(f"density matrix trace {tr} is not 1")
-        w = np.linalg.eigvalsh(m)
-        if w[0] < -DEFAULT.positivity:
-            raise ValueError(f"density matrix has negative eigenvalue {w[0]}")
+        _check_density(m)
         self.matrix = m
         self.n_qubits = n
 
@@ -150,9 +144,42 @@ def negativity(rho: DensityMatrix) -> float:
     """
     if rho.n_qubits != 2:
         raise ValueError(f"expected a 2-qubit density matrix, got {rho.n_qubits} qubits")
-    pt = rho.matrix.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
+    return float(_negativities(rho.matrix))
+
+
+def _check_density(m: np.ndarray) -> None:
+    """Validate a (..., d, d) stack of density matrices, a single one included.
+
+    Each check runs over the whole stack at once: finite entries first (a
+    NaN would pass every check below, since each comparison with it is
+    False), then Hermiticity, unit trace and the smallest eigenvalue. A
+    failing check quotes the value of the first matrix that fails it.
+    """
+    if not np.isfinite(m).all():
+        raise ValueError("matrix has non-finite entries")
+    defect = np.abs(m - m.conj().swapaxes(-1, -2)).max(axis=(-2, -1), initial=0.0)
+    if (defect > DEFAULT.hermiticity).any():
+        raise ValueError("density matrix is not Hermitian")
+    tr = np.trace(m, axis1=-2, axis2=-1)
+    bad = np.abs(tr - 1.0) > DEFAULT.hermiticity
+    if bad.any():
+        raise ValueError(f"density matrix trace {complex(_first(tr, bad))} is not 1")
+    w0 = np.linalg.eigvalsh(m)[..., 0]
+    bad = w0 < -DEFAULT.positivity
+    if bad.any():
+        raise ValueError(f"density matrix has negative eigenvalue {_first(w0, bad)}")
+
+
+def _first(values, bad):
+    """The entry of values at the first True of the same-shaped mask bad."""
+    return np.ravel(values)[np.argmax(bad)]
+
+
+def _negativities(m: np.ndarray) -> np.ndarray:
+    """Negativity of every 4x4 matrix in a (..., 4, 4) stack, as negativity() defines it."""
+    pt = m.reshape(m.shape[:-2] + (2, 2, 2, 2)).swapaxes(-3, -1).reshape(m.shape)
     w = np.linalg.eigvalsh(pt)
-    return float(np.abs(w[w < 0.0]).sum())
+    return np.where(w < 0.0, -w, 0.0).sum(axis=-1)
 
 
 def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:

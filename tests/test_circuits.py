@@ -1,17 +1,24 @@
+import json
+
 import numpy as np
 import pytest
 
 from udmlab import (
     Circuit,
+    DensityMatrix,
     PlacedGate,
     PureState,
     build_qft,
     circuit_to_dict,
     circuit_unitary,
     dft_matrix,
+    negativity,
     product_state,
     run_circuit,
 )
+from udmlab import circuits as circuits_mod
+from udmlab.circuits import AuditRecord, _apply
+from conftest import random_pure
 
 
 def basis_state(n, bits):
@@ -144,3 +151,103 @@ def test_circuit_json_roundtrip():
         tuple(PlacedGate(g["name"], tuple(g["qubits"]), g.get("phi")) for g in d["gates"]),
     )
     np.testing.assert_allclose(circuit_unitary(c2), circuit_unitary(c), atol=1e-12)
+
+
+def pair_negativity(t, qubits):
+    m = np.moveaxis(t, (qubits[0] - 1, qubits[1] - 1), (0, 1)).reshape(4, -1)
+    return negativity(DensityMatrix(m @ m.conj().T))
+
+
+def run_block_by_block(circuit, psi, tol=1e-9):
+    """The audit one block at a time: a validated DensityMatrix and one
+    negativity call per pair density, before and after each two-qubit gate."""
+    t = psi.amplitudes.reshape((2,) * circuit.n_qubits)
+    records = []
+    for pos, g in enumerate(circuit.gates, start=1):
+        if len(g.qubits) == 2:
+            neg_in = pair_negativity(t, g.qubits)
+        t = _apply(g.matrix(), g.qubits, t)
+        if len(g.qubits) == 2:
+            neg_out = pair_negativity(t, g.qubits)
+            records.append(
+                AuditRecord(pos, g.name, g.qubits, neg_in, neg_out, neg_in <= tol, neg_out <= tol)
+            )
+    return PureState(t.reshape(-1)), tuple(records)
+
+
+def assert_same_as_block_by_block(circuit, psi):
+    out, audit = run_circuit(circuit, psi)
+    want_out, want_records = run_block_by_block(circuit, psi)
+    assert np.array_equal(out.amplitudes, want_out.amplitudes)
+    assert audit.records == want_records
+
+
+def test_stacked_audit_equals_block_by_block_on_qft(rng):
+    for n in range(2, 9):
+        c = build_qft(n)
+        for value in rng.choice(2**n, size=3, replace=False):
+            assert_same_as_block_by_block(c, basis_state(n, format(int(value), f"0{n}b")))
+        for _ in range(3):
+            factors = [PureState(random_pure(rng, 2)) for _ in range(n)]
+            assert_same_as_block_by_block(c, product_state(factors))
+            assert_same_as_block_by_block(c, PureState(random_pure(rng, 2**n)))
+
+
+def test_stacked_audit_equals_block_by_block_on_nonadjacent_pairs(rng):
+    # pairs in both orders, with spectators between and around them
+    pairs = [(1, 3), (4, 1), (2, 5), (5, 3), (1, 5), (3, 2)]
+    for _ in range(10):
+        gates = []
+        for q1, q2 in pairs:
+            gates.append(PlacedGate("H", (int(rng.integers(1, 6)),)))
+            if rng.random() < 0.5:
+                gates.append(PlacedGate("CPHASE", (q1, q2), phi=float(rng.uniform(-4, 4))))
+            else:
+                gates.append(PlacedGate("SWAP", (q1, q2)))
+        circuit = Circuit(5, tuple(gates))
+        assert_same_as_block_by_block(circuit, PureState(random_pure(rng, 32)))
+        factors = [PureState(random_pure(rng, 2)) for _ in range(5)]
+        assert_same_as_block_by_block(circuit, product_state(factors))
+
+
+def test_circuit_without_two_qubit_gates_builds_no_stack(monkeypatch):
+    def unexpected(*args):
+        raise AssertionError("no pair density should be checked")
+
+    monkeypatch.setattr(circuits_mod, "_check_density", unexpected)
+    monkeypatch.setattr(circuits_mod, "_negativities", unexpected)
+    c = Circuit(3, (PlacedGate("H", (1,)), PlacedGate("X", (3,)), PlacedGate("H", (2,))))
+    out, audit = run_circuit(c, product_state(["0", "0", "0"]))
+    assert audit.records == ()
+    assert audit.all_separable()
+    np.testing.assert_allclose(out.amplitudes, np.kron([1, 1], np.kron([1, 1], [0, 1])) / 2, atol=1e-15)
+
+
+@pytest.mark.parametrize(
+    "build, value",
+    [
+        (lambda: PlacedGate("H", (1.5,)), "1.5"),
+        (lambda: PlacedGate("H", (True,)), "True"),
+        (lambda: PlacedGate("SWAP", (1, False)), "False"),
+        (lambda: PlacedGate("CPHASE", (1, 2), phi=float("nan")), "nan"),
+        (lambda: PlacedGate("CPHASE", (1, 2), phi=float("inf")), "inf"),
+        (lambda: PlacedGate("CPHASE", (1, 2), phi=-np.inf), "-inf"),
+        (lambda: build_qft(2.5), "2.5"),
+        (lambda: build_qft(True), "True"),
+        (lambda: Circuit(2.5, ()), "2.5"),
+    ],
+    ids=["qubit-float", "qubit-true", "qubit-false", "phi-nan", "phi-inf", "phi-minus-inf",
+         "qft-float", "qft-true", "circuit-float"],
+)
+def test_non_integer_and_non_finite_circuit_inputs_name_the_value(build, value):
+    with pytest.raises(ValueError, match=f"got {value}$"):
+        build()
+
+
+def test_numpy_integers_place_gates():
+    g = PlacedGate("CPHASE", (np.int64(1), np.int32(3)), phi=np.float64(0.5))
+    assert g.qubits == (1, 3) and all(type(q) is int for q in g.qubits)
+    c = Circuit(np.int8(3), (g,))
+    assert type(c.n_qubits) is int
+    assert json.loads(json.dumps(circuit_to_dict(c)))["gates"][0]["qubits"] == [1, 3]
+    assert build_qft(np.int64(4)) == build_qft(4)

@@ -186,6 +186,17 @@ def test_is_entangling_examples():
     assert is_entangling(identity_gate(2)) == (False, 1)
 
 
+@pytest.mark.parametrize("n_qubits", [-1, 0, 3, 1.5, True])
+def test_identity_gate_rejects_bad_qubit_counts_naming_them(n_qubits):
+    with pytest.raises(ValueError, match=f"got {n_qubits}$"):
+        identity_gate(n_qubits)
+
+
+def test_identity_gate_takes_numpy_integers():
+    assert identity_gate(np.int64(1)).n_qubits == 1
+    np.testing.assert_array_equal(identity_gate(np.uint8(2)).unitary, np.eye(4))
+
+
 def test_is_entangling_cphase_phases():
     for phi in [np.pi / 4, np.pi / 2, np.pi, 1.0, 5.0]:
         assert is_entangling(c_phase(phi))[0]

@@ -11,6 +11,7 @@ from udmlab import (
     pure_entanglement,
     trace_distance,
 )
+from udmlab.states import _check_density
 from conftest import random_density, random_pure, random_unitary
 
 BELL = PureState([1, 0, 0, 1])
@@ -41,6 +42,8 @@ def test_densitymatrix_invariants():
         DensityMatrix(np.array([[1, 1], [0, 0]]))  # not Hermitian
     with pytest.raises(ValueError):
         DensityMatrix(np.diag([1.5, -0.5]))  # negative eigenvalue
+    with pytest.raises(ValueError, match="dimension 0"):
+        DensityMatrix(np.zeros((0, 0)))
 
 
 def test_densify_known_matrices():
@@ -117,3 +120,66 @@ def test_trace_distance():
     rho1 = densify(named_state("1"))
     assert abs(trace_distance(rho0, rho1) - 1.0) < 1e-12
     assert trace_distance(rho0, rho0) == 0.0
+
+
+def bad_densities(rng):
+    """One invalid 4x4 matrix per check, each passing every earlier check."""
+    nan = random_density(rng, 4)
+    nan[1, 2] = np.nan
+    skew = random_density(rng, 4)
+    skew[0, 1] += 0.1
+    return {
+        "nan entry": nan,
+        "not Hermitian": skew,
+        "trace 1.1": 1.1 * random_density(rng, 4),
+        "negative eigenvalue": np.diag([0.6, 0.3, 0.2, -0.1]).astype(complex),
+    }
+
+
+def test_densitymatrix_messages_as_before(rng):
+    bad = bad_densities(rng)
+    messages = {
+        "nan entry": "matrix has non-finite entries",
+        "not Hermitian": "density matrix is not Hermitian",
+        "trace 1.1": f"density matrix trace {complex(np.trace(bad['trace 1.1']))} is not 1",
+        "negative eigenvalue": "density matrix has negative eigenvalue "
+        f"{np.linalg.eigvalsh(bad['negative eigenvalue'])[0]}",
+    }
+    for kind, m in bad.items():
+        with pytest.raises(ValueError) as exc:
+            DensityMatrix(m)
+        assert str(exc.value) == messages[kind], kind
+
+
+def test_check_density_rejects_one_bad_matrix_anywhere_in_a_stack(rng):
+    good = np.array([random_density(rng, 4) for _ in range(5)])
+    _check_density(good)
+    _check_density(good.reshape(5, 1, 4, 4))
+    for kind, m in bad_densities(rng).items():
+        with pytest.raises(ValueError) as single:
+            DensityMatrix(m)
+        for position in range(len(good)):
+            stack = good.copy()
+            stack[position] = m
+            with pytest.raises(ValueError) as stacked:
+                _check_density(stack)
+            assert str(stacked.value) == str(single.value), (kind, position)
+
+
+def negativity_as_before(rho):
+    pt = rho.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
+    w = np.linalg.eigvalsh(pt)
+    return float(np.abs(w[w < 0.0]).sum())
+
+
+def test_single_matrix_results_as_before(rng):
+    a, b = random_density(rng, 2), random_density(rng, 2)
+    matrices = [np.eye(4) / 4, densify(BELL).matrix, np.kron(a, b)]
+    matrices += [random_density(rng, 4) for _ in range(20)]
+    matrices += [densify(PureState(random_pure(rng, 4))).matrix for _ in range(20)]
+    for m in matrices:
+        rho = DensityMatrix(m)
+        assert np.array_equal(rho.matrix, m) and rho.n_qubits == 2
+        got = negativity(rho)
+        assert type(got) is float and got == negativity_as_before(m)
+    assert DensityMatrix(a).n_qubits == 1
