@@ -19,13 +19,14 @@ all 2^n basis columns at once.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .gates import H, SWAP, X, _integer
 from .states import PureState, _check_density, _negativities
-from .tolerances import DEFAULT
+from .tolerances import DEFAULT, _check_tolerance
 
 __all__ = [
     "PlacedGate",
@@ -54,7 +55,11 @@ class PlacedGate:
     def __post_init__(self):
         if self.name not in GATE_ARITY:
             raise ValueError(f"unknown gate {self.name!r}; expected one of {sorted(GATE_ARITY)}")
-        qubits = tuple(_integer(q, f"{self.name} qubit index") for q in self.qubits)
+        try:
+            qubits = tuple(self.qubits)
+        except TypeError:
+            raise ValueError(f"{self.name} qubits must be a sequence, got {self.qubits!r}") from None
+        qubits = tuple(_integer(q, f"{self.name} qubit index") for q in qubits)
         object.__setattr__(self, "qubits", qubits)
         if len(self.qubits) != GATE_ARITY[self.name]:
             raise ValueError(f"{self.name} takes {GATE_ARITY[self.name]} qubit(s), got {self.qubits}")
@@ -62,8 +67,9 @@ class PlacedGate:
             raise ValueError(f"{self.name} qubits must be distinct, got {self.qubits}")
         if (self.name == "CPHASE") != (self.phi is not None):
             raise ValueError("phi is required for CPHASE and only for CPHASE")
-        if self.phi is not None and not np.isfinite(self.phi):
-            raise ValueError(f"CPHASE phi must be finite, got {self.phi!r}")
+        real = isinstance(self.phi, numbers.Real) and not isinstance(self.phi, bool)
+        if self.phi is not None and not (real and np.isfinite(self.phi)):
+            raise ValueError(f"CPHASE phi must be a finite real number, got {self.phi!r}")
 
     def matrix(self) -> np.ndarray:
         if self.name == "H":
@@ -157,6 +163,7 @@ def run_circuit(
     matrix (finite, Hermitian, trace 1, positive), and one batched
     eigendecomposition of their partial transposes gives the negativities.
     """
+    _check_tolerance(tol, "tol")
     if input_state.n_qubits != circuit.n_qubits:
         raise ValueError(
             f"circuit has {circuit.n_qubits} qubits, input has {input_state.n_qubits}"

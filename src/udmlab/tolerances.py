@@ -10,6 +10,12 @@ import math
 from dataclasses import dataclass, asdict, replace
 
 
+def _check_tolerance(value, what: str) -> None:
+    """Reject a tolerance that is not finite and > 0; what names it in the message."""
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{what} must be finite and > 0, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Tolerances:
     hermiticity: float = 1e-10   # max-abs deviation of m - m^dag on inputs
@@ -23,8 +29,7 @@ class Tolerances:
 
     def __post_init__(self):
         for name, value in self.as_dict().items():
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"tolerance {name} must be finite and > 0, got {value!r}")
+            _check_tolerance(value, f"tolerance {name}")
 
     def as_dict(self) -> dict:
         return asdict(self)

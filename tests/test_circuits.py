@@ -229,19 +229,29 @@ def test_circuit_without_two_qubit_gates_builds_no_stack(monkeypatch):
         (lambda: PlacedGate("H", (1.5,)), "1.5"),
         (lambda: PlacedGate("H", (True,)), "True"),
         (lambda: PlacedGate("SWAP", (1, False)), "False"),
+        (lambda: PlacedGate("H", 1), "1"),
         (lambda: PlacedGate("CPHASE", (1, 2), phi=float("nan")), "nan"),
         (lambda: PlacedGate("CPHASE", (1, 2), phi=float("inf")), "inf"),
         (lambda: PlacedGate("CPHASE", (1, 2), phi=-np.inf), "-inf"),
+        (lambda: PlacedGate("CPHASE", (1, 2), phi="0.5"), "'0.5'"),
+        (lambda: PlacedGate("CPHASE", (1, 2), phi=True), "True"),
         (lambda: build_qft(2.5), "2.5"),
         (lambda: build_qft(True), "True"),
         (lambda: Circuit(2.5, ()), "2.5"),
     ],
-    ids=["qubit-float", "qubit-true", "qubit-false", "phi-nan", "phi-inf", "phi-minus-inf",
-         "qft-float", "qft-true", "circuit-float"],
+    ids=["qubit-float", "qubit-true", "qubit-false", "qubits-int", "phi-nan", "phi-inf",
+         "phi-minus-inf", "phi-string", "phi-true", "qft-float", "qft-true", "circuit-float"],
 )
 def test_non_integer_and_non_finite_circuit_inputs_name_the_value(build, value):
     with pytest.raises(ValueError, match=f"got {value}$"):
         build()
+
+
+@pytest.mark.parametrize("tol", [float("nan"), -1.0, 0.0, float("inf")])
+def test_run_circuit_rejects_a_tolerance_not_finite_and_positive(tol):
+    # a nan or negative tol would mark the separable blocks of this basis input entangled
+    with pytest.raises(ValueError, match=f"^tol must be finite and > 0, got {tol}$"):
+        run_circuit(build_qft(3), product_state(["0", "1", "0"]), tol=tol)
 
 
 def test_numpy_integers_place_gates():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from udmlab import (
+    DEFAULT,
     DensityMatrix,
     TimeGrid,
     apply,
@@ -11,11 +12,13 @@ from udmlab import (
     evolve_trajectory,
     find_entangled_instant,
     gate_from_generator,
+    negativity,
     product_state,
 )
+from udmlab import states as states_mod
 from udmlab.dynamics import MAX_STEPS
 from udmlab.gates import X
-from conftest import random_hermitian
+from conftest import random_density, random_hermitian
 
 Z = np.diag([1.0, -1.0]).astype(complex)
 K_CPI = np.diag([0.0, 0.0, 0.0, np.pi]).astype(complex)
@@ -27,9 +30,10 @@ def test_timegrid_points_and_epsilon():
     np.testing.assert_allclose(grid.times(), [0, 0.25, 0.5, 0.75, 1.0])
     with pytest.raises(ValueError):
         TimeGrid(1.0, 1.0, 4)
-    for steps in (0, MAX_STEPS + 1):
+    for steps in (0, MAX_STEPS + 1, 2.5, True, "4"):
         with pytest.raises(ValueError, match="steps"):
             TimeGrid(0.0, 1.0, steps)
+    assert type(TimeGrid(0.0, 1.0, np.int64(4)).steps) is int
     for t_start, t_end in ((0.0, np.nan), (np.nan, 1.0), (0.0, np.inf), (-np.inf, 0.0)):
         with pytest.raises(ValueError, match="finite"):
             TimeGrid(t_start, t_end, 4)
@@ -38,8 +42,9 @@ def test_timegrid_points_and_epsilon():
 def test_zero_generator_gives_constant_trajectory():
     rho = densify(product_state(["+", "1"]))
     traj = evolve_trajectory(np.zeros((4, 4)), rho, TimeGrid(0.0, 1.0, 5))
+    assert traj.joint_states.shape == (6, 4, 4)
     for state in traj.joint_states:
-        np.testing.assert_allclose(state.matrix, rho.matrix, atol=1e-15)
+        np.testing.assert_allclose(state, rho.matrix, atol=1e-15)
 
 
 def test_cpi_trajectory_hits_gate_output():
@@ -47,12 +52,10 @@ def test_cpi_trajectory_hits_gate_output():
     traj = evolve_trajectory(K_CPI, rho, TimeGrid(0.0, 1.0, 4))
     endpoint = traj.joint_states[-1]
     expected = apply(c_phase(np.pi), product_state(["+", "+"]))
-    np.testing.assert_allclose(endpoint.matrix, densify(expected).matrix, atol=1e-12)
+    np.testing.assert_allclose(endpoint, densify(expected).matrix, atol=1e-12)
     # midpoint from the diagonal exponential: amplitudes (1,1,1,e^{-i pi/2})/2
     mid = np.array([1, 1, 1, np.exp(-1j * np.pi / 2)]) / 2
-    np.testing.assert_allclose(
-        traj.joint_states[2].matrix, np.outer(mid, mid.conj()), atol=1e-12
-    )
+    np.testing.assert_allclose(traj.joint_states[2], np.outer(mid, mid.conj()), atol=1e-12)
 
 
 def test_endpoint_matches_single_shot_gate(rng):
@@ -62,9 +65,7 @@ def test_endpoint_matches_single_shot_gate(rng):
         grid = TimeGrid(0.0, rng.uniform(0.5, 2.0), 7)
         traj = evolve_trajectory(k, rho, grid)
         g = gate_from_generator(k, grid.t_end - grid.t_start)
-        np.testing.assert_allclose(
-            traj.joint_states[-1].matrix, apply(g, rho).matrix, atol=1e-10
-        )
+        np.testing.assert_allclose(traj.joint_states[-1], apply(g, rho).matrix, atol=1e-10)
 
 
 def test_refinement_keeps_shared_points(rng):
@@ -73,9 +74,7 @@ def test_refinement_keeps_shared_points(rng):
     coarse = evolve_trajectory(k, rho, TimeGrid(0.0, 1.0, 10))
     fine = evolve_trajectory(k, rho, TimeGrid(0.0, 1.0, 20))
     for m in range(11):
-        np.testing.assert_allclose(
-            coarse.joint_states[m].matrix, fine.joint_states[2 * m].matrix, atol=1e-12
-        )
+        np.testing.assert_allclose(coarse.joint_states[m], fine.joint_states[2 * m], atol=1e-12)
 
 
 def test_purity_constant_along_trajectory(rng):
@@ -84,7 +83,7 @@ def test_purity_constant_along_trajectory(rng):
     traj = evolve_trajectory(k, rho, TimeGrid(0.0, 2.0, 20))
     p0 = rho.purity()
     for state in traj.joint_states:
-        assert abs(state.purity() - p0) <= 1e-9
+        assert abs(np.trace(state @ state).real - p0) <= 1e-9
 
 
 def test_local_generator_keeps_profile_flat():
@@ -131,22 +130,81 @@ def test_find_entangled_instant_on_cpi():
     assert find_entangled_instant(basis, tol=1e-6) is None
 
 
-def test_find_entangled_instant_stops_at_first_hit(monkeypatch):
-    import udmlab.dynamics as dynamics_mod
+def test_trajectory_functions_build_no_per_point_states(monkeypatch):
+    rho = densify(product_state(["+", "+"]))
 
-    calls = []
-    real = dynamics_mod.negativity
+    def per_point(*args, **kwargs):
+        raise AssertionError("a trajectory is evolved and audited as one stack")
 
-    def counting(rho):
-        calls.append(rho)
-        return real(rho)
+    monkeypatch.setattr(states_mod.DensityMatrix, "__init__", per_point)
+    monkeypatch.setattr(states_mod.DensityMatrix, "purity", per_point)
+    monkeypatch.setattr(states_mod, "negativity", per_point)
+    traj = evolve_trajectory(K_CPI, rho, TimeGrid(0.0, 1.0, 100))
+    assert len(entanglement_profile(traj)) == 101
+    assert find_entangled_instant(traj) is not None
 
+
+def per_point_reference(k, rho, grid, tol):
+    """The trajectory, profile and hit recomputed one grid point at a time."""
+    w, v = np.linalg.eigh(k)
+    rho0 = v.conj().T @ rho.matrix @ v
+    states, profile, hit = [], [], None
+    for t in grid.times():
+        phase = np.exp(-1j * w * (t - grid.t_start))
+        state = DensityMatrix(v @ (np.outer(phase, phase.conj()) * rho0) @ v.conj().T)
+        purity = state.purity()
+        tau = None
+        if purity >= 1.0 - DEFAULT.positivity:
+            psi = np.linalg.eigh(state.matrix)[1][:, -1]
+            tau = float(abs(psi[0] * psi[3] - psi[1] * psi[2]))
+        neg = negativity(state)
+        if hit is None and neg > tol:
+            hit = (float(t), neg)
+        states.append(state.matrix)
+        profile.append((float(t), neg, tau, purity))
+    return np.array(states), profile, hit
+
+
+def test_stacked_trajectory_equals_per_point_recomputation(rng):
+    pure_product = densify(product_state(["+", "+i"]))
+    entangled = apply(c_phase(np.pi), densify(product_state(["+", "+"])))
+    mixed = DensityMatrix(random_density(rng, 4))
+    cases = [
+        (K_CPI, pure_product, TimeGrid(0.0, 1.0, 50), 1e-6),
+        (np.kron(Z, np.eye(2)), pure_product, TimeGrid(-0.5, 0.5, 10), 1e-6),
+        (random_hermitian(rng, 4), pure_product, TimeGrid(-0.7, 1.3, 37), 1e-3),
+        (random_hermitian(rng, 4), entangled, TimeGrid(0.4, 2.0, 1), 1e-6),
+        (c_phase(np.pi / 3).generator, entangled, TimeGrid(-1.0, -0.2, 20), 0.3),
+        (random_hermitian(rng, 4), mixed, TimeGrid(0.25, 3.0, 64), 1e-9),
+    ]
+    hits, taus = [], []
+    for k, rho, grid, tol in cases:
+        traj = evolve_trajectory(k, rho, grid)
+        states, profile, hit = per_point_reference(k, rho, grid, tol)
+        assert traj.joint_states.shape == states.shape
+        assert (traj.joint_states == states).all()
+        assert [(p.t, p.negativity, p.tau, p.purity) for p in entanglement_profile(traj)] == profile
+        assert find_entangled_instant(traj, tol=tol) == hit
+        hits.append(hit)
+        taus += [p[2] for p in profile]
+    assert None in hits and any(h is not None for h in hits)
+    assert None in taus and any(t is not None for t in taus)
+
+
+def test_joint_states_are_read_only():
+    traj = evolve_trajectory(K_CPI, densify(product_state(["+", "+"])), TimeGrid(0.0, 1.0, 4))
+    with pytest.raises(ValueError):
+        traj.joint_states[0, 0, 0] = 0.0
+
+
+@pytest.mark.parametrize("tol", [float("nan"), -1.0, 0.0, float("inf")])
+def test_find_entangled_instant_rejects_a_tolerance_not_finite_and_positive(tol):
+    # nan would report no hit, and a negative tol a hit at t = 0, where the state is a product
     traj = evolve_trajectory(
         c_phase(np.pi).generator, densify(product_state(["+", "+"])), TimeGrid(0.0, 1.0, 100)
     )
-    monkeypatch.setattr(dynamics_mod, "negativity", counting)
-    assert find_entangled_instant(traj) is not None
-    assert len(calls) <= 2  # t = 0 is a product, t = 0.01 is already entangled
+    with pytest.raises(ValueError, match=f"^tol must be finite and > 0, got {tol}$"):
+        find_entangled_instant(traj, tol=tol)
 
 
 def test_entangling_cphases_create_entanglement_for_some_product():
@@ -172,3 +230,6 @@ def test_evolve_rejects_bad_inputs():
         evolve_trajectory(np.kron(X, np.eye(2)) * 1j, rho, TimeGrid(0, 1, 2))  # not Hermitian
     with pytest.raises(ValueError):
         evolve_trajectory(np.zeros((2, 2)), rho, TimeGrid(0, 1, 2))  # wrong size
+    rho.matrix = 2 * rho.matrix  # changed after its own validation; the stack is checked again
+    with pytest.raises(ValueError, match="trace"):
+        evolve_trajectory(K_CPI, rho, TimeGrid(0, 1, 2))
