@@ -12,15 +12,18 @@ per run, over the stacked pair densities of all blocks: every density is
 still validated as a density matrix, and one batched partial-transpose
 eigendecomposition gives all the negativities.
 
-The register is held as a (2,)*n tensor with one axis per qubit; each gate
-is contracted into its own qubits' axes at O(2^n) work, and no 2^n x 2^n
-matrix is built per gate. ``circuit_unitary`` runs the same contraction on
-all 2^n basis columns at once.
+The register is held as a (2,)*n tensor with one axis per qubit. Each gate
+is one transpose and one matmul, out = u m, with m = t.transpose(perm)
+.reshape(2^k, -1) the register with the gate's axes in front; no 2^n x 2^n
+matrix is built per gate. For a two-qubit gate m and out are the pair
+factors before and after the block, and the audit reuses them.
+``circuit_unitary`` runs the same loop on all 2^n basis columns at once.
 """
 from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -72,13 +75,17 @@ class PlacedGate:
             raise ValueError(f"CPHASE phi must be a finite real number, got {self.phi!r}")
 
     def matrix(self) -> np.ndarray:
-        if self.name == "H":
-            return H
-        if self.name == "X":
-            return X
-        if self.name == "SWAP":
-            return SWAP
-        return np.diag([1.0, 1.0, 1.0, np.exp(1j * self.phi)]).astype(complex)
+        """The gate's matrix, shared and read-only."""
+        if self.name == "CPHASE":
+            return _cphase(self.phi)
+        return {"H": H, "X": X, "SWAP": SWAP}[self.name]
+
+
+@lru_cache(maxsize=256)
+def _cphase(phi: float) -> np.ndarray:
+    u = np.diag([1.0, 1.0, 1.0, np.exp(1j * phi)]).astype(complex)
+    u.flags.writeable = False
+    return u
 
 
 @dataclass(frozen=True)
@@ -139,15 +146,23 @@ def build_qft(n: int) -> Circuit:
     return Circuit(n, tuple(placed))
 
 
-def _apply(u: np.ndarray, qubits: tuple[int, ...], t: np.ndarray) -> np.ndarray:
-    """Contract a gate matrix into the qubits' axes of a (2,)*n register tensor.
+def _steps(circuit: Circuit, t: np.ndarray):
+    """Apply the gates to register tensor t; yield (gate, m, out, t) per gate.
 
-    Axes past the first n (a batch of columns) are carried along untouched.
+    m is t with the gate's axes in front, flattened to 2^k rows, out = u m,
+    and t the register after the gate, a view of out that the next gate's
+    reshape copies. Axes past the first n (a batch of columns) ride along.
     """
-    k = len(qubits)
-    axes = [q - 1 for q in qubits]
-    out = np.tensordot(u.reshape((2,) * (2 * k)), t, axes=(list(range(k, 2 * k)), axes))
-    return np.moveaxis(out, list(range(k)), axes)
+    n_axes = t.ndim
+    for g in circuit.gates:
+        perm = [q - 1 for q in g.qubits]
+        perm += [a for a in range(n_axes) if a not in perm]
+        inv = [perm.index(a) for a in range(n_axes)]
+        shape = [t.shape[a] for a in perm]
+        m = t.transpose(perm).reshape(2 ** len(g.qubits), -1)
+        out = np.dot(g.matrix(), m)
+        t = out.reshape(shape).transpose(inv)
+        yield g, m, out, t
 
 
 def run_circuit(
@@ -157,11 +172,13 @@ def run_circuit(
 
     Returns the output state and one audit record per two-qubit gate with
     the pair's negativity and separability verdict at the block boundary.
-    The loop keeps each block's pair density m m^dag (spectators traced out)
-    just before and just after the gate. The audit is then evaluated once,
-    over the stacked densities: every one is still validated as a density
-    matrix (finite, Hermitian, trace 1, positive), and one batched
-    eigendecomposition of their partial transposes gives the negativities.
+    Each gate is one transpose and one matmul, out = u m; for a two-qubit
+    block m and out are the pair factors just before and after the gate
+    (spectators in the columns), and the loop keeps both. The audit is then
+    evaluated once: all pair densities m m^dag come from one stacked product,
+    every one is still validated as a density matrix (finite, Hermitian,
+    trace 1, positive), and one batched eigendecomposition of their partial
+    transposes gives the negativities.
     """
     _check_tolerance(tol, "tol")
     if input_state.n_qubits != circuit.n_qubits:
@@ -169,17 +186,15 @@ def run_circuit(
             f"circuit has {circuit.n_qubits} qubits, input has {input_state.n_qubits}"
         )
     t = input_state.amplitudes.reshape((2,) * circuit.n_qubits)
-    blocks, pairs = [], []
-    for pos, g in enumerate(circuit.gates, start=1):
-        t_in, t = t, _apply(g.matrix(), g.qubits, t)
+    blocks, factors = [], []
+    for pos, (g, m, out, t) in enumerate(_steps(circuit, t), start=1):
         if len(g.qubits) == 2:
             blocks.append((pos, g))
-            for s in (t_in, t):
-                m = np.moveaxis(s, (g.qubits[0] - 1, g.qubits[1] - 1), (0, 1)).reshape(4, -1)
-                pairs.append(m @ m.conj().T)
+            factors += (m, out)
     records = ()
-    if pairs:
-        stack = np.array(pairs)
+    if factors:
+        mm = np.array(factors)
+        stack = mm @ mm.conj().swapaxes(-1, -2)
         _check_density(stack)
         negs = _negativities(stack).tolist()
         records = tuple(
@@ -196,8 +211,8 @@ def circuit_unitary(circuit: Circuit) -> np.ndarray:
     """Ordered product of the gate unitaries: the circuit run on every basis column."""
     dim = 2**circuit.n_qubits
     t = np.eye(dim, dtype=complex).reshape((2,) * circuit.n_qubits + (dim,))
-    for g in circuit.gates:
-        t = _apply(g.matrix(), g.qubits, t)
+    for _, _, _, t in _steps(circuit, t):
+        pass
     return t.reshape(dim, dim)
 
 

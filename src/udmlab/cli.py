@@ -404,7 +404,7 @@ def _cmd_divisibility(scenario: dict, args, tol: Tolerances, seed: int) -> tuple
     e_long = maps.induced_map(k, env, grid.t_end - grid.t_start, which=which)
     inter = maps.intermediate_map(e_short, e_long, cutoff=tol.pinv_cutoff, cp_tol=tol.cp)
     witness = maps.udm_witness_subinterval(
-        k, rho, t1 - grid.t_start, grid.t_end - grid.t_start
+        k, rho, t1 - grid.t_start, grid.t_end - grid.t_start, which=which
     )
 
     if inter.indeterminate:

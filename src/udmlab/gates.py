@@ -43,6 +43,10 @@ H = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
 SWAP = np.array(
     [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
 )
+# shared by every circuit that places them, so no caller may write to them
+X.flags.writeable = False
+H.flags.writeable = False
+SWAP.flags.writeable = False
 
 
 def _integer(value, what: str) -> int:

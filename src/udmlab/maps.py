@@ -288,16 +288,17 @@ def intermediate_map(
 
 
 def udm_witness_subinterval(
-    k, rho_in: DensityMatrix, t1: float, t_star: float
+    k, rho_in: DensityMatrix, t1: float, t_star: float, which: int = 1
 ) -> WitnessReport:
     """Witness that no state-independent map covers [t1, t*].
 
     The product input evolves to t1, giving the true joint state sigma;
     a second joint state with the same marginals but erased correlations,
     Tr_2(sigma) (x) Tr_1(sigma), evolves alongside it to t*. The trace
-    distance between the two reduced outputs of qubit 1 is zero whenever a
-    map of the qubit's state alone could describe the stretch, so a
-    positive distance is the operational content of "no such map exists".
+    distance between the two reduced outputs of qubit ``which`` is zero
+    whenever a map of that qubit's state alone could describe the stretch,
+    so a positive distance is the operational content of "no such map
+    exists".
     """
     k = linalg.as_matrix(k)
     if linalg.hermiticity_defect(k) > DEFAULT.hermiticity:
@@ -306,6 +307,8 @@ def udm_witness_subinterval(
         raise ValueError("witness needs a 2-qubit input state")
     if not 0.0 < t1 < t_star:
         raise ValueError(f"need 0 < t1 < t*, got t1={t1}, t*={t_star}")
+    if which not in (1, 2):
+        raise ValueError("which must be 1 or 2")
     marg1 = linalg.partial_trace(rho_in.matrix, keep=1)
     marg2 = linalg.partial_trace(rho_in.matrix, keep=2)
     if float(np.linalg.norm(rho_in.matrix - np.kron(marg1, marg2))) > 1e-9:
@@ -321,8 +324,8 @@ def udm_witness_subinterval(
     )
     correlation = float(np.linalg.norm(sigma - sigma_product))
     u2 = linalg.matexp_hermitian(k, t_star - t1)
-    out_true = linalg.partial_trace(u2 @ sigma @ u2.conj().T, keep=1)
-    out_erased = linalg.partial_trace(u2 @ sigma_product @ u2.conj().T, keep=1)
+    out_true = linalg.partial_trace(u2 @ sigma @ u2.conj().T, keep=which)
+    out_erased = linalg.partial_trace(u2 @ sigma_product @ u2.conj().T, keep=which)
     dist = trace_distance(DensityMatrix(out_true), DensityMatrix(out_erased))
     return WitnessReport(float(t1), float(t_star), dist, correlation)
 

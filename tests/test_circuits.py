@@ -17,7 +17,7 @@ from udmlab import (
     run_circuit,
 )
 from udmlab import circuits as circuits_mod
-from udmlab.circuits import AuditRecord, _apply
+from udmlab.circuits import AuditRecord
 from conftest import random_pure
 
 
@@ -153,6 +153,15 @@ def test_circuit_json_roundtrip():
     np.testing.assert_allclose(circuit_unitary(c2), circuit_unitary(c), atol=1e-12)
 
 
+def tensordot_apply(u, qubits, t):
+    """Reference contraction of a gate matrix into the qubits' axes of a
+    (2,)*n register tensor; axes past the first n are carried along."""
+    k = len(qubits)
+    axes = [q - 1 for q in qubits]
+    out = np.tensordot(u.reshape((2,) * (2 * k)), t, axes=(list(range(k, 2 * k)), axes))
+    return np.moveaxis(out, list(range(k)), axes)
+
+
 def pair_negativity(t, qubits):
     m = np.moveaxis(t, (qubits[0] - 1, qubits[1] - 1), (0, 1)).reshape(4, -1)
     return negativity(DensityMatrix(m @ m.conj().T))
@@ -166,7 +175,7 @@ def run_block_by_block(circuit, psi, tol=1e-9):
     for pos, g in enumerate(circuit.gates, start=1):
         if len(g.qubits) == 2:
             neg_in = pair_negativity(t, g.qubits)
-        t = _apply(g.matrix(), g.qubits, t)
+        t = tensordot_apply(g.matrix(), g.qubits, t)
         if len(g.qubits) == 2:
             neg_out = pair_negativity(t, g.qubits)
             records.append(
@@ -193,21 +202,56 @@ def test_stacked_audit_equals_block_by_block_on_qft(rng):
             assert_same_as_block_by_block(c, PureState(random_pure(rng, 2**n)))
 
 
+def nonadjacent_pair_circuit(rng):
+    """Five qubits, two-qubit gates on pairs in both orders with spectators
+    between and around them, a Hadamard on a random qubit before each."""
+    gates = []
+    for q1, q2 in [(1, 3), (4, 1), (2, 5), (5, 3), (1, 5), (3, 2)]:
+        gates.append(PlacedGate("H", (int(rng.integers(1, 6)),)))
+        if rng.random() < 0.5:
+            gates.append(PlacedGate("CPHASE", (q1, q2), phi=float(rng.uniform(-4, 4))))
+        else:
+            gates.append(PlacedGate("SWAP", (q1, q2)))
+    return Circuit(5, tuple(gates))
+
+
 def test_stacked_audit_equals_block_by_block_on_nonadjacent_pairs(rng):
-    # pairs in both orders, with spectators between and around them
-    pairs = [(1, 3), (4, 1), (2, 5), (5, 3), (1, 5), (3, 2)]
     for _ in range(10):
-        gates = []
-        for q1, q2 in pairs:
-            gates.append(PlacedGate("H", (int(rng.integers(1, 6)),)))
-            if rng.random() < 0.5:
-                gates.append(PlacedGate("CPHASE", (q1, q2), phi=float(rng.uniform(-4, 4))))
-            else:
-                gates.append(PlacedGate("SWAP", (q1, q2)))
-        circuit = Circuit(5, tuple(gates))
+        circuit = nonadjacent_pair_circuit(rng)
         assert_same_as_block_by_block(circuit, PureState(random_pure(rng, 32)))
         factors = [PureState(random_pure(rng, 2)) for _ in range(5)]
         assert_same_as_block_by_block(circuit, product_state(factors))
+
+
+def tensordot_unitary(circuit):
+    """The reference contraction run on all basis columns, as a trailing axis."""
+    dim = 2**circuit.n_qubits
+    t = np.eye(dim, dtype=complex).reshape((2,) * circuit.n_qubits + (dim,))
+    for g in circuit.gates:
+        t = tensordot_apply(g.matrix(), g.qubits, t)
+    return t.reshape(dim, dim)
+
+
+def test_circuit_unitary_equals_tensordot_reference_bitwise(rng):
+    circuits = [build_qft(n) for n in range(2, 9)]
+    circuits += [nonadjacent_pair_circuit(rng) for _ in range(5)]
+    for circuit in circuits:
+        assert np.array_equal(circuit_unitary(circuit), tensordot_unitary(circuit))
+
+
+@pytest.mark.parametrize(
+    "gate",
+    [PlacedGate("H", (1,)), PlacedGate("X", (2,)), PlacedGate("SWAP", (1, 2)),
+     PlacedGate("CPHASE", (2, 1), phi=0.3)],
+    ids=["H", "X", "SWAP", "CPHASE"],
+)
+def test_gate_matrices_are_read_only(gate):
+    # the matrices are shared by every circuit placing the gate
+    before = circuit_unitary(build_qft(3))
+    with pytest.raises(ValueError, match="read-only"):
+        gate.matrix()[0, 0] = 2
+    assert gate.matrix() is gate.matrix()
+    assert np.array_equal(circuit_unitary(build_qft(3)), before)
 
 
 def test_circuit_without_two_qubit_gates_builds_no_stack(monkeypatch):

@@ -20,7 +20,13 @@ from udmlab import (
 )
 from udmlab import maps as maps_mod
 from udmlab.gates import equal_up_to_phase
-from conftest import random_density, random_hermitian, reduced_evolution
+from conftest import (
+    evolve_joint,
+    partial_trace_by_sums,
+    random_density,
+    random_hermitian,
+    reduced_evolution,
+)
 
 Z = np.diag([1.0, -1.0]).astype(complex)
 K_CPI = np.diag([0.0, 0.0, 0.0, np.pi]).astype(complex)
@@ -270,6 +276,24 @@ def test_witness_rejects_entangled_input_and_empty_interval():
     product = densify(product_state(["0", "0"]))
     with pytest.raises(ValueError):
         udm_witness_subinterval(K_CPI, product, 1.0, 0.5)  # empty interval
+
+
+def test_witness_of_qubit_2_traces_to_qubit_2(rng):
+    # a non-diagonal generator acts differently on the two qubits, so the
+    # distance of qubit 2 is its own, recomputed here by kron and explicit sums
+    k = random_hermitian(rng, 4)
+    rho = densify(product_state(["0", "+"]))
+    t1, t_star = 0.4, 1.0
+    sigma = evolve_joint(k, rho.matrix, t1)
+    erased = np.kron(partial_trace_by_sums(sigma, 1), partial_trace_by_sums(sigma, 2))
+    out_true = partial_trace_by_sums(evolve_joint(k, sigma, t_star - t1), 2)
+    out_erased = partial_trace_by_sums(evolve_joint(k, erased, t_star - t1), 2)
+    want = 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(out_true - out_erased))))
+    got = udm_witness_subinterval(k, rho, t1, t_star, which=2).trace_distance
+    assert abs(got - want) < 1e-12
+    assert abs(got - udm_witness_subinterval(k, rho, t1, t_star).trace_distance) > 1e-3
+    with pytest.raises(ValueError, match="which must be 1 or 2"):
+        udm_witness_subinterval(k, rho, t1, t_star, which=3)
 
 
 def test_local_pair_maps_symmetric_inputs_coincide():
