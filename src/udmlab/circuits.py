@@ -13,10 +13,10 @@ still validated as a density matrix, and one batched partial-transpose
 eigendecomposition gives all the negativities.
 
 The register is held as a (2,)*n tensor with one axis per qubit. Each gate
-is one transpose and one matmul, out = u m, with m = t.transpose(perm)
-.reshape(2^k, -1) the register with the gate's axes in front; no 2^n x 2^n
-matrix is built per gate. For a two-qubit gate m and out are the pair
-factors before and after the block, and the audit reuses them.
+is one transpose and one matmul: m, the register with the gate's axes in
+front flattened to 2^k rows, times the gate matrix u gives out = u m, and
+no 2^n x 2^n matrix is built per gate. For a two-qubit gate m and out are
+the pair factors before and after the block, and the audit reuses them.
 ``circuit_unitary`` runs the same loop on all 2^n basis columns at once.
 """
 from __future__ import annotations
