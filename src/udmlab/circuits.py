@@ -18,6 +18,9 @@ front flattened to 2^k rows, times the gate matrix u gives out = u m, and
 no 2^n x 2^n matrix is built per gate. For a two-qubit gate m and out are
 the pair factors before and after the block, and the audit reuses them.
 ``circuit_unitary`` runs the same loop on all 2^n basis columns at once.
+
+A placed gate is the named ``gates.Gate``, generator included, built once
+per (name, phi) and shared by every circuit, so its matrices are read-only.
 """
 from __future__ import annotations
 
@@ -27,7 +30,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .gates import H, SWAP, X, _integer
+from .gates import Gate, _integer, c_phase, hadamard, swap_gate, x_gate
 from .states import PureState, _check_density, _negativities
 from .tolerances import DEFAULT, _check_tolerance
 
@@ -43,10 +46,16 @@ __all__ = [
     "circuit_to_dict",
 ]
 
-GATE_ARITY = {"H": 1, "X": 1, "CPHASE": 2, "SWAP": 2}
-
 MIN_QUBITS = 2
 MAX_QUBITS = 8
+
+_NAMED = {"H": hadamard, "X": x_gate, "SWAP": swap_gate, "CPHASE": c_phase}
+
+
+@lru_cache(maxsize=256)
+def _named_gate(name: str, phi: float | None) -> Gate:
+    """The one shared, read-only gate placed under this name (and phase)."""
+    return _NAMED[name]() if phi is None else _NAMED[name](phi)
 
 
 @dataclass(frozen=True)
@@ -56,36 +65,29 @@ class PlacedGate:
     phi: float | None = None
 
     def __post_init__(self):
-        if self.name not in GATE_ARITY:
-            raise ValueError(f"unknown gate {self.name!r}; expected one of {sorted(GATE_ARITY)}")
+        if self.name not in _NAMED:
+            raise ValueError(f"unknown gate {self.name!r}; expected one of {sorted(_NAMED)}")
         try:
             qubits = tuple(self.qubits)
         except TypeError:
             raise ValueError(f"{self.name} qubits must be a sequence, got {self.qubits!r}") from None
         qubits = tuple(_integer(q, f"{self.name} qubit index") for q in qubits)
         object.__setattr__(self, "qubits", qubits)
-        if len(self.qubits) != GATE_ARITY[self.name]:
-            raise ValueError(f"{self.name} takes {GATE_ARITY[self.name]} qubit(s), got {self.qubits}")
-        if len(set(self.qubits)) != len(self.qubits):
-            raise ValueError(f"{self.name} qubits must be distinct, got {self.qubits}")
         if (self.name == "CPHASE") != (self.phi is not None):
             raise ValueError("phi is required for CPHASE and only for CPHASE")
         real = isinstance(self.phi, numbers.Real) and not isinstance(self.phi, bool)
         if self.phi is not None and not (real and np.isfinite(self.phi)):
             raise ValueError(f"CPHASE phi must be a finite real number, got {self.phi!r}")
+        arity = self.gate.n_qubits
+        if len(self.qubits) != arity:
+            raise ValueError(f"{self.name} takes {arity} qubit(s), got {self.qubits}")
+        if len(set(self.qubits)) != len(self.qubits):
+            raise ValueError(f"{self.name} qubits must be distinct, got {self.qubits}")
 
-    def matrix(self) -> np.ndarray:
-        """The gate's matrix, shared and read-only."""
-        if self.name == "CPHASE":
-            return _cphase(self.phi)
-        return {"H": H, "X": X, "SWAP": SWAP}[self.name]
-
-
-@lru_cache(maxsize=256)
-def _cphase(phi: float) -> np.ndarray:
-    u = np.diag([1.0, 1.0, 1.0, np.exp(1j * phi)]).astype(complex)
-    u.flags.writeable = False
-    return u
+    @property
+    def gate(self) -> Gate:
+        """The named gate, shared by every placement of the same (name, phi)."""
+        return _named_gate(self.name, self.phi)
 
 
 @dataclass(frozen=True)
@@ -160,7 +162,7 @@ def _steps(circuit: Circuit, t: np.ndarray):
         inv = [perm.index(a) for a in range(n_axes)]
         shape = [t.shape[a] for a in perm]
         m = t.transpose(perm).reshape(2 ** len(g.qubits), -1)
-        out = np.dot(g.matrix(), m)
+        out = np.dot(g.gate.unitary, m)
         t = out.reshape(shape).transpose(inv)
         yield g, m, out, t
 

@@ -38,17 +38,6 @@ __all__ = [
     "equal_up_to_phase",
 ]
 
-X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-H = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
-SWAP = np.array(
-    [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
-)
-# shared by every circuit that places them, so no caller may write to them
-X.flags.writeable = False
-H.flags.writeable = False
-SWAP.flags.writeable = False
-
-
 def _integer(value, what: str) -> int:
     """value as a Python int; numpy integers pass, booleans and floats do not."""
     try:
@@ -72,7 +61,8 @@ class Gate:
     """A unitary together with the Hermitian generator and duration behind it.
 
     Without a given unitary, the gate holds exp(-i K t*); a given one (an
-    exact named matrix) is checked against that exponential.
+    exact named matrix) is checked against that exponential. Both are held
+    as read-only copies: circuits share one gate among all their callers.
     """
 
     generator: np.ndarray
@@ -91,6 +81,10 @@ class Gate:
             object.__setattr__(self, "unitary", rebuilt)
         elif float(np.max(np.abs(rebuilt - self.unitary))) > DEFAULT.reconstruction:
             raise ValueError("gate matrix does not match exp(-i K t*)")
+        for field in ("generator", "unitary"):
+            frozen = np.array(getattr(self, field))
+            frozen.flags.writeable = False
+            object.__setattr__(self, field, frozen)
 
     @property
     def n_qubits(self) -> int:
@@ -140,15 +134,18 @@ def local_phase(phi: float, t_star: float = 1.0) -> Gate:
 
 def x_gate(t_star: float = 1.0) -> Gate:
     """Spin-flip gate with matrix exactly X."""
-    return Gate(generator_from_unitary(X, t_star), float(t_star), X.copy())
+    x = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+    return Gate(generator_from_unitary(x, t_star), float(t_star), x)
 
 
 def hadamard(t_star: float = 1.0) -> Gate:
-    return Gate(generator_from_unitary(H, t_star), float(t_star), H.copy())
+    h = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
+    return Gate(generator_from_unitary(h, t_star), float(t_star), h)
 
 
 def swap_gate(t_star: float = 1.0) -> Gate:
-    return Gate(generator_from_unitary(SWAP, t_star), float(t_star), SWAP.copy())
+    swap = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex)
+    return Gate(generator_from_unitary(swap, t_star), float(t_star), swap)
 
 
 def identity_gate(n_qubits: int = 2, t_star: float = 1.0) -> Gate:

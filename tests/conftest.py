@@ -27,6 +27,16 @@ def random_unitary(rng, dim):
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
+# named matrices written out here, not taken from the library
+X = np.array([[0, 1], [1, 0]], dtype=complex)
+H = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
+SWAP = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex)
+# projector onto the singlet (|01> - |10>)/sqrt(2): SWAP = 1 - 2 P = e^{-i pi P}
+SINGLET_PROJECTOR = np.array(
+    [[0, 0, 0, 0], [0, 0.5, -0.5, 0], [0, -0.5, 0.5, 0], [0, 0, 0, 0]], dtype=complex
+)
+
+
 def random_density(rng, dim):
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     m = a @ a.conj().T

@@ -39,8 +39,9 @@ from udmlab import (
     udm_witness_subinterval,
 )
 from udmlab.cli import main as cli_main
-from udmlab.gates import X, equal_up_to_phase
+from udmlab.gates import equal_up_to_phase
 from conftest import (
+    X,
     diagonal_intermediate_map,
     random_density,
     random_hermitian,

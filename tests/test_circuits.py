@@ -9,16 +9,22 @@ from udmlab import (
     PlacedGate,
     PureState,
     build_qft,
+    c_phase,
     circuit_to_dict,
     circuit_unitary,
     dft_matrix,
+    hadamard,
+    matexp_hermitian,
     negativity,
     product_state,
     run_circuit,
+    swap_gate,
+    x_gate,
 )
 from udmlab import circuits as circuits_mod
 from udmlab.circuits import AuditRecord
-from conftest import random_pure
+from udmlab.tolerances import DEFAULT
+from conftest import H, SINGLET_PROJECTOR, SWAP, X, random_pure
 
 
 def basis_state(n, bits):
@@ -153,6 +159,14 @@ def test_circuit_json_roundtrip():
     np.testing.assert_allclose(circuit_unitary(c2), circuit_unitary(c), atol=1e-12)
 
 
+def reference_matrix(g):
+    """The placed gate's matrix written out, not read from g.gate, so the
+    bitwise comparisons below pin every matrix a circuit places."""
+    if g.name == "CPHASE":
+        return np.diag([1.0, 1.0, 1.0, np.exp(1j * g.phi)]).astype(complex)
+    return {"H": H, "X": X, "SWAP": SWAP}[g.name]
+
+
 def tensordot_apply(u, qubits, t):
     """Reference contraction of a gate matrix into the qubits' axes of a
     (2,)*n register tensor; axes past the first n are carried along."""
@@ -175,7 +189,7 @@ def run_block_by_block(circuit, psi, tol=1e-9):
     for pos, g in enumerate(circuit.gates, start=1):
         if len(g.qubits) == 2:
             neg_in = pair_negativity(t, g.qubits)
-        t = tensordot_apply(g.matrix(), g.qubits, t)
+        t = tensordot_apply(reference_matrix(g), g.qubits, t)
         if len(g.qubits) == 2:
             neg_out = pair_negativity(t, g.qubits)
             records.append(
@@ -228,7 +242,7 @@ def tensordot_unitary(circuit):
     dim = 2**circuit.n_qubits
     t = np.eye(dim, dtype=complex).reshape((2,) * circuit.n_qubits + (dim,))
     for g in circuit.gates:
-        t = tensordot_apply(g.matrix(), g.qubits, t)
+        t = tensordot_apply(reference_matrix(g), g.qubits, t)
     return t.reshape(dim, dim)
 
 
@@ -240,18 +254,40 @@ def test_circuit_unitary_equals_tensordot_reference_bitwise(rng):
 
 
 @pytest.mark.parametrize(
-    "gate",
-    [PlacedGate("H", (1,)), PlacedGate("X", (2,)), PlacedGate("SWAP", (1, 2)),
-     PlacedGate("CPHASE", (2, 1), phi=0.3)],
+    "gate, named",
+    [(PlacedGate("H", (1,)), hadamard()), (PlacedGate("X", (2,)), x_gate()),
+     (PlacedGate("SWAP", (1, 2)), swap_gate()), (PlacedGate("CPHASE", (2, 1), phi=0.3), c_phase(0.3))],
     ids=["H", "X", "SWAP", "CPHASE"],
 )
-def test_gate_matrices_are_read_only(gate):
-    # the matrices are shared by every circuit placing the gate
-    before = circuit_unitary(build_qft(3))
-    with pytest.raises(ValueError, match="read-only"):
-        gate.matrix()[0, 0] = 2
-    assert gate.matrix() is gate.matrix()
+def test_gate_matrices_are_read_only(gate, named):
+    # one gate per (name, phi), shared by every circuit placing it
+    first, second = build_qft(3), build_qft(3)
+    assert all(a.gate is b.gate for a, b in zip(first.gates, second.gates))
+    assert PlacedGate(gate.name, gate.qubits, gate.phi).gate is gate.gate
+    before = circuit_unitary(first)
+    for matrix in (gate.gate.unitary, gate.gate.generator):
+        with pytest.raises(ValueError, match="read-only"):
+            matrix[0, 0] = 2
+    assert np.array_equal(gate.gate.unitary, named.unitary)
+    assert np.array_equal(gate.gate.generator, named.generator)
     assert np.array_equal(circuit_unitary(build_qft(3)), before)
+
+
+def test_qft_places_one_shared_gate_per_name_and_phase():
+    # H, SWAP and the n - 1 phases pi / 2^k: n + 1 gates built, however many placed
+    for n in range(2, 9):
+        assert len({id(g.gate) for g in build_qft(n).gates}) == n + 1
+
+
+def test_placed_gates_are_generated_by_their_generators():
+    placed = [g for n in range(2, 9) for g in build_qft(n).gates] + [PlacedGate("X", (1,))]
+    for g in placed:
+        rebuilt = matexp_hermitian(g.gate.generator, g.gate.duration)
+        assert np.max(np.abs(rebuilt - g.gate.unitary)) <= DEFAULT.reconstruction
+    # the SWAP block is the evolution under pi P_singlet over t* = 1
+    swap = PlacedGate("SWAP", (1, 2)).gate
+    assert swap.duration == 1.0
+    np.testing.assert_allclose(swap.generator, np.pi * SINGLET_PROJECTOR, rtol=0, atol=1e-15)
 
 
 def test_circuit_without_two_qubit_gates_builds_no_stack(monkeypatch):

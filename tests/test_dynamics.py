@@ -17,8 +17,7 @@ from udmlab import (
 )
 from udmlab import states as states_mod
 from udmlab.dynamics import MAX_STEPS
-from udmlab.gates import X
-from conftest import random_density, random_hermitian
+from conftest import X, random_density, random_hermitian
 
 Z = np.diag([1.0, -1.0]).astype(complex)
 K_CPI = np.diag([0.0, 0.0, 0.0, np.pi]).astype(complex)

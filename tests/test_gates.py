@@ -22,8 +22,8 @@ from udmlab import (
     x_gate,
 )
 from udmlab import linalg
-from udmlab.gates import SWAP, X, Gate
-from conftest import random_hermitian, random_pure, random_unitary
+from udmlab.gates import Gate
+from conftest import SINGLET_PROJECTOR, SWAP, X, random_hermitian, random_pure, random_unitary
 
 Z = np.diag([1.0, -1.0]).astype(complex)
 
@@ -57,6 +57,24 @@ def test_gate_qubit_count_follows_its_generator():
     for shape in ((1, 1), (3, 3), (8, 8), (2, 4)):
         with pytest.raises(ValueError, match="2x2 or 4x4"):
             Gate(np.zeros(shape), 1.0)
+
+
+@pytest.mark.parametrize(
+    "build", [lambda k: c_phase(1.0), lambda k: gate_from_generator(k, 1.0)],
+    ids=["c_phase", "gate_from_generator"],
+)
+def test_gate_matrices_are_read_only_copies(build, rng):
+    # a written unitary would pass through apply, renormalised by PureState
+    k = random_hermitian(rng, 4)
+    given = k.copy()
+    g = build(k)
+    generator = g.generator.copy()
+    for matrix in (g.unitary, g.generator):
+        with pytest.raises(ValueError, match="read-only"):
+            matrix[0, 0] = 2
+    assert k.flags.writeable and np.array_equal(k, given)
+    k[0, 0] += 1.0
+    assert np.array_equal(g.generator, generator)
 
 
 @pytest.mark.parametrize("t", [0.0, -1.0, np.nan, np.inf, -np.inf])
