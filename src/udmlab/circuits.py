@@ -12,12 +12,15 @@ per run, over the stacked pair densities of all blocks: every density is
 still validated as a density matrix, and one batched partial-transpose
 eigendecomposition gives all the negativities.
 
-The register is held as a (2,)*n tensor with one axis per qubit. Each gate
-is one transpose and one matmul: m, the register with the gate's axes in
-front flattened to 2^k rows, times the gate matrix u gives out = u m, and
-no 2^n x 2^n matrix is built per gate. For a two-qubit gate m and out are
-the pair factors before and after the block, and the audit reuses them.
-``circuit_unitary`` runs the same loop on all 2^n basis columns at once.
+The register is held as a (2,)*n tensor with one axis per qubit. In
+``run_circuit`` each gate is one transpose and one matmul: m, the register
+with the gate's axes in front flattened to 2^k rows, times the gate matrix
+u gives out = u m, and no 2^n x 2^n matrix is built per gate. For a
+two-qubit gate m and out are the pair factors before and after the block,
+and the audit reuses them. ``circuit_unitary`` holds all 2^n basis columns
+in place and applies each gate by the structure of its matrix instead: a
+diagonal gate scales the slices it changes, a SWAP relabels two axes, and a
+one-qubit gate is one broadcast matmul, so no gate transposes the register.
 
 A placed gate is the named ``gates.Gate``, generator included, built once
 per (name, phi) and shared by every circuit, so its matrices are read-only.
@@ -56,6 +59,22 @@ _NAMED = {"H": hadamard, "X": x_gate, "SWAP": swap_gate, "CPHASE": c_phase}
 def _named_gate(name: str, phi: float | None) -> Gate:
     """The one shared, read-only gate placed under this name (and phase)."""
     return _NAMED[name]() if phi is None else _NAMED[name](phi)
+
+
+@lru_cache(maxsize=256)
+def _phases(name: str, phi: float | None) -> tuple | None:
+    """The named gate's diagonal entries e other than 1, as (bits, Re e, i Im e)
+    with bits the entry's index, one bit per qubit; None when its matrix is
+    not diagonal."""
+    u = _named_gate(name, phi).unitary
+    d = np.diagonal(u)
+    if np.any(u != np.diag(d)):
+        return None
+    shape = (2,) * (len(u).bit_length() - 1)
+    return tuple(
+        (tuple(int(b) for b in np.unravel_index(i, shape)), e.real, 1j * e.imag)
+        for i, e in enumerate(d) if e != 1
+    )
 
 
 @dataclass(frozen=True)
@@ -101,7 +120,14 @@ class Circuit:
         object.__setattr__(self, "n_qubits", _integer(self.n_qubits, "circuit qubit count"))
         if not MIN_QUBITS <= self.n_qubits <= MAX_QUBITS:
             raise ValueError(f"n_qubits must be in [{MIN_QUBITS}, {MAX_QUBITS}], got {self.n_qubits}")
+        try:
+            gates = tuple(self.gates)
+        except TypeError:
+            raise ValueError(f"circuit gates must be a sequence, got {self.gates!r}") from None
+        object.__setattr__(self, "gates", gates)
         for g in self.gates:
+            if not isinstance(g, PlacedGate):
+                raise ValueError(f"circuit gates must be PlacedGate, got {g!r}")
             for q in g.qubits:
                 if not 1 <= q <= self.n_qubits:
                     raise ValueError(f"qubit index {q} out of range 1..{self.n_qubits}")
@@ -149,21 +175,20 @@ def build_qft(n: int) -> Circuit:
 
 
 def _steps(circuit: Circuit, t: np.ndarray):
-    """Apply the gates to register tensor t; yield (gate, m, out, t) per gate.
+    """Apply the gates to the (2,)*n state tensor t; yield (gate, m, out, t) per gate.
 
     m is t with the gate's axes in front, flattened to 2^k rows, out = u m,
-    and t the register after the gate, a view of out that the next gate's
-    reshape copies. Axes past the first n (a batch of columns) ride along.
+    and t the state after the gate, a view of out that the next gate's
+    reshape copies.
     """
-    n_axes = t.ndim
+    n = circuit.n_qubits
     for g in circuit.gates:
         perm = [q - 1 for q in g.qubits]
-        perm += [a for a in range(n_axes) if a not in perm]
-        inv = [perm.index(a) for a in range(n_axes)]
-        shape = [t.shape[a] for a in perm]
+        perm += [a for a in range(n) if a not in perm]
+        inv = [perm.index(a) for a in range(n)]
         m = t.transpose(perm).reshape(2 ** len(g.qubits), -1)
         out = np.dot(g.gate.unitary, m)
-        t = out.reshape(shape).transpose(inv)
+        t = out.reshape((2,) * n).transpose(inv)
         yield g, m, out, t
 
 
@@ -210,12 +235,52 @@ def run_circuit(
 
 
 def circuit_unitary(circuit: Circuit) -> np.ndarray:
-    """Ordered product of the gate unitaries: the circuit run on every basis column."""
-    dim = 2**circuit.n_qubits
-    t = np.eye(dim, dtype=complex).reshape((2,) * circuit.n_qubits + (dim,))
-    for _, _, _, t in _steps(circuit, t):
-        pass
-    return t.reshape(dim, dim)
+    """Ordered product of the gate unitaries: the circuit run on every basis column.
+
+    The 2^n x 2^n register stays in place, its rows as (2,)*n axes, and each
+    gate is applied by the structure of its matrix, with no transpose:
+
+    - a diagonal gate (CPHASE) scales, in place, only the slices whose
+      diagonal entry e is not 1, as x er + x (i ei);
+    - a SWAP exchanges its qubits' entries in the qubit-to-axis map, with no
+      arithmetic; the rows are put in qubit order once, at the end;
+    - a one-qubit gate (H, X) on axis a is one broadcast matmul of its 2x2
+      matrix over the (2^a, 2, rest) view, written into a second buffer.
+
+    The product is bitwise the per-gate matmul's (zgemm's). Multiplying by a
+    purely real or purely imaginary number is one real product per
+    component, so the diagonal case gives re = xr er - xi ei and
+    im = xr ei + xi er with each product rounded once, as the zgemm does;
+    numpy's complex x * e fuses a product into the sum and rounds otherwise.
+    Entries the matmul would multiply by 1 or only move are left as they
+    are. Each call allocates its own buffers, so the result is fresh.
+    """
+    n = circuit.n_qubits
+    dim = 2**n
+    t = np.eye(dim, dtype=complex)
+    spare = np.empty_like(t)
+    axis = list(range(n))  # axis[q - 1]: the register axis that holds qubit q
+    for g in circuit.gates:
+        axes = [axis[q - 1] for q in g.qubits]
+        if g.name == "SWAP":
+            axis[g.qubits[0] - 1], axis[g.qubits[1] - 1] = axes[1], axes[0]
+            continue
+        phases = _phases(g.name, g.phi)
+        if phases is None:
+            rows = 2 ** axes[0]
+            np.matmul(g.gate.unitary, t.reshape(rows, 2, -1), out=spare.reshape(rows, 2, -1))
+            t, spare = spare, t
+            continue
+        register = t.reshape((2,) * n + (dim,))
+        for bits, er, i_ei in phases:
+            index = [slice(None)] * n
+            for a, b in zip(axes, bits):
+                index[a] = b
+            x = register[tuple(index)]
+            x_er = x * er
+            x *= i_ei
+            x += x_er
+    return t.reshape((2,) * n + (dim,)).transpose(axis + [n]).reshape(dim, dim)
 
 
 def dft_matrix(n: int) -> np.ndarray:

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -131,6 +132,8 @@ def test_placed_gate_validation():
         PlacedGate("H", (1,), phi=0.5)  # phi not allowed
     with pytest.raises(ValueError):
         Circuit(2, (PlacedGate("H", (3,)),))  # index out of range
+    # the circuit keeps its own tuple, which a later edit of the caller's list cannot reach
+    assert Circuit(2, [PlacedGate("H", (1,))]).gates == (PlacedGate("H", (1,)),)
 
 
 def test_x_gate_in_circuit():
@@ -246,11 +249,43 @@ def tensordot_unitary(circuit):
     return t.reshape(dim, dim)
 
 
+def mixed_vocabulary_circuit(rng, n):
+    """Every placed gate on n qubits: blocks of a SWAP, then H and X on the
+    qubits it moved and CPHASE on them in both orders, on random pairs."""
+    gates = []
+    for _ in range(n):
+        q1, q2 = (int(q) for q in rng.choice(np.arange(1, n + 1), size=2, replace=False))
+        gates += [
+            PlacedGate("SWAP", (q1, q2)),
+            PlacedGate("H", (q1,)),
+            PlacedGate("X", (q2,)),
+            PlacedGate("CPHASE", (q1, q2), phi=float(rng.uniform(-4, 4))),
+            PlacedGate("CPHASE", (q2, q1), phi=float(rng.uniform(-4, 4))),
+        ]
+    return Circuit(n, tuple(gates))
+
+
 def test_circuit_unitary_equals_tensordot_reference_bitwise(rng):
     circuits = [build_qft(n) for n in range(2, 9)]
     circuits += [nonadjacent_pair_circuit(rng) for _ in range(5)]
+    circuits += [mixed_vocabulary_circuit(rng, n) for n in range(2, 9)]
     for circuit in circuits:
         assert np.array_equal(circuit_unitary(circuit), tensordot_unitary(circuit))
+
+
+@pytest.mark.parametrize(
+    "circuit",
+    [build_qft(3), Circuit(2, ()), Circuit(3, (PlacedGate("CPHASE", (3, 1), phi=0.3), PlacedGate("X", (2,))))],
+    ids=["qft3", "empty", "no-swap"],
+)
+def test_circuit_unitary_returns_a_fresh_array_each_call(circuit):
+    first, second = circuit_unitary(circuit), circuit_unitary(circuit)
+    assert first.flags.writeable and second.flags.writeable
+    assert not np.shares_memory(first, second)
+    assert not any(np.shares_memory(u, g.gate.unitary) for u in (first, second) for g in circuit.gates)
+    want = second.tobytes()
+    first[...] = 7
+    assert circuit_unitary(circuit).tobytes() == want
 
 
 @pytest.mark.parametrize(
@@ -318,12 +353,15 @@ def test_circuit_without_two_qubit_gates_builds_no_stack(monkeypatch):
         (lambda: build_qft(2.5), "2.5"),
         (lambda: build_qft(True), "True"),
         (lambda: Circuit(2.5, ()), "2.5"),
+        (lambda: Circuit(2, 5), "5"),
+        (lambda: Circuit(2, [("H", (1,))]), "('H', (1,))"),
     ],
     ids=["qubit-float", "qubit-true", "qubit-false", "qubits-int", "phi-nan", "phi-inf",
-         "phi-minus-inf", "phi-string", "phi-true", "qft-float", "qft-true", "circuit-float"],
+         "phi-minus-inf", "phi-string", "phi-true", "qft-float", "qft-true", "circuit-float",
+         "gates-int", "gates-entry-tuple"],
 )
 def test_non_integer_and_non_finite_circuit_inputs_name_the_value(build, value):
-    with pytest.raises(ValueError, match=f"got {value}$"):
+    with pytest.raises(ValueError, match=f"got {re.escape(value)}$"):
         build()
 
 
