@@ -18,9 +18,10 @@ with the gate's axes in front flattened to 2^k rows, times the gate matrix
 u gives out = u m, and no 2^n x 2^n matrix is built per gate. For a
 two-qubit gate m and out are the pair factors before and after the block,
 and the audit reuses them. ``circuit_unitary`` holds all 2^n basis columns
-in place and applies each gate by the structure of its matrix instead: a
-diagonal gate scales the slices it changes, a SWAP relabels two axes, and a
-one-qubit gate is one broadcast matmul, so no gate transposes the register.
+in place and applies each gate by its name instead: a CPHASE scales the one
+slice where both its qubits are 1, a SWAP relabels two axes, and an H or X
+is one broadcast matmul, so no gate transposes the register. Each loop is
+the faster one for its own call shape, one column or all 2^n.
 
 A placed gate is the named ``gates.Gate``, generator included, built once
 per (name, phi) and shared by every circuit, so its matrices are read-only.
@@ -59,22 +60,6 @@ _NAMED = {"H": hadamard, "X": x_gate, "SWAP": swap_gate, "CPHASE": c_phase}
 def _named_gate(name: str, phi: float | None) -> Gate:
     """The one shared, read-only gate placed under this name (and phase)."""
     return _NAMED[name]() if phi is None else _NAMED[name](phi)
-
-
-@lru_cache(maxsize=256)
-def _phases(name: str, phi: float | None) -> tuple | None:
-    """The named gate's diagonal entries e other than 1, as (bits, Re e, i Im e)
-    with bits the entry's index, one bit per qubit; None when its matrix is
-    not diagonal."""
-    u = _named_gate(name, phi).unitary
-    d = np.diagonal(u)
-    if np.any(u != np.diag(d)):
-        return None
-    shape = (2,) * (len(u).bit_length() - 1)
-    return tuple(
-        (tuple(int(b) for b in np.unravel_index(i, shape)), e.real, 1j * e.imag)
-        for i, e in enumerate(d) if e != 1
-    )
 
 
 @dataclass(frozen=True)
@@ -174,24 +159,6 @@ def build_qft(n: int) -> Circuit:
     return Circuit(n, tuple(placed))
 
 
-def _steps(circuit: Circuit, t: np.ndarray):
-    """Apply the gates to the (2,)*n state tensor t; yield (gate, m, out, t) per gate.
-
-    m is t with the gate's axes in front, flattened to 2^k rows, out = u m,
-    and t the state after the gate, a view of out that the next gate's
-    reshape copies.
-    """
-    n = circuit.n_qubits
-    for g in circuit.gates:
-        perm = [q - 1 for q in g.qubits]
-        perm += [a for a in range(n) if a not in perm]
-        inv = [perm.index(a) for a in range(n)]
-        m = t.transpose(perm).reshape(2 ** len(g.qubits), -1)
-        out = np.dot(g.gate.unitary, m)
-        t = out.reshape((2,) * n).transpose(inv)
-        yield g, m, out, t
-
-
 def run_circuit(
     circuit: Circuit, input_state: PureState, tol: float = DEFAULT.separability
 ) -> tuple[PureState, BlockAudit]:
@@ -199,22 +166,30 @@ def run_circuit(
 
     Returns the output state and one audit record per two-qubit gate with
     the pair's negativity and separability verdict at the block boundary.
-    Each gate is one transpose and one matmul, out = u m; for a two-qubit
-    block m and out are the pair factors just before and after the gate
-    (spectators in the columns), and the loop keeps both. The audit is then
-    evaluated once: all pair densities m m^dag come from one stacked product,
-    every one is still validated as a density matrix (finite, Hermitian,
-    trace 1, positive), and one batched eigendecomposition of their partial
-    transposes gives the negativities.
+    Each gate, whatever its name, is one transpose and one matmul, out = u m
+    (on one column this beats ``circuit_unitary``'s dispatch by name); for a
+    two-qubit block m and out are the pair factors just before and after
+    the gate (spectators in the columns), and the loop keeps both. The
+    audit is then evaluated once: all pair densities m m^dag come from one
+    stacked product, every one is still validated as a density matrix
+    (finite, Hermitian, trace 1, positive), and one batched
+    eigendecomposition of their partial transposes gives the negativities.
     """
     _check_tolerance(tol, "tol")
     if input_state.n_qubits != circuit.n_qubits:
         raise ValueError(
             f"circuit has {circuit.n_qubits} qubits, input has {input_state.n_qubits}"
         )
-    t = input_state.amplitudes.reshape((2,) * circuit.n_qubits)
+    n = circuit.n_qubits
+    t = input_state.amplitudes.reshape((2,) * n)
     blocks, factors = [], []
-    for pos, (g, m, out, t) in enumerate(_steps(circuit, t), start=1):
+    for pos, g in enumerate(circuit.gates, start=1):
+        perm = [q - 1 for q in g.qubits]
+        perm += [a for a in range(n) if a not in perm]
+        inv = [perm.index(a) for a in range(n)]
+        m = t.transpose(perm).reshape(2 ** len(g.qubits), -1)
+        out = np.dot(g.gate.unitary, m)
+        t = out.reshape((2,) * n).transpose(inv)
         if len(g.qubits) == 2:
             blocks.append((pos, g))
             factors += (m, out)
@@ -238,18 +213,19 @@ def circuit_unitary(circuit: Circuit) -> np.ndarray:
     """Ordered product of the gate unitaries: the circuit run on every basis column.
 
     The 2^n x 2^n register stays in place, its rows as (2,)*n axes, and each
-    gate is applied by the structure of its matrix, with no transpose:
+    gate is applied by its name, with no transpose:
 
-    - a diagonal gate (CPHASE) scales, in place, only the slices whose
-      diagonal entry e is not 1, as x er + x (i ei);
+    - a CPHASE scales, in place, the one slice where both its qubits are 1
+      by its matrix's entry e = u[3, 3], as x er + x (i ei), and leaves the
+      register as it is when e is exactly 1;
     - a SWAP exchanges its qubits' entries in the qubit-to-axis map, with no
       arithmetic; the rows are put in qubit order once, at the end;
-    - a one-qubit gate (H, X) on axis a is one broadcast matmul of its 2x2
-      matrix over the (2^a, 2, rest) view, written into a second buffer.
+    - an H or X on axis a is one broadcast matmul of its 2x2 matrix over
+      the (2^a, 2, rest) view, written into a second buffer.
 
     The product is bitwise the per-gate matmul's (zgemm's). Multiplying by a
     purely real or purely imaginary number is one real product per
-    component, so the diagonal case gives re = xr er - xi ei and
+    component, so the CPHASE case gives re = xr er - xi ei and
     im = xr ei + xi er with each product rounded once, as the zgemm does;
     numpy's complex x * e fuses a product into the sum and rounds otherwise.
     Entries the matmul would multiply by 1 or only move are left as they
@@ -264,22 +240,19 @@ def circuit_unitary(circuit: Circuit) -> np.ndarray:
         axes = [axis[q - 1] for q in g.qubits]
         if g.name == "SWAP":
             axis[g.qubits[0] - 1], axis[g.qubits[1] - 1] = axes[1], axes[0]
-            continue
-        phases = _phases(g.name, g.phi)
-        if phases is None:
+        elif g.name == "CPHASE":
+            e = g.gate.unitary[3, 3]
+            if e != 1:
+                index = [slice(None)] * n
+                index[axes[0]] = index[axes[1]] = 1
+                x = t.reshape((2,) * n + (dim,))[tuple(index)]
+                x_er = x * e.real
+                x *= 1j * e.imag
+                x += x_er
+        else:
             rows = 2 ** axes[0]
             np.matmul(g.gate.unitary, t.reshape(rows, 2, -1), out=spare.reshape(rows, 2, -1))
             t, spare = spare, t
-            continue
-        register = t.reshape((2,) * n + (dim,))
-        for bits, er, i_ei in phases:
-            index = [slice(None)] * n
-            for a, b in zip(axes, bits):
-                index[a] = b
-            x = register[tuple(index)]
-            x_er = x * er
-            x *= i_ei
-            x += x_er
     return t.reshape((2,) * n + (dim,)).transpose(axis + [n]).reshape(dim, dim)
 
 

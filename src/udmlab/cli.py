@@ -339,12 +339,16 @@ def _map_report(m: maps.DynamicalMap, tol: Tolerances, rng) -> dict:
     c = maps.choi(m)
     cp, tp, min_eig = maps.is_cptp(m, tol=tol.cp)
     kraus = maps.kraus_decompose(c)
-    residual = 0.0
-    for _ in range(20):
-        rho = _random_density(rng)
-        direct = maps.apply_map(m, rho).matrix
-        rebuilt = sum(op @ rho.matrix @ op.conj().T for op in kraus.operators)
-        residual = max(residual, float(np.max(np.abs(rebuilt - direct))))
+    # 20 random probe states, each the real then the imaginary part of a
+    # 2x2 a, as a a^dag / tr; the map's outputs must be states as well
+    normals = rng.normal(size=(20, 2, 2, 2))
+    a = normals[:, 0] + 1j * normals[:, 1]
+    probes = a @ a.conj().swapaxes(-1, -2)
+    probes = probes / np.trace(probes, axis1=-2, axis2=-1).real[:, None, None]
+    states._check_density(probes)
+    direct = maps._images(m, probes)
+    states._check_density(direct)
+    rebuilt = sum(op @ probes @ op.conj().T for op in kraus.operators)
     completeness = sum(op.conj().T @ op for op in kraus.operators)
     return {
         "which_qubit": m.which_qubit,
@@ -356,15 +360,9 @@ def _map_report(m: maps.DynamicalMap, tol: Tolerances, rng) -> dict:
         "tp": tp,
         "min_choi_eigenvalue": min_eig,
         "kraus_count": len(kraus.operators),
-        "kraus_reconstruction_residual": residual,
+        "kraus_reconstruction_residual": float(np.max(np.abs(rebuilt - direct))),
         "kraus_completeness_residual": float(np.max(np.abs(completeness - np.eye(2)))),
     }
-
-
-def _random_density(rng) -> states.DensityMatrix:
-    a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    m = a @ a.conj().T
-    return states.DensityMatrix(m / float(np.trace(m).real))
 
 
 def _cmd_map(scenario: dict, args, tol: Tolerances, seed: int) -> tuple[dict, None]:

@@ -193,7 +193,18 @@ def apply_map(m: DynamicalMap, rho: DensityMatrix) -> DensityMatrix:
     """
     if rho.dim != 2:
         raise ValueError("apply_map expects a single-qubit state")
-    return DensityMatrix(unvec(m.superoperator @ vec(rho.matrix)))
+    return DensityMatrix(_images(m, rho.matrix))
+
+
+def _images(m: DynamicalMap, rhos: np.ndarray) -> np.ndarray:
+    """unvec(superoperator @ vec(rho)) for every 2x2 matrix of a (..., 2, 2) stack.
+
+    The outputs are not validated. Each vec is a (4, 1) column, so every
+    product is the same matrix-vector product as for a single state, bit
+    for bit.
+    """
+    vecs = rhos.swapaxes(-1, -2).reshape(rhos.shape[:-2] + (4, 1))
+    return (m.superoperator @ vecs).reshape(rhos.shape).swapaxes(-1, -2)
 
 
 def choi(m: DynamicalMap) -> ChoiMatrix:

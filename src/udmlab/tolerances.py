@@ -4,15 +4,22 @@ Everything runs in double precision on dense matrices of dimension <= 256,
 which leaves large headroom; the defaults below are fixed globally rather
 than tuned per call site. The CP tolerance is looser than the state
 tolerances because pseudo-inverse composition amplifies noise. Every
-tolerance must be finite and positive, whoever sets it.
+tolerance must be a finite positive real number, and not a boolean,
+whoever sets it.
 """
 import math
+import numbers
 from dataclasses import dataclass, asdict, replace
 
 
 def _check_tolerance(value, what: str) -> None:
-    """Reject a tolerance that is not finite and > 0; what names it in the message."""
-    if not (math.isfinite(value) and value > 0):
+    """Reject a tolerance that is not a finite real > 0; what names it in the message.
+
+    Booleans are refused although Python counts them as integers: True would
+    read as a tolerance of 1.
+    """
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if not (real and math.isfinite(value) and value > 0):
         raise ValueError(f"{what} must be finite and > 0, got {value!r}")
 
 

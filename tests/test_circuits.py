@@ -24,7 +24,7 @@ from udmlab import (
 )
 from udmlab import circuits as circuits_mod
 from udmlab.circuits import AuditRecord
-from udmlab.tolerances import DEFAULT
+from udmlab.tolerances import DEFAULT, Tolerances
 from conftest import H, SINGLET_PROJECTOR, SWAP, X, random_pure
 
 
@@ -273,6 +273,20 @@ def test_circuit_unitary_equals_tensordot_reference_bitwise(rng):
         assert np.array_equal(circuit_unitary(circuit), tensordot_unitary(circuit))
 
 
+@pytest.mark.parametrize("phi", [0.0, np.pi / 2, -np.pi / 2, np.pi, -np.pi, 2 * np.pi])
+def test_circuit_unitary_places_cphase_by_name_bytewise(phi):
+    # phi = 0 leaves the register as it is; e^{i phi} at the other phases has a
+    # zero or a tiny component, where a rounding that differs from the matmul's shows
+    for n in range(2, 6):
+        pairs = [(q1, q2) for q1 in range(1, n + 1) for q2 in range(1, n + 1) if q1 != q2]
+        circuit = Circuit(
+            n,
+            tuple(PlacedGate("H", (q,)) for q in range(1, n + 1))
+            + tuple(PlacedGate("CPHASE", pair, phi=phi) for pair in pairs),
+        )
+        assert circuit_unitary(circuit).tobytes() == tensordot_unitary(circuit).tobytes()
+
+
 @pytest.mark.parametrize(
     "circuit",
     [build_qft(3), Circuit(2, ()), Circuit(3, (PlacedGate("CPHASE", (3, 1), phi=0.3), PlacedGate("X", (2,))))],
@@ -365,11 +379,20 @@ def test_non_integer_and_non_finite_circuit_inputs_name_the_value(build, value):
         build()
 
 
-@pytest.mark.parametrize("tol", [float("nan"), -1.0, 0.0, float("inf")])
+@pytest.mark.parametrize(
+    "tol",
+    [float("nan"), -1.0, 0.0, float("inf"), True, pytest.param(np.True_, id="np.True_"), "1e-9", None],
+)
 def test_run_circuit_rejects_a_tolerance_not_finite_and_positive(tol):
-    # a nan or negative tol would mark the separable blocks of this basis input entangled
-    with pytest.raises(ValueError, match=f"^tol must be finite and > 0, got {tol}$"):
+    # a nan or negative tol would mark the separable blocks of this basis input
+    # entangled, and True (read as 1) would call a Bell pair separable
+    with pytest.raises(ValueError, match=f"^tol must be finite and > 0, got {re.escape(repr(tol))}$"):
         run_circuit(build_qft(3), product_state(["0", "1", "0"]), tol=tol)
+
+
+def test_tolerances_reject_a_boolean():
+    with pytest.raises(ValueError, match="^tolerance cp must be finite and > 0, got True$"):
+        Tolerances(cp=True)
 
 
 def test_numpy_integers_place_gates():

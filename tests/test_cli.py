@@ -8,7 +8,10 @@ import numpy as np
 import pytest
 
 import udmlab
+from udmlab import cli, maps, states
 from udmlab.cli import main
+from udmlab.tolerances import DEFAULT
+from conftest import random_hermitian, random_pure
 
 
 @pytest.fixture
@@ -444,3 +447,35 @@ def test_cli_runs_without_scipy(scenario_file):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.count('"command": "analyze-gate"') == 2
+
+
+def per_probe_kraus_residual(m, rng):
+    """The map report's Kraus residual one probe at a time: each probe drawn
+    as its real then imaginary 2x2 part, then mapped and rebuilt alone."""
+    kraus = maps.kraus_decompose(maps.choi(m))
+    residual = 0.0
+    for _ in range(20):
+        a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        rho = a @ a.conj().T
+        rho = rho / float(np.trace(rho).real)
+        direct = maps.unvec(m.superoperator @ maps.vec(rho))
+        rebuilt = sum(op @ rho @ op.conj().T for op in kraus.operators)
+        residual = max(residual, float(np.max(np.abs(rebuilt - direct))))
+    return residual
+
+
+def test_map_report_checks_its_probes_as_one_stack(rng, monkeypatch):
+    cases = []
+    for seed in range(20):
+        env = states.densify(states.PureState(random_pure(rng, 2)))
+        m = maps.induced_map(random_hermitian(rng, 4), env, float(rng.uniform(0.1, 3.0)),
+                             which=int(rng.integers(1, 3)))
+        cases.append((m, seed, per_probe_kraus_residual(m, np.random.default_rng(seed))))
+
+    def no_density_matrix(self, matrix):
+        raise AssertionError("the map report should validate its probes as one stack")
+
+    monkeypatch.setattr(states.DensityMatrix, "__init__", no_density_matrix)
+    for m, seed, want in cases:
+        report = cli._map_report(m, DEFAULT, np.random.default_rng(seed))
+        assert report["kraus_reconstruction_residual"] == want

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -196,13 +198,17 @@ def test_joint_states_are_read_only():
         traj.joint_states[0, 0, 0] = 0.0
 
 
-@pytest.mark.parametrize("tol", [float("nan"), -1.0, 0.0, float("inf")])
+@pytest.mark.parametrize(
+    "tol",
+    [float("nan"), -1.0, 0.0, float("inf"), True, pytest.param(np.True_, id="np.True_"), "1e-9", None],
+)
 def test_find_entangled_instant_rejects_a_tolerance_not_finite_and_positive(tol):
-    # nan would report no hit, and a negative tol a hit at t = 0, where the state is a product
+    # nan or True (read as 1) would report no hit, and a negative tol a hit at
+    # t = 0, where the state is a product
     traj = evolve_trajectory(
         c_phase(np.pi).generator, densify(product_state(["+", "+"])), TimeGrid(0.0, 1.0, 100)
     )
-    with pytest.raises(ValueError, match=f"^tol must be finite and > 0, got {tol}$"):
+    with pytest.raises(ValueError, match=f"^tol must be finite and > 0, got {re.escape(repr(tol))}$"):
         find_entangled_instant(traj, tol=tol)
 
 

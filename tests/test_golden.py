@@ -16,7 +16,9 @@ multiply, instead of one rounded real product per component, moves it in
 the qft cases from n = 4 on. After a deliberate change of a report
 format, rewrite the expected outputs with
 ``PYTHONPATH=src python tests/test_golden.py``, or only the named cases
-with ``PYTHONPATH=src python tests/test_golden.py NAME...``.
+with ``PYTHONPATH=src python tests/test_golden.py NAME...``. Only the
+files whose bytes change are written, and each case prints ``unchanged``
+or the files it rewrote, so a regeneration shows which cases moved.
 """
 from __future__ import annotations
 
@@ -78,9 +80,12 @@ if __name__ == "__main__":
             code, stdout, _, csv = run_case(case_dir, Path(tmp))
         case = json.loads((case_dir / "case.json").read_text(encoding="utf-8"))
         case["exit_code"] = code
-        (case_dir / "case.json").write_text(json.dumps(case, indent=2) + "\n", encoding="utf-8")
-        (case_dir / "stdout.json").write_text(stdout, encoding="utf-8")
-        (case_dir / "report.csv").unlink(missing_ok=True)
-        if csv is not None:
-            (case_dir / "report.csv").write_text(csv, encoding="utf-8")
-        print(f"{name}: exit {code}")
+        # the case's files as they should read; None for a CSV the command does not write
+        files = {"case.json": json.dumps(case, indent=2) + "\n", "stdout.json": stdout, "report.csv": csv}
+        rewritten = [f for f, text in files.items() if _read(case_dir / f) != text]
+        for f in rewritten:
+            if files[f] is None:
+                (case_dir / f).unlink()
+            else:
+                (case_dir / f).write_text(files[f], encoding="utf-8")
+        print(f"{name}: " + ("rewrote " + ", ".join(rewritten) if rewritten else "unchanged"))
