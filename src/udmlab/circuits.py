@@ -28,15 +28,14 @@ per (name, phi) and shared by every circuit, so its matrices are read-only.
 """
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .gates import Gate, _integer, c_phase, hadamard, swap_gate, x_gate
+from .gates import Gate, c_phase, hadamard, swap_gate, x_gate
 from .states import PureState, _check_density, _negativities
-from .tolerances import DEFAULT, _check_tolerance
+from .tolerances import DEFAULT, _integer, _real
 
 __all__ = [
     "PlacedGate",
@@ -79,9 +78,8 @@ class PlacedGate:
         object.__setattr__(self, "qubits", qubits)
         if (self.name == "CPHASE") != (self.phi is not None):
             raise ValueError("phi is required for CPHASE and only for CPHASE")
-        real = isinstance(self.phi, numbers.Real) and not isinstance(self.phi, bool)
-        if self.phi is not None and not (real and np.isfinite(self.phi)):
-            raise ValueError(f"CPHASE phi must be a finite real number, got {self.phi!r}")
+        if self.phi is not None:
+            object.__setattr__(self, "phi", _real(self.phi, "CPHASE phi"))
         arity = self.gate.n_qubits
         if len(self.qubits) != arity:
             raise ValueError(f"{self.name} takes {arity} qubit(s), got {self.qubits}")
@@ -175,7 +173,7 @@ def run_circuit(
     (finite, Hermitian, trace 1, positive), and one batched
     eigendecomposition of their partial transposes gives the negativities.
     """
-    _check_tolerance(tol, "tol")
+    tol = _real(tol, "tol", positive=True)
     if input_state.n_qubits != circuit.n_qubits:
         raise ValueError(
             f"circuit has {circuit.n_qubits} qubits, input has {input_state.n_qubits}"
@@ -257,7 +255,10 @@ def circuit_unitary(circuit: Circuit) -> np.ndarray:
 
 
 def dft_matrix(n: int) -> np.ndarray:
-    """DFT matrix on 2^n amplitudes: entries e^{2 pi i jk / 2^n} / 2^(n/2)."""
+    """DFT matrix on 2^n amplitudes: entries e^{2 pi i jk / 2^n} / 2^(n/2), 1 <= n <= 8."""
+    n = _integer(n, "n")
+    if not 1 <= n <= MAX_QUBITS:
+        raise ValueError(f"n must be in [1, {MAX_QUBITS}], got {n}")
     dim = 2**n
     jk = np.outer(np.arange(dim), np.arange(dim))
     return np.exp(2j * np.pi * jk / dim) / np.sqrt(dim)
@@ -268,7 +269,7 @@ def circuit_to_dict(circuit: Circuit) -> dict:
     for g in circuit.gates:
         entry: dict = {"name": g.name, "qubits": list(g.qubits)}
         if g.phi is not None:
-            entry["phi"] = float(g.phi)
+            entry["phi"] = g.phi
         gates.append(entry)
     return {"n_qubits": circuit.n_qubits, "gates": gates}
 

@@ -30,8 +30,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import circuits, dynamics, gates, linalg, maps, states
-from .tolerances import DEFAULT, Tolerances
+from . import circuits, dynamics, gates, linalg, maps, states, tolerances
+from .tolerances import DEFAULT, Tolerances, _real
 
 ENV_TOL_OVERRIDE = "UDMLAB_TOL_OVERRIDE"
 
@@ -98,10 +98,10 @@ def _csv_cell(x) -> str:
 def _parse_complex(value, field: str) -> complex:
     """A JSON number or an [re, im] pair of numbers."""
     if not isinstance(value, list):
-        return complex(_number(value, field))
+        return complex(_real(value, field))
     if len(value) != 2:
         raise ValueError(f"{field} must be a number or [re, im] pair, got {value!r}")
-    return complex(_number(value[0], f"{field}[0]"), _number(value[1], f"{field}[1]"))
+    return complex(_real(value[0], f"{field}[0]"), _real(value[1], f"{field}[1]"))
 
 
 def _parse_matrix(rows, field: str) -> np.ndarray:
@@ -117,21 +117,11 @@ def _parse_matrix(rows, field: str) -> np.ndarray:
     )
 
 
-def _number(value, field: str) -> float:
-    """A finite JSON number; null, strings, booleans and lists are input errors."""
-    # type() keeps booleans out; the comparison is False for nan and inf and
-    # exact for JSON integers of any size
-    if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
-        raise ValueError(f"{field} must be a finite number, got {value!r}")
-    return float(value)
-
-
 def _integer(value, field: str) -> int:
+    # JSON has one number type: an integral float such as 3.0 counts
     if type(value) is float and value.is_integer():
         value = int(value)
-    if type(value) is not int:
-        raise ValueError(f"{field} must be an integer, got {value!r}")
-    return value
+    return tolerances._integer(value, field)
 
 
 def _json(text: str, source: str):
@@ -175,7 +165,7 @@ def _tolerance_values(mapping, where: str) -> dict:
             f"{where}: unknown tolerance name(s) {sorted(unknown)}; "
             f"expected among {sorted(_TOL_FIELDS)}"
         )
-    return {k: _number(v, f"{where}.{k}") for k, v in mapping.items()}
+    return {k: _real(v, f"{where}.{k}") for k, v in mapping.items()}
 
 
 def _resolve_seed(scenario: dict, args) -> int:
@@ -197,11 +187,11 @@ def _gate_from_scenario(scenario: dict, tol: Tolerances) -> gates.Gate:
         if not isinstance(spec, dict) or "name" not in spec:
             raise ValueError("'gate' must be an object with a 'name'")
         name = spec["name"]
-        duration = _number(spec.get("duration", 1.0), "gate.duration")
+        duration = _real(spec.get("duration", 1.0), "gate.duration")
         if name == "cphase":
-            return gates.c_phase(_number(spec.get("phi"), "gate.phi"), duration)
+            return gates.c_phase(_real(spec.get("phi"), "gate.phi"), duration)
         if name == "local-phase":
-            return gates.local_phase(_number(spec.get("phi"), "gate.phi"), duration)
+            return gates.local_phase(_real(spec.get("phi"), "gate.phi"), duration)
         if name == "swap":
             return gates.swap_gate(duration)
         if name == "identity":
@@ -214,7 +204,7 @@ def _gate_from_scenario(scenario: dict, tol: Tolerances) -> gates.Gate:
         k = _parse_matrix(spec["matrix"], "generator.matrix")
         if k.shape != (4, 4):
             raise ValueError(f"generator.matrix must be 4x4 for a 2-qubit gate, got {k.shape}")
-        duration = _number(spec.get("duration", 1.0), "generator.duration")
+        duration = _real(spec.get("duration", 1.0), "generator.duration")
         gate = gates.gate_from_generator(k, duration)
         _check_phase(gate, duration, "generator.duration", tol)
         return gate
@@ -250,7 +240,7 @@ def _check_phase(gate: gates.Gate, t: float, field: str, tol: Tolerances):
     p <= tol.reconstruction / eps (about 4.5e6 rad at the default).
     """
     phase = float(np.max(np.abs(np.linalg.eigvalsh(gate.generator)))) * abs(t)
-    limit = tol.reconstruction / np.finfo(float).eps
+    limit = tol.reconstruction / sys.float_info.epsilon  # a float quotient: inf, no warning
     if phase > limit:
         raise ValueError(
             f"{field}: the phase max|eig K| * |t| reaches {phase:.3g} rad at |t| = "
@@ -264,9 +254,9 @@ def _grid_from_scenario(
     spec = scenario.get("grid", {})
     if not isinstance(spec, dict):
         raise ValueError("'grid' must be an object")
-    t_start = _number(spec.get("t_start", 0.0), "grid.t_start")
+    t_start = _real(spec.get("t_start", 0.0), "grid.t_start")
     _check_phase(gate, t_start, "grid.t_start", tol)
-    t_end = _number(spec.get("t_end", t_start + gate.duration), "grid.t_end")
+    t_end = _real(spec.get("t_end", t_start + gate.duration), "grid.t_end")
     # the grid is evolved over t - t_start, so the span is bounded as well
     _check_phase(gate, max(abs(t_end), t_end - t_start), "grid.t_end", tol)
     steps = _integer(spec.get("steps", dynamics.DEFAULT_STEPS), "grid.steps")
@@ -390,7 +380,7 @@ def _cmd_divisibility(scenario: dict, args, tol: Tolerances, seed: int) -> tuple
     grid = _grid_from_scenario(scenario, args, gate, tol)
     if "t1" not in scenario:
         raise ValueError("divisibility needs a 't1' intermediate time in the scenario")
-    t1 = _number(scenario["t1"], "t1")
+    t1 = _real(scenario["t1"], "t1")
     if not grid.t_start < t1 < grid.t_end:
         raise ValueError(
             f"t1={t1} must lie strictly inside ({grid.t_start}, {grid.t_end}); "
@@ -405,12 +395,8 @@ def _cmd_divisibility(scenario: dict, args, tol: Tolerances, seed: int) -> tuple
         k, rho, t1 - grid.t_start, grid.t_end - grid.t_start, which=which
     )
 
-    if inter.indeterminate:
-        verdict = "indeterminate"
-    elif (not inter.cp) or witness.trace_distance > tol.entanglement:
-        verdict = "non-markovian"
-    else:
-        verdict = "markovian"
+    independent = witness.trace_distance <= tol.entanglement
+    verdict = "markovian" if inter.cp and independent else "non-markovian"
 
     body = {
         "t1": t1,
@@ -427,7 +413,9 @@ def _cmd_divisibility(scenario: dict, args, tol: Tolerances, seed: int) -> tuple
             "trace_distance": witness.trace_distance,
             "correlation_at_t1": witness.correlation_at_t1,
         },
-        "verdict": verdict,
+        "cp_divisible": None if inter.indeterminate else inter.cp,  # Rivas-Huelga-Plenio
+        "state_independent_map": independent,  # the same-marginal witness reads 0
+        "verdict": "indeterminate" if inter.indeterminate else verdict,
     }
     return body, None
 

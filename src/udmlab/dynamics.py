@@ -14,9 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .gates import _integer
 from .states import DensityMatrix, _check_density, _negativities
-from .tolerances import DEFAULT, _check_tolerance
+from .tolerances import DEFAULT, _integer, _real
 
 __all__ = [
     "TimeGrid",
@@ -41,10 +40,10 @@ class TimeGrid:
     steps: int = DEFAULT_STEPS
 
     def __post_init__(self):
+        object.__setattr__(self, "t_start", _real(self.t_start, "grid t_start"))
+        object.__setattr__(self, "t_end", _real(self.t_end, "grid t_end"))
         if self.t_end <= self.t_start:
             raise ValueError("t_end must exceed t_start")
-        if not np.isfinite([self.t_start, self.t_end]).all():
-            raise ValueError(f"grid ends must be finite, got [{self.t_start}, {self.t_end}]")
         object.__setattr__(self, "steps", _integer(self.steps, "grid steps"))
         if not 1 <= self.steps <= MAX_STEPS:
             raise ValueError(f"steps must be an integer in [1, {MAX_STEPS}], got {self.steps}")
@@ -123,7 +122,7 @@ def find_entangled_instant(
     A hit certifies that the joint state there is not the product of its
     marginals; absence means no grid point crossed the threshold.
     """
-    _check_tolerance(tol, "tol")
+    tol = _real(tol, "tol", positive=True)
     negs = _negativities(traj.joint_states)
     hits = np.flatnonzero(negs > tol)
     return (float(traj.grid.times()[hits[0]]), float(negs[hits[0]])) if hits.size else None

@@ -13,14 +13,13 @@ terms of the operator Schmidt expansion.
 """
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import linalg
 from .states import DensityMatrix, PureState
-from .tolerances import DEFAULT
+from .tolerances import DEFAULT, _integer, _real
 
 __all__ = [
     "Gate",
@@ -37,24 +36,6 @@ __all__ = [
     "operator_schmidt_values",
     "equal_up_to_phase",
 ]
-
-def _integer(value, what: str) -> int:
-    """value as a Python int; numpy integers pass, booleans and floats do not."""
-    try:
-        if isinstance(value, bool):
-            raise TypeError
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{what} must be an integer, got {value!r}") from None
-
-
-def _check_duration(t: float, what: str) -> None:
-    """Reject a duration outside 0 < t < inf, where e^{-i K t} is no finite unitary."""
-    if t <= 0.0:
-        raise ValueError(f"{what} must be positive")
-    if not np.isfinite(t):
-        raise ValueError(f"{what} must be finite, got {t}")
-
 
 @dataclass(frozen=True, eq=False)
 class Gate:
@@ -73,7 +54,7 @@ class Gate:
         shape = np.shape(self.generator)
         if shape not in ((2, 2), (4, 4)):
             raise ValueError(f"gates act on 1 or 2 qubits: generator must be 2x2 or 4x4, got {shape}")
-        _check_duration(self.duration, "gate duration")
+        object.__setattr__(self, "duration", _real(self.duration, "gate duration", positive=True))
         if self.unitary is not None and linalg.unitarity_defect(self.unitary) > DEFAULT.unitarity:
             raise ValueError("cached gate matrix is not unitary")
         rebuilt = linalg.matexp_hermitian(self.generator, self.duration)
@@ -93,7 +74,7 @@ class Gate:
 
 def gate_from_generator(k, t_star: float) -> Gate:
     """Gate driven by Hermitian k for duration t_star."""
-    return Gate(linalg.as_matrix(k), float(t_star))
+    return Gate(linalg.as_matrix(k), t_star)
 
 
 def generator_from_unitary(u, t_star: float) -> np.ndarray:
@@ -103,8 +84,10 @@ def generator_from_unitary(u, t_star: float) -> np.ndarray:
     folded to +pi so that e.g. controlled-Z yields K = pi |11><11|.
     Round-trips through gate_from_generator by construction.
     """
+    t_star = _real(t_star, "duration", positive=True)
+    if not np.isfinite(np.pi / t_star):  # a float quotient: no warning
+        raise ValueError(f"duration must keep the phases / t* of K finite, got {t_star!r}")
     u = linalg.as_matrix(u)
-    _check_duration(t_star, "duration")
     if linalg.unitarity_defect(u) > DEFAULT.unitarity:
         raise ValueError("generator_from_unitary requires a unitary matrix")
     # u = v diag(lam) v^-1 holds for any eigenbasis of a diagonalisable u,
@@ -112,7 +95,7 @@ def generator_from_unitary(u, t_star: float) -> np.ndarray:
     lam, v = np.linalg.eig(u)
     phases = -np.angle(lam)
     phases[phases <= -np.pi + 1e-12] = np.pi
-    k = (v * (phases / float(t_star))) @ np.linalg.inv(v)
+    k = (v * (phases / t_star)) @ np.linalg.inv(v)
     return (k + k.conj().T) / 2.0
 
 
@@ -122,30 +105,31 @@ def c_phase(phi: float, t_star: float = 1.0) -> Gate:
     Its generator is the principal log (theta / t*) |11><11|, theta the
     principal representative of -phi: phi = pi gives pi |11><11|.
     """
-    unitary = np.diag([1.0, 1.0, 1.0, np.exp(1j * float(phi))]).astype(complex)
-    return Gate(generator_from_unitary(unitary, t_star), float(t_star), unitary)
+    unitary = np.diag([1.0, 1.0, 1.0, np.exp(1j * _real(phi, "phi"))]).astype(complex)
+    return Gate(generator_from_unitary(unitary, t_star), t_star, unitary)
 
 
 def local_phase(phi: float, t_star: float = 1.0) -> Gate:
     """The local counterpart 1 (x) diag(1, e^{i phi}): a phase on the target only."""
-    unitary = np.diag([1.0, np.exp(1j * float(phi)), 1.0, np.exp(1j * float(phi))])
-    return Gate(generator_from_unitary(unitary, t_star), float(t_star), unitary.astype(complex))
+    e = np.exp(1j * _real(phi, "phi"))
+    unitary = np.diag([1.0, e, 1.0, e])
+    return Gate(generator_from_unitary(unitary, t_star), t_star, unitary.astype(complex))
 
 
 def x_gate(t_star: float = 1.0) -> Gate:
     """Spin-flip gate with matrix exactly X."""
     x = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-    return Gate(generator_from_unitary(x, t_star), float(t_star), x)
+    return Gate(generator_from_unitary(x, t_star), t_star, x)
 
 
 def hadamard(t_star: float = 1.0) -> Gate:
     h = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
-    return Gate(generator_from_unitary(h, t_star), float(t_star), h)
+    return Gate(generator_from_unitary(h, t_star), t_star, h)
 
 
 def swap_gate(t_star: float = 1.0) -> Gate:
     swap = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex)
-    return Gate(generator_from_unitary(swap, t_star), float(t_star), swap)
+    return Gate(generator_from_unitary(swap, t_star), t_star, swap)
 
 
 def identity_gate(n_qubits: int = 2, t_star: float = 1.0) -> Gate:
@@ -153,7 +137,7 @@ def identity_gate(n_qubits: int = 2, t_star: float = 1.0) -> Gate:
     if n_qubits not in (1, 2):
         raise ValueError(f"identity_gate acts on 1 or 2 qubits, got {n_qubits}")
     dim = 2**n_qubits
-    return Gate(np.zeros((dim, dim), dtype=complex), float(t_star), np.eye(dim, dtype=complex))
+    return Gate(np.zeros((dim, dim), dtype=complex), t_star, np.eye(dim, dtype=complex))
 
 
 def apply(g: Gate, state):
@@ -185,6 +169,7 @@ def is_entangling(g: Gate, tol: float = DEFAULT.separability) -> tuple[bool, int
     tensor product of single-qubit unitaries, anything higher certifies
     that no such factorization exists.
     """
+    tol = _real(tol, "tol", positive=True)
     if g.n_qubits != 2:
         raise ValueError("is_entangling applies to 2-qubit gates")
     s = operator_schmidt_values(g.unitary)
@@ -197,6 +182,7 @@ def equal_up_to_phase(a, b, tol: float = DEFAULT.reconstruction) -> bool:
 
     c is estimated from the largest-magnitude entry of b.
     """
+    tol = _real(tol, "tol", positive=True)
     a = linalg.as_matrix(a)
     b = linalg.as_matrix(b)
     if a.shape != b.shape:

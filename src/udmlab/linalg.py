@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tolerances import DEFAULT
+from .tolerances import DEFAULT, _integer, _real
 
 __all__ = [
     "as_matrix",
@@ -49,6 +49,7 @@ def partial_trace(rho, keep: int) -> np.ndarray:
     the subsystem that survives; the other is summed out. The trace is
     preserved exactly.
     """
+    keep = _integer(keep, "keep")
     rho = as_matrix(rho)
     if rho.shape != (4, 4):
         raise ValueError(f"partial_trace expects a 4x4 matrix, got {rho.shape}")
@@ -65,14 +66,17 @@ def partial_trace(rho, keep: int) -> np.ndarray:
 def matexp_hermitian(k, t: float) -> np.ndarray:
     """exp(-i k t) for Hermitian k, via eigendecomposition.
 
-    The spectral route keeps the result unitary to machine precision, which
-    Pade/series approximations do not guarantee.
+    The spectral route keeps the result unitary to machine precision (Pade and
+    series forms do not); a t whose phase max|eig k| |t| overflows is refused.
     """
+    t = _real(t, "t")
     k = as_matrix(k)
     if hermiticity_defect(k) > DEFAULT.hermiticity:
         raise ValueError("matexp_hermitian requires a Hermitian generator")
     w, v = np.linalg.eigh(k)
-    return (v * np.exp(-1j * w * float(t))) @ v.conj().T
+    if not np.isfinite(float(np.abs(w).max(initial=0.0)) * abs(t)):  # a float product: no warning
+        raise ValueError(f"t must keep the phase max|eig k| * |t| finite, got {t!r}")
+    return (v * np.exp(-1j * w * t)) @ v.conj().T
 
 
 def pseudo_inverse(m, cutoff: float = DEFAULT.pinv_cutoff) -> tuple[np.ndarray, int]:
@@ -82,6 +86,7 @@ def pseudo_inverse(m, cutoff: float = DEFAULT.pinv_cutoff) -> tuple[np.ndarray, 
     the inverse together with the numerical rank; rank deficiency is
     reported, never fatal.
     """
+    cutoff = _real(cutoff, "cutoff", positive=True)
     m = as_matrix(m)
     u, s, vh = np.linalg.svd(m)
     if s.size == 0 or s[0] == 0.0:

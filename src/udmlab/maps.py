@@ -44,7 +44,7 @@ import numpy as np
 
 from . import linalg
 from .states import DensityMatrix, trace_distance
-from .tolerances import DEFAULT
+from .tolerances import DEFAULT, _integer, _real
 
 __all__ = [
     "DynamicalMap",
@@ -91,7 +91,7 @@ class DynamicalMap:
     from (None for composed candidates, which have no inducing state);
     ``interval`` is the (t_a, t_b) stretch of the evolution it describes;
     ``which_qubit`` says whether the described qubit is the left (1) or
-    right (2) tensor factor.
+    right (2) tensor factor. The superoperator is a read-only copy.
     """
 
     superoperator: np.ndarray
@@ -100,11 +100,15 @@ class DynamicalMap:
     which_qubit: int
 
     def __post_init__(self):
-        s = linalg.as_matrix(self.superoperator)
+        which = _integer(self.which_qubit, "which_qubit")
+        if which not in (1, 2):
+            raise ValueError("which_qubit must be 1 or 2")
+        s = linalg.as_matrix(np.array(self.superoperator, dtype=complex))
         if s.shape != (4, 4):
             raise ValueError(f"superoperator must be 4x4, got {s.shape}")
-        if self.which_qubit not in (1, 2):
-            raise ValueError("which_qubit must be 1 or 2")
+        s.flags.writeable = False
+        object.__setattr__(self, "superoperator", s)
+        object.__setattr__(self, "which_qubit", which)
 
 
 @dataclass(frozen=True, eq=False)
@@ -159,15 +163,15 @@ def induced_map(k, env: DensityMatrix, t: float, which: int = 1) -> DynamicalMap
     under U = e^{-i k t}, and the environment is traced out. The output is
     checked to be CPTP, which maps induced this way always are.
     """
+    t = _real(t, "t", positive=True)
+    which = _integer(which, "which")
+    if which not in (1, 2):
+        raise ValueError("which must be 1 or 2")
     k = linalg.as_matrix(k)
     if k.shape != (4, 4):
         raise ValueError(f"generator must be 4x4, got {k.shape}")
     if env.dim != 2:
         raise ValueError("environment must be a single-qubit state")
-    if t <= 0.0:
-        raise ValueError("evolution time must be positive")
-    if which not in (1, 2):
-        raise ValueError("which must be 1 or 2")
     # axes (out-sys, out-env, in-sys, in-env); qubit 2 as the system swaps the factors
     u = linalg.matexp_hermitian(k, t).reshape(2, 2, 2, 2)
     if which == 2:
@@ -175,7 +179,7 @@ def induced_map(k, env: DensityMatrix, t: float, which: int = 1) -> DynamicalMap
     # S[a + 2c, b + 2d] = sum_{e, f, g} U[a, e, b, f] env[f, g] conj(U[c, e, d, g]):
     # column-stacking vec sends entry (row, col) to row + 2 col
     superop = np.einsum("aebf,fg,cedg->cadb", u, env.matrix, u.conj()).reshape(4, 4)
-    m = DynamicalMap(superop, env, (0.0, float(t)), which)
+    m = DynamicalMap(superop, env, (0.0, t), which)
     cp, tp, min_eig = is_cptp(m, tol=DEFAULT.cp)
     if not (cp and tp):
         raise RuntimeError(
@@ -226,6 +230,7 @@ def is_cptp(m: DynamicalMap, tol: float = DEFAULT.cp) -> tuple[bool, bool, float
     cp iff the Choi matrix is positive semidefinite within tol; tp iff the
     dual map preserves the identity within tol.
     """
+    tol = _real(tol, "tol", positive=True)
     min_eig = float(choi(m).eigenvalues[-1])
     cp = min_eig >= -tol
     ident = vec(np.eye(2, dtype=complex))
@@ -311,15 +316,15 @@ def udm_witness_subinterval(
     so a positive distance is the operational content of "no such map
     exists".
     """
-    k = linalg.as_matrix(k)
-    if linalg.hermiticity_defect(k) > DEFAULT.hermiticity:
-        raise ValueError("generator must be Hermitian")
-    if rho_in.dim != 4:
-        raise ValueError("witness needs a 2-qubit input state")
-    if not 0.0 < t1 < t_star:
+    t1 = _real(t1, "t1", positive=True)
+    t_star = _real(t_star, "t_star", positive=True)
+    if not t1 < t_star:
         raise ValueError(f"need 0 < t1 < t*, got t1={t1}, t*={t_star}")
+    which = _integer(which, "which")
     if which not in (1, 2):
         raise ValueError("which must be 1 or 2")
+    if rho_in.dim != 4:
+        raise ValueError("witness needs a 2-qubit input state")
     marg1 = linalg.partial_trace(rho_in.matrix, keep=1)
     marg2 = linalg.partial_trace(rho_in.matrix, keep=2)
     if float(np.linalg.norm(rho_in.matrix - np.kron(marg1, marg2))) > 1e-9:
@@ -338,7 +343,7 @@ def udm_witness_subinterval(
     out_true = linalg.partial_trace(u2 @ sigma @ u2.conj().T, keep=which)
     out_erased = linalg.partial_trace(u2 @ sigma_product @ u2.conj().T, keep=which)
     dist = trace_distance(DensityMatrix(out_true), DensityMatrix(out_erased))
-    return WitnessReport(float(t1), float(t_star), dist, correlation)
+    return WitnessReport(t1, t_star, dist, correlation)
 
 
 def local_pair_maps(

@@ -49,9 +49,10 @@ class PureState:
         n = int(np.log2(a.size)) if a.size else 0
         if a.size < 2 or 2**n != a.size:
             raise ValueError(f"amplitude length {a.size} is not 2^n for n >= 1")
-        norm = float(np.linalg.norm(a))
-        if norm < 1e-12:
-            raise ValueError("cannot normalize the zero vector")
+        with np.errstate(over="ignore"):  # a norm that overflows is inf, refused below
+            norm = float(np.linalg.norm(a))
+        if not 1e-12 <= norm < np.inf:
+            raise ValueError(f"cannot normalize amplitudes of norm {norm:.3g}")
         self.amplitudes = a / norm
         self.n_qubits = n
 

@@ -1,26 +1,41 @@
-"""Numerical tolerances used across the toolkit.
+"""Numerical tolerances used across the toolkit, and the one rule for scalar arguments.
 
 Everything runs in double precision on dense matrices of dimension <= 256,
 which leaves large headroom; the defaults below are fixed globally rather
 than tuned per call site. The CP tolerance is looser than the state
-tolerances because pseudo-inverse composition amplifies noise. Every
-tolerance must be a finite positive real number, and not a boolean,
-whoever sets it.
+tolerances because pseudo-inverse composition amplifies noise. Each
+scalar argument of a public entry point passes once through ``_real`` or
+``_integer``, and the caller keeps the value returned. Neither takes a
+boolean: True would read as a time, tolerance or qubit of 1.
 """
-import math
 import numbers
+import operator
+import sys
 from dataclasses import dataclass, asdict, replace
 
 
-def _check_tolerance(value, what: str) -> None:
-    """Reject a tolerance that is not a finite real > 0; what names it in the message.
+def _real(value, what: str, positive: bool = False) -> float:
+    """value as a float: a finite real number, > 0 when positive; what names it in the message.
 
-    Booleans are refused although Python counts them as integers: True would
-    read as a tolerance of 1.
+    numpy booleans are not numbers.Real. The bound is False for nan and inf and
+    exact for integers of any size, where math.isfinite(10**400) overflows.
     """
-    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
-    if not (real and math.isfinite(value) and value > 0):
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        if abs(value) <= sys.float_info.max and (value > 0 or not positive):
+            return float(value)
+    if positive:
         raise ValueError(f"{what} must be finite and > 0, got {value!r}")
+    raise ValueError(f"{what} must be a finite number, got {value!r}")
+
+
+def _integer(value, what: str) -> int:
+    """value as a Python int; numpy integers pass, booleans and floats do not."""
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -36,7 +51,7 @@ class Tolerances:
 
     def __post_init__(self):
         for name, value in self.as_dict().items():
-            _check_tolerance(value, f"tolerance {name}")
+            object.__setattr__(self, name, _real(value, f"tolerance {name}", positive=True))
 
     def as_dict(self) -> dict:
         return asdict(self)

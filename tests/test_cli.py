@@ -1,3 +1,6 @@
+import contextlib
+import copy
+import io
 import json
 import os
 import subprocess
@@ -6,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import udmlab
 from udmlab import cli, maps, states
@@ -138,6 +142,19 @@ def test_divisibility_inside_gate(scenario_file, capsys):
     assert report["intermediate_map"]["cp"] is True
     assert report["witness"]["trace_distance"] > 0.1
     assert report["verdict"] == "non-markovian"
+
+
+def test_divisibility_reports_cp_divisibility_and_the_witness_apart(scenario_file, capsys):
+    # the window [0.5, 1] of CPHASE(pi) on |++> is CP-divisible (the candidate is
+    # full dephasing), while the same-marginal witness reads D = 1/4
+    path = scenario_file({"gate": CPI, "input": ["+", "+"], "t1": 0.5, "grid": {"t_end": 1.0}})
+    code, out, _ = run(capsys, "divisibility", "--scenario", path)
+    assert code == 0
+    report = json.loads(out)
+    assert report["cp_divisible"] is True
+    assert report["state_independent_map"] is False
+    assert report["verdict"] == "non-markovian"
+    assert list(report)[-3:] == ["cp_divisible", "state_independent_map", "verdict"]
 
 
 def test_divisibility_local_generator_markovian(scenario_file, capsys):
@@ -479,3 +496,66 @@ def test_map_report_checks_its_probes_as_one_stack(rng, monkeypatch):
     for m, seed, want in cases:
         report = cli._map_report(m, DEFAULT, np.random.default_rng(seed))
         assert report["kraus_reconstruction_residual"] == want
+
+
+# One small, valid scenario per command; the property below replaces one of
+# its fields (any nested entry included) with an arbitrary JSON value.
+Z4 = [[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 3]]
+VALID = {
+    "analyze-gate": {"generator": {"matrix": Z4, "duration": 1.0}, "seed": 1},
+    "trajectory": {"gate": {"name": "cphase", "phi": 1.0, "duration": 1.0}, "input": ["+", "+"],
+                   "grid": {"t_start": 0.0, "t_end": 1.0, "steps": 4}},
+    "map": {"gate": {"name": "local-phase", "phi": 0.5}, "input": ["+", "0"], "which_qubit": 1,
+            "grid": {"steps": 2}, "tolerances": {"cp": 1e-7, "reconstruction": 1e-9}},
+    "divisibility": {"generator": {"matrix": Z4}, "input": ["+", "+i"], "t1": 0.5,
+                     "grid": {"t_end": 1.0, "steps": 2}, "which_qubit": 2},
+    "qft": {"n_qubits": 2, "input": {"amplitudes": [1, [0, 1], 0, 0]}, "seed": 0},
+}
+
+
+def _paths(value, prefix=()):
+    """Every key path into the nested dicts and lists of a scenario."""
+    if isinstance(value, dict):
+        items = value.items()
+    else:
+        items = enumerate(value) if isinstance(value, list) else ()
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+FIELDS = [(command, path) for command, scenario in VALID.items() for path in _paths(scenario)]
+# integers and integral floats stay at a few hundred (a count of 10^5 grid steps is
+# valid and slow); the float extremes come as named values
+SCALARS = (st.none() | st.booleans() | st.integers(-300, 300) | st.floats(-300, 300)
+           | st.sampled_from([float("nan"), float("inf"), -float("inf"), 1e308, -1e308, 5e-324])
+           | st.text(max_size=4))
+JSON = st.recursive(SCALARS, lambda inner: st.lists(inner, max_size=4)
+                    | st.dictionaries(st.text(max_size=4), inner, max_size=3), max_leaves=8)
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(field=st.sampled_from(FIELDS), value=JSON)
+# the phase w t of a 1e308 duration overflowed to NaN (exit 3 under -W error)
+@example(field=("analyze-gate", ("generator", "duration")), value=1e308)
+# the norm of a 1e308 amplitude overflowed, and the state became the zero vector
+@example(field=("qft", ("input", "amplitudes", 0)), value=1e308)
+# the principal log of a named gate divided its phases by a t* of 5e-324
+@example(field=("trajectory", ("gate", "duration")), value=5e-324)
+# the phase bound tolerances.reconstruction / eps overflowed
+@example(field=("map", ("tolerances", "reconstruction")), value=1e308)
+def test_malformed_scenario_field_never_exits_3(field, value, tmp_path_factory, monkeypatch):
+    monkeypatch.delenv("UDMLAB_TOL_OVERRIDE", raising=False)
+    command, path = field
+    scenario = copy.deepcopy(VALID[command])
+    holder = scenario
+    for key in path[:-1]:
+        holder = holder[key]
+    holder[path[-1]] = value
+    file = tmp_path_factory.getbasetemp() / "property_scenario.json"
+    file.write_text(json.dumps(scenario))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([command, "--scenario", str(file)])
+    assert code in (0, 2), err.getvalue()

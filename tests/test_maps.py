@@ -114,6 +114,19 @@ def test_choi_of_depolarizing_map():
     np.testing.assert_allclose(c.matrix, np.eye(4) / 2, atol=1e-12)
 
 
+def test_dynamical_map_holds_a_read_only_complex_copy():
+    # a list superoperator stayed a list, and is_cptp then raised AttributeError
+    transpose = np.eye(4)[[0, 2, 1, 3]]
+    assert is_cptp(_dm(transpose.tolist()))[:2] == (False, True)
+    given = transpose.astype(complex)
+    m = _dm(given)
+    assert m.superoperator.dtype == complex and not np.shares_memory(m.superoperator, given)
+    with pytest.raises(ValueError, match="read-only"):
+        m.superoperator[0, 0] = 2
+    given[0, 0] = 2  # the caller's array stays writable, and the map does not see the write
+    assert given.flags.writeable and m.superoperator[0, 0] == 1
+
+
 def test_is_cptp_flags_transpose_map():
     # transpose swaps the middle vec components; its Choi is the SWAP matrix
     transpose = np.eye(4)[[0, 2, 1, 3]].astype(complex)
