@@ -15,13 +15,17 @@ eigendecomposition gives all the negativities.
 The register is held as a (2,)*n tensor with one axis per qubit. In
 ``run_circuit`` each gate is one transpose and one matmul: m, the register
 with the gate's axes in front flattened to 2^k rows, times the gate matrix
-u gives out = u m, and no 2^n x 2^n matrix is built per gate. For a
-two-qubit gate m and out are the pair factors before and after the block,
-and the audit reuses them. ``circuit_unitary`` holds all 2^n basis columns
-in place and applies each gate by its name instead: a CPHASE scales the one
-slice where both its qubits are 1, a SWAP relabels two axes, and an H or X
-is one broadcast matmul, so no gate transposes the register. Each loop is
-the faster one for its own call shape, one column or all 2^n.
+u gives out = u m, and no 2^n x 2^n matrix is built per gate. The axis
+permutation, its inverse and u are read from the circuit's per-gate plan,
+made once when the frozen ``Circuit`` is built. For a two-qubit gate m and
+out are the pair factors before and after the block, and the audit reuses
+them. ``circuit_unitary`` carries all 2^n basis columns and applies each
+gate by its name instead: a CPHASE scales the one slice where both its
+qubits are 1, a SWAP relabels two axes, and an H or X is one broadcast
+matmul, so no gate transposes the register. It starts from the identity's
+diagonal and writes an axis's columns out only when an H or X first mixes
+that axis, so the gates before do no arithmetic on the identity's zeros.
+Each loop is the faster one for its own call shape, one column or all 2^n.
 
 A placed gate is the named ``gates.Gate``, generator included, built once
 per (name, phi) and shared by every circuit, so its matrices are read-only.
@@ -114,6 +118,15 @@ class Circuit:
             for q in g.qubits:
                 if not 1 <= q <= self.n_qubits:
                     raise ValueError(f"qubit index {q} out of range 1..{self.n_qubits}")
+        # run_circuit's per-gate plan: (unitary, axis permutation, its inverse, rows);
+        # not a field, so eq, hash, repr and fields() see only n_qubits and gates
+        plan = []
+        for g in self.gates:
+            perm = [q - 1 for q in g.qubits]
+            perm += [a for a in range(self.n_qubits) if a not in perm]
+            inv = tuple(perm.index(a) for a in range(self.n_qubits))
+            plan.append((g.gate.unitary, tuple(perm), inv, 2 ** len(g.qubits)))
+        object.__setattr__(self, "_plan", tuple(plan))
 
 
 @dataclass(frozen=True)
@@ -165,9 +178,10 @@ def run_circuit(
     Returns the output state and one audit record per two-qubit gate with
     the pair's negativity and separability verdict at the block boundary.
     Each gate, whatever its name, is one transpose and one matmul, out = u m
-    (on one column this beats ``circuit_unitary``'s dispatch by name); for a
-    two-qubit block m and out are the pair factors just before and after
-    the gate (spectators in the columns), and the loop keeps both. The
+    (on one column this beats ``circuit_unitary``'s dispatch by name), with
+    u, the axis permutation and its inverse read from the circuit's plan;
+    for a two-qubit block m and out are the pair factors just before and
+    after the gate (spectators in the columns), and the loop keeps both. The
     audit is then evaluated once: all pair densities m m^dag come from one
     stacked product, every one is still validated as a density matrix
     (finite, Hermitian, trace 1, positive), and one batched
@@ -178,17 +192,14 @@ def run_circuit(
         raise ValueError(
             f"circuit has {circuit.n_qubits} qubits, input has {input_state.n_qubits}"
         )
-    n = circuit.n_qubits
-    t = input_state.amplitudes.reshape((2,) * n)
+    shape = (2,) * circuit.n_qubits
+    t = input_state.amplitudes.reshape(shape)
     blocks, factors = [], []
-    for pos, g in enumerate(circuit.gates, start=1):
-        perm = [q - 1 for q in g.qubits]
-        perm += [a for a in range(n) if a not in perm]
-        inv = [perm.index(a) for a in range(n)]
-        m = t.transpose(perm).reshape(2 ** len(g.qubits), -1)
-        out = np.dot(g.gate.unitary, m)
-        t = out.reshape((2,) * n).transpose(inv)
-        if len(g.qubits) == 2:
+    for pos, (g, (u, perm, inv, rows)) in enumerate(zip(circuit.gates, circuit._plan), start=1):
+        m = t.transpose(perm).reshape(rows, -1)
+        out = np.dot(u, m)
+        t = out.reshape(shape).transpose(inv)
+        if rows == 4:
             blocks.append((pos, g))
             factors += (m, out)
     records = ()
@@ -210,8 +221,12 @@ def run_circuit(
 def circuit_unitary(circuit: Circuit) -> np.ndarray:
     """Ordered product of the gate unitaries: the circuit run on every basis column.
 
-    The 2^n x 2^n register stays in place, its rows as (2,)*n axes, and each
-    gate is applied by its name, with no transpose:
+    The register starts as the identity's diagonal, 2^n ones, and holds the
+    n row axes (2,)*n followed by one column axis per register axis an H
+    or X has touched, in the order they were first touched. An untouched
+    axis's column index equals its row index (a CPHASE is diagonal and a
+    SWAP moves no data), so its column is not stored. Each gate is applied
+    by its name, with no transpose:
 
     - a CPHASE scales, in place, the one slice where both its qubits are 1
       by its matrix's entry e = u[3, 3], as x er + x (i ei), and leaves the
@@ -219,21 +234,42 @@ def circuit_unitary(circuit: Circuit) -> np.ndarray:
     - a SWAP exchanges its qubits' entries in the qubit-to-axis map, with no
       arithmetic; the rows are put in qubit order once, at the end;
     - an H or X on axis a is one broadcast matmul of its 2x2 matrix over
-      the (2^a, 2, rest) view, written into a second buffer.
+      the (2^a, 2, rest) view, written into a second buffer. At the first
+      H or X on the axis, its column is written out first as a trailing
+      axis: the register goes on the diagonal of a zeroed buffer twice
+      its size.
 
-    The product is bitwise the per-gate matmul's (zgemm's). Multiplying by a
-    purely real or purely imaginary number is one real product per
-    component, so the CPHASE case gives re = xr er - xi ei and
-    im = xr ei + xi er with each product rounded once, as the zgemm does;
-    numpy's complex x * e fuses a product into the sum and rounds otherwise.
-    Entries the matmul would multiply by 1 or only move are left as they
-    are. Each call allocates its own buffers, so the result is fresh.
+    The axes no gate touched are written out the same way at the end, and
+    one transpose puts the rows in qubit order and the columns in natural
+    order. The product is bitwise the per-gate matmul's (zgemm's) on the
+    dense identity. Multiplying by a purely real or purely imaginary number
+    is one real product per component, so the CPHASE case gives
+    re = xr er - xi ei and im = xr ei + xi er with each product rounded
+    once, as the zgemm does; numpy's complex x * e fuses a product into the
+    sum and rounds otherwise. Entries the matmul would multiply by 1 or
+    only move are left as they are, and the entries not yet stored are
+    zeros the zgemm keeps at +0. Two 4^n buffers per call hold the register
+    in their prefixes, the spare one also a CPHASE's product x er, so the
+    result is fresh.
     """
     n = circuit.n_qubits
     dim = 2**n
-    t = np.eye(dim, dtype=complex)
-    spare = np.empty_like(t)
+    held, spare = np.empty(dim * dim, dtype=complex), np.empty(dim * dim, dtype=complex)
+    t = held[:dim]
+    t.fill(1)
     axis = list(range(n))  # axis[q - 1]: the register axis that holds qubit q
+    columns = []  # columns[j]: the register axis whose column is axis n + j
+
+    def write_column(a):
+        """The register with axis a's column as one more trailing axis; it becomes held."""
+        nonlocal held, spare
+        wide = spare[: 2 * t.size]
+        wide.fill(0)
+        np.einsum("abcb->abc", wide.reshape(2**a, 2, -1, 2))[...] = t.reshape(2**a, 2, -1)
+        columns.append(a)
+        held, spare = spare, held
+        return wide
+
     for g in circuit.gates:
         axes = [axis[q - 1] for q in g.qubits]
         if g.name == "SWAP":
@@ -241,17 +277,24 @@ def circuit_unitary(circuit: Circuit) -> np.ndarray:
         elif g.name == "CPHASE":
             e = g.gate.unitary[3, 3]
             if e != 1:
-                index = [slice(None)] * n
-                index[axes[0]] = index[axes[1]] = 1
-                x = t.reshape((2,) * n + (dim,))[tuple(index)]
-                x_er = x * e.real
+                lo, hi = sorted(axes)
+                x = t.reshape(2**lo, 2, 2 ** (hi - lo - 1), 2, -1)[:, 1, :, 1, :]
+                x_er = np.multiply(x, e.real, out=spare[: x.size].reshape(x.shape))
                 x *= 1j * e.imag
                 x += x_er
         else:
-            rows = 2 ** axes[0]
-            np.matmul(g.gate.unitary, t.reshape(rows, 2, -1), out=spare.reshape(rows, 2, -1))
-            t, spare = spare, t
-    return t.reshape((2,) * n + (dim,)).transpose(axis + [n]).reshape(dim, dim)
+            a = axes[0]
+            if a not in columns:
+                t = write_column(a)
+            rows = 2**a
+            out = spare[: t.size]
+            np.matmul(g.gate.unitary, t.reshape(rows, 2, -1), out=out.reshape(rows, 2, -1))
+            t, held, spare = out, spare, held
+    for a in range(n):
+        if a not in columns:
+            t = write_column(a)
+    order = axis + [n + columns.index(a) for a in range(n)]
+    return t.reshape((2,) * (2 * n)).transpose(order).reshape(dim, dim)
 
 
 def dft_matrix(n: int) -> np.ndarray:

@@ -89,9 +89,10 @@ class DynamicalMap:
 
     ``environment_state`` is the fixed environment the map was induced
     from (None for composed candidates, which have no inducing state);
-    ``interval`` is the (t_a, t_b) stretch of the evolution it describes;
-    ``which_qubit`` says whether the described qubit is the left (1) or
-    right (2) tensor factor. The superoperator is a read-only copy.
+    ``interval`` is the (t_a, t_b) stretch of the evolution it describes,
+    a pair of finite times; ``which_qubit`` says whether the described
+    qubit is the left (1) or right (2) tensor factor. The superoperator is
+    a read-only copy.
     """
 
     superoperator: np.ndarray
@@ -106,8 +107,14 @@ class DynamicalMap:
         s = linalg.as_matrix(np.array(self.superoperator, dtype=complex))
         if s.shape != (4, 4):
             raise ValueError(f"superoperator must be 4x4, got {s.shape}")
+        try:
+            t_a, t_b = self.interval
+        except (TypeError, ValueError):
+            raise ValueError(f"interval must be a pair (t_a, t_b), got {self.interval!r}") from None
+        interval = (_real(t_a, "interval start"), _real(t_b, "interval end"))
         s.flags.writeable = False
         object.__setattr__(self, "superoperator", s)
+        object.__setattr__(self, "interval", interval)
         object.__setattr__(self, "which_qubit", which)
 
 
@@ -323,6 +330,9 @@ def udm_witness_subinterval(
     which = _integer(which, "which")
     if which not in (1, 2):
         raise ValueError("which must be 1 or 2")
+    k = linalg.as_matrix(k)
+    if k.shape != (4, 4):
+        raise ValueError(f"generator must be 4x4, got {k.shape}")
     if rho_in.dim != 4:
         raise ValueError("witness needs a 2-qubit input state")
     marg1 = linalg.partial_trace(rho_in.matrix, keep=1)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 
@@ -265,12 +266,34 @@ def mixed_vocabulary_circuit(rng, n):
     return Circuit(n, tuple(gates))
 
 
+def lazy_start_circuits():
+    """Circuits whose axes are first touched in every way circuit_unitary's
+    diagonal start distinguishes: never, by a CPHASE, by an X, after a SWAP."""
+    def cphase(q1, q2, phi):
+        return PlacedGate("CPHASE", (q1, q2), phi=phi)
+
+    circuits = [Circuit(2, ())]
+    for phi in (0.3, np.pi / 2, -np.pi / 2, np.pi, -2.5):
+        circuits += [
+            Circuit(4, (cphase(1, 3, phi), cphase(4, 2, phi), cphase(3, 4, phi))),
+            Circuit(3, (cphase(1, 2, phi), PlacedGate("H", (1,)), cphase(2, 3, phi), PlacedGate("H", (3,)))),
+            Circuit(3, (PlacedGate("X", (2,)), cphase(1, 2, phi), PlacedGate("H", (2,)),
+                        PlacedGate("X", (1,)), cphase(3, 1, phi))),
+            Circuit(4, (PlacedGate("H", (1,)), PlacedGate("SWAP", (2, 4)), cphase(1, 4, phi),
+                        PlacedGate("H", (4,)), PlacedGate("SWAP", (1, 3)), PlacedGate("H", (3,)))),
+        ]
+    return circuits
+
+
 def test_circuit_unitary_equals_tensordot_reference_bitwise(rng):
+    # byte for byte: the diagonal start does no arithmetic on the identity's
+    # zeros, so the signs of the zeros it writes are pinned too
     circuits = [build_qft(n) for n in range(2, 9)]
     circuits += [nonadjacent_pair_circuit(rng) for _ in range(5)]
     circuits += [mixed_vocabulary_circuit(rng, n) for n in range(2, 9)]
+    circuits += lazy_start_circuits()
     for circuit in circuits:
-        assert np.array_equal(circuit_unitary(circuit), tensordot_unitary(circuit))
+        assert circuit_unitary(circuit).tobytes() == tensordot_unitary(circuit).tobytes()
 
 
 @pytest.mark.parametrize("phi", [0.0, np.pi / 2, -np.pi / 2, np.pi, -np.pi, 2 * np.pi])
@@ -393,6 +416,25 @@ def test_run_circuit_rejects_a_tolerance_not_finite_and_positive(tol):
 def test_tolerances_reject_a_boolean():
     with pytest.raises(ValueError, match="^tolerance cp must be finite and > 0, got True$"):
         Tolerances(cp=True)
+
+
+def test_the_gate_plan_is_not_part_of_the_circuit_value(rng):
+    assert [f.name for f in dataclasses.fields(Circuit)] == ["n_qubits", "gates"]
+    for n in range(2, 9):
+        first, second = build_qft(n), build_qft(n)
+        assert first == second and hash(first) == hash(second)
+        assert repr(first) == repr(second) and "_plan" not in repr(first)
+        assert circuit_to_dict(first) == circuit_to_dict(second)
+        d = circuit_to_dict(first)
+        rebuilt = Circuit(
+            d["n_qubits"],
+            tuple(PlacedGate(g["name"], tuple(g["qubits"]), g.get("phi")) for g in d["gates"]),
+        )
+        assert rebuilt == first
+        psi = PureState(random_pure(rng, 2**n))
+        (out, audit), (out_rebuilt, audit_rebuilt) = run_circuit(first, psi), run_circuit(rebuilt, psi)
+        assert out.amplitudes.tobytes() == out_rebuilt.amplitudes.tobytes()
+        assert audit.records == audit_rebuilt.records
 
 
 def test_numpy_integers_place_gates():

@@ -5,7 +5,9 @@ Every public entry point passes each scalar argument once through
 ``ValueError`` whose message starts with the argument's name. A value that
 is no finite real number (or no integer where a count or qubit is meant)
 is refused everywhere, booleans included; 0 and -1 are refused where the
-value must be positive or is a 1-based qubit.
+value must be positive or is a 1-based qubit. A second, shorter table
+holds malformed arguments that are no scalar: a generator of the wrong
+shape and an interval that is no pair of finite times.
 """
 import re
 
@@ -65,6 +67,8 @@ ENTRY_POINTS = [
     ("TimeGrid-t_end", "grid t_end", "real", lambda v: TimeGrid(0.0, v, 4)),
     ("find_entangled_instant", "tol", "positive", lambda v: find_entangled_instant(TRAJ, tol=v)),
     ("DynamicalMap", "which_qubit", "qubit", lambda v: DynamicalMap(np.eye(4), None, (0.0, 1.0), v)),
+    ("DynamicalMap-t_a", "interval start", "real", lambda v: DynamicalMap(np.eye(4), None, (v, 1.0), 1)),
+    ("DynamicalMap-t_b", "interval end", "real", lambda v: DynamicalMap(np.eye(4), None, (0.0, v), 1)),
     ("induced_map-t", "t", "positive", lambda v: induced_map(K, ENV, v)),
     ("induced_map-which", "which", "qubit", lambda v: induced_map(K, ENV, 1.0, which=v)),
     ("is_cptp", "tol", "positive", lambda v: is_cptp(MAP, tol=v)),
@@ -97,6 +101,23 @@ ROWS = [
 def test_malformed_scalar_argument_raises_naming_it(call, name, value):
     with pytest.raises(ValueError, match=f"^{re.escape(name)} must be"):
         call(value)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        # numpy's matmul raised on the core dimension of the 2x2 generator
+        (lambda: udm_witness_subinterval(np.eye(2), RHO, 0.5, 1.0), r"^generator must be 4x4, got \(2, 2\)$"),
+        # accepted, and intermediate_map then raised a TypeError subtracting the ends
+        (lambda: DynamicalMap(np.eye(4), None, ("a", None), 1), "^interval start must be a finite number, got 'a'$"),
+        (lambda: DynamicalMap(np.eye(4), None, 1.0, 1), "^interval must be a pair"),
+        (lambda: DynamicalMap(np.eye(4), None, (0.0, 0.5, 1.0), 1), "^interval must be a pair"),
+    ],
+    ids=["witness-2x2-generator", "map-interval-a-none", "map-interval-float", "map-interval-triple"],
+)
+def test_malformed_structured_argument_raises_naming_it(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 @pytest.mark.parametrize(
