@@ -38,7 +38,7 @@ from functools import lru_cache
 import numpy as np
 
 from .gates import Gate, c_phase, hadamard, swap_gate, x_gate
-from .states import PureState, _check_density, _negativities
+from .states import PureState, _check_density, _negativities, _state
 from .tolerances import DEFAULT, _integer, _real
 
 __all__ = [
@@ -188,10 +188,7 @@ def run_circuit(
     eigendecomposition of their partial transposes gives the negativities.
     """
     tol = _real(tol, "tol", positive=True)
-    if input_state.n_qubits != circuit.n_qubits:
-        raise ValueError(
-            f"circuit has {circuit.n_qubits} qubits, input has {input_state.n_qubits}"
-        )
+    _state(input_state, PureState, circuit.n_qubits, "input_state")
     shape = (2,) * circuit.n_qubits
     t = input_state.amplitudes.reshape(shape)
     blocks, factors = [], []

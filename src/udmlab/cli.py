@@ -4,8 +4,9 @@ Five analysis commands (analyze-gate, trajectory, map, divisibility, qft)
 each run one batch analysis and print a JSON report to stdout; ``--out``
 also writes it to a file, and the commands that produce a time series or
 audit table (trajectory, qft) write a CSV next to it with the extension
-swapped to .csv. Numbers are serialized with 15 significant digits so that
-reruns of the same scenario and seed are byte-identical.
+swapped to .csv, so their ``--out`` may not end in .csv itself. Numbers
+are serialized with 15 significant digits so that reruns of the same
+scenario and seed are byte-identical.
 
 ``main`` loads the scenario, resolves tolerances and seed and writes the
 report envelope; each ``_cmd_*`` returns only its own report keys, as
@@ -202,12 +203,10 @@ def _gate_from_scenario(scenario: dict, tol: Tolerances) -> gates.Gate:
         if not isinstance(spec, dict) or "matrix" not in spec:
             raise ValueError("'generator' must be an object with a 'matrix'")
         k = _parse_matrix(spec["matrix"], "generator.matrix")
-        if k.shape != (4, 4):
-            raise ValueError(f"generator.matrix must be 4x4 for a 2-qubit gate, got {k.shape}")
+        w = np.linalg.eigvalsh(linalg._hermitian(k, "generator.matrix", 4))
         duration = _real(spec.get("duration", 1.0), "generator.duration")
-        gate = gates.gate_from_generator(k, duration)
-        _check_phase(gate, duration, "generator.duration", tol)
-        return gate
+        linalg._check_phase(w, duration, "generator.duration", tol.reconstruction)
+        return gates.gate_from_generator(k, duration)
     raise ValueError("scenario must specify a 'gate' or a 'generator'")
 
 
@@ -228,24 +227,7 @@ def _input_from_scenario(scenario: dict, n_qubits: int | None = None) -> states.
             "'input' must be a list of per-qubit state names "
             f"({sorted(states.NAMED_AMPLITUDES)}) or an object with 'amplitudes'"
         )
-    if n_qubits is not None and psi.n_qubits != n_qubits:
-        raise ValueError(f"input has {psi.n_qubits} qubits, expected {n_qubits}")
-    return psi
-
-
-def _check_phase(gate: gates.Gate, t: float, field: str, tol: Tolerances):
-    """Reject a time t at which e^{-i K t} is not known to tol.reconstruction.
-
-    A phase p = max|eig K| |t| carries p * eps of round-off, so the bound is
-    p <= tol.reconstruction / eps (about 4.5e6 rad at the default).
-    """
-    phase = float(np.max(np.abs(np.linalg.eigvalsh(gate.generator)))) * abs(t)
-    limit = tol.reconstruction / sys.float_info.epsilon  # a float quotient: inf, no warning
-    if phase > limit:
-        raise ValueError(
-            f"{field}: the phase max|eig K| * |t| reaches {phase:.3g} rad at |t| = "
-            f"{abs(t):.3g}, beyond tolerances.reconstruction / eps = {limit:.3g} rad"
-        )
+    return states._state(psi, states.PureState, n_qubits, "input")
 
 
 def _grid_from_scenario(
@@ -254,11 +236,12 @@ def _grid_from_scenario(
     spec = scenario.get("grid", {})
     if not isinstance(spec, dict):
         raise ValueError("'grid' must be an object")
+    w = np.linalg.eigvalsh(gate.generator)
     t_start = _real(spec.get("t_start", 0.0), "grid.t_start")
-    _check_phase(gate, t_start, "grid.t_start", tol)
+    linalg._check_phase(w, t_start, "grid.t_start", tol.reconstruction)
     t_end = _real(spec.get("t_end", t_start + gate.duration), "grid.t_end")
     # the grid is evolved over t - t_start, so the span is bounded as well
-    _check_phase(gate, max(abs(t_end), t_end - t_start), "grid.t_end", tol)
+    linalg._check_phase(w, max(abs(t_end), t_end - t_start), "grid.t_end", tol.reconstruction)
     steps = _integer(spec.get("steps", dynamics.DEFAULT_STEPS), "grid.steps")
     if args.steps is not None:
         steps = args.steps
@@ -276,8 +259,7 @@ def _product_input(scenario: dict, tol: Tolerances):
             "product state rho_1 (x) rho_2 with a fixed environment state"
         )
     which = _integer(scenario.get("which_qubit", 1), "which_qubit")
-    if which not in (1, 2):
-        raise ValueError(f"which_qubit must be 1 or 2, got {which}")
+    which = tolerances._which(which, "which_qubit")
     rho = states.densify(psi)
     marg1 = states.DensityMatrix(linalg.partial_trace(rho.matrix, keep=1))
     marg2 = states.DensityMatrix(linalg.partial_trace(rho.matrix, keep=2))
@@ -486,10 +468,12 @@ _PARSER = _build_parser()
 
 
 def _emit(report: dict, csv_text: str | None, out: str | None):
+    path = Path(out) if out else None
+    if path and csv_text is not None and path.suffix == ".csv":
+        raise ValueError(f"--out {out} must not end in .csv: the CSV report is written there")
     text = json.dumps(report, indent=2) + "\n"
     sys.stdout.write(text)
-    if out:
-        path = Path(out)
+    if path:
         path.write_text(text, encoding="utf-8")
         if csv_text is not None:
             path.with_suffix(".csv").write_text(csv_text, encoding="utf-8")

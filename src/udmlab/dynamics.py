@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .states import DensityMatrix, _check_density, _negativities
+from .states import DensityMatrix, _check_density, _negativities, _state
 from .tolerances import DEFAULT, _integer, _real
 
 __all__ = [
@@ -80,14 +80,14 @@ def _purities(m: np.ndarray) -> np.ndarray:
 def evolve_trajectory(k, rho_in: DensityMatrix, grid: TimeGrid) -> Trajectory:
     """Propagate rho_in under e^{-i k t} to every grid point, directly from t_start.
 
-    k is diagonalised once; no step-to-step error accumulates.
+    k is diagonalised once; no step-to-step error accumulates. The phase
+    bound covers both ends of the grid and the span evolved, t_end - t_start.
     """
-    k = linalg.as_matrix(k)
-    if k.shape != (4, 4) or rho_in.dim != 4:
-        raise ValueError("evolve_trajectory expects a 4x4 generator and 2-qubit state")
-    if linalg.hermiticity_defect(k) > DEFAULT.hermiticity:
-        raise ValueError("generator must be Hermitian")
+    k = linalg._hermitian(k, "generator", 4)
+    _state(rho_in, DensityMatrix, 2, "rho_in")
     w, v = np.linalg.eigh(k)
+    span = max(abs(grid.t_start), abs(grid.t_end), grid.t_end - grid.t_start)
+    linalg._check_phase(w, span, "grid")
     rho0 = v.conj().T @ rho_in.matrix @ v  # eigenbasis once
     phase = np.exp(-1j * w * (grid.times() - grid.t_start)[:, None])
     states = v @ (phase[:, :, None] * phase.conj()[:, None, :] * rho0) @ v.conj().T

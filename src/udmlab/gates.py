@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .states import DensityMatrix, PureState
-from .tolerances import DEFAULT, _integer, _real
+from .states import DensityMatrix, PureState, _state
+from .tolerances import DEFAULT, _real, _which
 
 __all__ = [
     "Gate",
@@ -133,9 +133,7 @@ def swap_gate(t_star: float = 1.0) -> Gate:
 
 
 def identity_gate(n_qubits: int = 2, t_star: float = 1.0) -> Gate:
-    n_qubits = _integer(n_qubits, "identity_gate qubit count")
-    if n_qubits not in (1, 2):
-        raise ValueError(f"identity_gate acts on 1 or 2 qubits, got {n_qubits}")
+    n_qubits = _which(n_qubits, "identity_gate qubit count")
     dim = 2**n_qubits
     return Gate(np.zeros((dim, dim), dtype=complex), t_star, np.eye(dim, dtype=complex))
 
@@ -143,13 +141,10 @@ def identity_gate(n_qubits: int = 2, t_star: float = 1.0) -> Gate:
 def apply(g: Gate, state):
     """Run the gate on a PureState (U|psi>) or DensityMatrix (U rho U^dag)."""
     if isinstance(state, PureState):
-        if state.n_qubits != g.n_qubits:
-            raise ValueError(f"gate acts on {g.n_qubits} qubits, state has {state.n_qubits}")
-        return PureState(g.unitary @ state.amplitudes)
+        return PureState(g.unitary @ _state(state, PureState, g.n_qubits, "state").amplitudes)
     if isinstance(state, DensityMatrix):
-        if state.n_qubits != g.n_qubits:
-            raise ValueError(f"gate acts on {g.n_qubits} qubits, state has {state.n_qubits}")
-        return DensityMatrix(g.unitary @ state.matrix @ g.unitary.conj().T)
+        rho = _state(state, DensityMatrix, g.n_qubits, "state").matrix
+        return DensityMatrix(g.unitary @ rho @ g.unitary.conj().T)
     raise TypeError(f"expected PureState or DensityMatrix, got {type(state).__name__}")
 
 

@@ -7,9 +7,11 @@ dense and spectral methods are preferred over iterative ones.
 """
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 
-from .tolerances import DEFAULT, _integer, _real
+from .tolerances import DEFAULT, _real, _which
 
 __all__ = [
     "as_matrix",
@@ -49,33 +51,56 @@ def partial_trace(rho, keep: int) -> np.ndarray:
     the subsystem that survives; the other is summed out. The trace is
     preserved exactly.
     """
-    keep = _integer(keep, "keep")
-    rho = as_matrix(rho)
-    if rho.shape != (4, 4):
-        raise ValueError(f"partial_trace expects a 4x4 matrix, got {rho.shape}")
-    if hermiticity_defect(rho) > 1e-8:
-        raise ValueError("partial_trace input is not Hermitian")
-    if keep not in (1, 2):
-        raise ValueError("keep must be 1 or 2")
-    r = rho.reshape(2, 2, 2, 2)
+    keep = _which(keep, "keep")
+    r = _hermitian(rho, "rho", 4).reshape(2, 2, 2, 2)
     if keep == 1:
         return np.trace(r, axis1=1, axis2=3)
     return np.trace(r, axis1=0, axis2=2)
+
+
+def _hermitian(k, what: str, dim: int | None = None) -> np.ndarray:
+    """k by as_matrix, square (dim x dim when given) and Hermitian to DEFAULT.hermiticity.
+
+    The one check of a Hermitian matrix argument; each message starts with what.
+    """
+    try:
+        k = as_matrix(k)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{what}: {exc}") from None
+    n = len(k) if dim is None else dim
+    if k.shape != (n, n):
+        raise ValueError(f"{what} must be {n}x{n}, got {k.shape}")
+    defect = hermiticity_defect(k)
+    if defect > DEFAULT.hermiticity:
+        raise ValueError(f"{what} must be Hermitian, got max|m - m^dag| = {defect:.3g}")
+    return k
+
+
+def _check_phase(w, t: float, what: str, reconstruction: float = DEFAULT.reconstruction):
+    """Refuse a time t at which e^{-i K t}, K of eigenvalues w, is not known to reconstruction.
+
+    A phase p = max|eig K| |t| carries p * eps of round-off, so the bound is
+    p <= reconstruction / eps (about 4.5e6 rad at the default). Both are
+    float products and quotients: an overflow reads inf, with no warning.
+    """
+    phase = float(np.abs(w).max(initial=0.0)) * abs(t)
+    limit = reconstruction / sys.float_info.epsilon
+    if phase > limit:
+        raise ValueError(
+            f"{what} must keep the phase max|eig K| * |t| within reconstruction / eps = "
+            f"{limit:.3g} rad, got {phase:.3g} rad at |t| = {abs(t):.3g}"
+        )
 
 
 def matexp_hermitian(k, t: float) -> np.ndarray:
     """exp(-i k t) for Hermitian k, via eigendecomposition.
 
     The spectral route keeps the result unitary to machine precision (Pade and
-    series forms do not); a t whose phase max|eig k| |t| overflows is refused.
+    series forms do not); a t beyond the phase bound of ``_check_phase`` is refused.
     """
     t = _real(t, "t")
-    k = as_matrix(k)
-    if hermiticity_defect(k) > DEFAULT.hermiticity:
-        raise ValueError("matexp_hermitian requires a Hermitian generator")
-    w, v = np.linalg.eigh(k)
-    if not np.isfinite(float(np.abs(w).max(initial=0.0)) * abs(t)):  # a float product: no warning
-        raise ValueError(f"t must keep the phase max|eig k| * |t| finite, got {t!r}")
+    w, v = np.linalg.eigh(_hermitian(k, "generator"))
+    _check_phase(w, t, "t")
     return (v * np.exp(-1j * w * t)) @ v.conj().T
 
 

@@ -43,8 +43,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .states import DensityMatrix, trace_distance
-from .tolerances import DEFAULT, _integer, _real
+from .states import DensityMatrix, _state, trace_distance
+from .tolerances import DEFAULT, _real, _which
 
 __all__ = [
     "DynamicalMap",
@@ -87,8 +87,8 @@ def unitary_superoperator(u: np.ndarray) -> np.ndarray:
 class DynamicalMap:
     """Linear map on single-qubit states, held as a 4x4 superoperator.
 
-    ``environment_state`` is the fixed environment the map was induced
-    from (None for composed candidates, which have no inducing state);
+    ``environment_state`` is the fixed one-qubit DensityMatrix the map was
+    induced from (None for composed candidates, which have no inducing state);
     ``interval`` is the (t_a, t_b) stretch of the evolution it describes,
     a pair of finite times; ``which_qubit`` says whether the described
     qubit is the left (1) or right (2) tensor factor. The superoperator is
@@ -101,9 +101,9 @@ class DynamicalMap:
     which_qubit: int
 
     def __post_init__(self):
-        which = _integer(self.which_qubit, "which_qubit")
-        if which not in (1, 2):
-            raise ValueError("which_qubit must be 1 or 2")
+        which = _which(self.which_qubit, "which_qubit")
+        if self.environment_state is not None:
+            _state(self.environment_state, DensityMatrix, 1, "environment_state")
         s = linalg.as_matrix(np.array(self.superoperator, dtype=complex))
         if s.shape != (4, 4):
             raise ValueError(f"superoperator must be 4x4, got {s.shape}")
@@ -171,14 +171,9 @@ def induced_map(k, env: DensityMatrix, t: float, which: int = 1) -> DynamicalMap
     checked to be CPTP, which maps induced this way always are.
     """
     t = _real(t, "t", positive=True)
-    which = _integer(which, "which")
-    if which not in (1, 2):
-        raise ValueError("which must be 1 or 2")
-    k = linalg.as_matrix(k)
-    if k.shape != (4, 4):
-        raise ValueError(f"generator must be 4x4, got {k.shape}")
-    if env.dim != 2:
-        raise ValueError("environment must be a single-qubit state")
+    which = _which(which, "which")
+    k = linalg._hermitian(k, "generator", 4)
+    _state(env, DensityMatrix, 1, "env")
     # axes (out-sys, out-env, in-sys, in-env); qubit 2 as the system swaps the factors
     u = linalg.matexp_hermitian(k, t).reshape(2, 2, 2, 2)
     if which == 2:
@@ -202,9 +197,7 @@ def apply_map(m: DynamicalMap, rho: DensityMatrix) -> DensityMatrix:
     output outside the state space, in which case the validation error is
     the report (outputs are never clamped).
     """
-    if rho.dim != 2:
-        raise ValueError("apply_map expects a single-qubit state")
-    return DensityMatrix(_images(m, rho.matrix))
+    return DensityMatrix(_images(m, _state(rho, DensityMatrix, 1, "rho").matrix))
 
 
 def _images(m: DynamicalMap, rhos: np.ndarray) -> np.ndarray:
@@ -327,14 +320,9 @@ def udm_witness_subinterval(
     t_star = _real(t_star, "t_star", positive=True)
     if not t1 < t_star:
         raise ValueError(f"need 0 < t1 < t*, got t1={t1}, t*={t_star}")
-    which = _integer(which, "which")
-    if which not in (1, 2):
-        raise ValueError("which must be 1 or 2")
-    k = linalg.as_matrix(k)
-    if k.shape != (4, 4):
-        raise ValueError(f"generator must be 4x4, got {k.shape}")
-    if rho_in.dim != 4:
-        raise ValueError("witness needs a 2-qubit input state")
+    which = _which(which, "which")
+    k = linalg._hermitian(k, "generator", 4)
+    _state(rho_in, DensityMatrix, 2, "rho_in")
     marg1 = linalg.partial_trace(rho_in.matrix, keep=1)
     marg2 = linalg.partial_trace(rho_in.matrix, keep=2)
     if float(np.linalg.norm(rho_in.matrix - np.kron(marg1, marg2))) > 1e-9:
@@ -365,6 +353,6 @@ def local_pair_maps(
     fixed environment; one map cannot serve both qubits unless the setup
     is symmetric.
     """
-    e1 = induced_map(k, rho2, t, which=1)
-    e2 = induced_map(k, rho1, t, which=2)
-    return e1, e2
+    _state(rho1, DensityMatrix, 1, "rho1")
+    _state(rho2, DensityMatrix, 1, "rho2")
+    return induced_map(k, rho2, t, which=1), induced_map(k, rho1, t, which=2)

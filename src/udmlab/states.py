@@ -93,6 +93,18 @@ class DensityMatrix:
         return f"DensityMatrix(n_qubits={self.n_qubits})"
 
 
+def _state(value, kind, n_qubits: int | None, what: str):
+    """value, checked to be a kind (PureState or DensityMatrix) of n_qubits qubits, any when None.
+
+    The one check of a state argument; each message starts with what.
+    """
+    if not isinstance(value, kind):
+        raise ValueError(f"{what} must be a {kind.__name__}, got {type(value).__name__}")
+    if n_qubits is not None and value.n_qubits != n_qubits:
+        raise ValueError(f"{what} must be a {n_qubits}-qubit state, got {value.n_qubits} qubits")
+    return value
+
+
 def named_state(name: str) -> PureState:
     """One of the six single-qubit stabilizer states: 0 1 + - +i -i."""
     try:
@@ -106,23 +118,16 @@ def named_state(name: str) -> PureState:
 def product_state(factors) -> PureState:
     """Tensor product of single-qubit states given as names or PureStates."""
     amps = np.array([1.0], dtype=complex)
-    for f in factors:
-        psi = named_state(f) if isinstance(f, str) else f
+    for i, f in enumerate(factors):
+        psi = named_state(f) if isinstance(f, str) else _state(f, PureState, None, f"factors[{i}]")
         amps = np.kron(amps, psi.amplitudes)
     return PureState(amps)
 
 
 def densify(psi: PureState) -> DensityMatrix:
     """|psi><psi| as a DensityMatrix."""
-    a = psi.amplitudes
-    if abs(np.linalg.norm(a) - 1.0) > DEFAULT.hermiticity:
-        raise ValueError("state is not normalized")
+    a = _state(psi, PureState, None, "psi").amplitudes
     return DensityMatrix(np.outer(a, a.conj()))
-
-
-def _require_two_qubits(psi: PureState):
-    if psi.n_qubits != 2:
-        raise ValueError(f"expected a 2-qubit state, got {psi.n_qubits} qubits")
 
 
 def pure_entanglement(psi: PureState) -> float:
@@ -131,8 +136,7 @@ def pure_entanglement(psi: PureState) -> float:
     tau vanishes exactly on separable states, ranges up to 1/2, and equals
     half the concurrence.
     """
-    _require_two_qubits(psi)
-    g = psi.amplitudes
+    g = _state(psi, PureState, 2, "psi").amplitudes
     return float(abs(g[0] * g[3] - g[1] * g[2]))
 
 
@@ -143,9 +147,7 @@ def negativity(rho: DensityMatrix) -> float:
     is exact at dimension 2x2), which covers the mixed inputs that pure
     state diagnostics cannot.
     """
-    if rho.n_qubits != 2:
-        raise ValueError(f"expected a 2-qubit density matrix, got {rho.n_qubits} qubits")
-    return float(_negativities(rho.matrix))
+    return float(_negativities(_state(rho, DensityMatrix, 2, "rho").matrix))
 
 
 def _check_density(m: np.ndarray) -> None:
@@ -185,7 +187,7 @@ def _negativities(m: np.ndarray) -> np.ndarray:
 
 def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:
     """(1/2) tr|a - b|: operational distinguishability of two states."""
-    if a.dim != b.dim:
-        raise ValueError("trace_distance requires equal dimensions")
+    _state(a, DensityMatrix, None, "a")
+    _state(b, DensityMatrix, a.n_qubits, "b")
     w = np.linalg.eigvalsh(a.matrix - b.matrix)
     return float(0.5 * np.sum(np.abs(w)))

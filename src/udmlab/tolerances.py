@@ -4,9 +4,9 @@ Everything runs in double precision on dense matrices of dimension <= 256,
 which leaves large headroom; the defaults below are fixed globally rather
 than tuned per call site. The CP tolerance is looser than the state
 tolerances because pseudo-inverse composition amplifies noise. Each
-scalar argument of a public entry point passes once through ``_real`` or
-``_integer``, and the caller keeps the value returned. Neither takes a
-boolean: True would read as a time, tolerance or qubit of 1.
+scalar argument of a public entry point passes once through ``_real``,
+``_integer`` or ``_which``, and the caller keeps the value returned. None
+takes a boolean: True would read as a time, tolerance or qubit of 1.
 """
 import numbers
 import operator
@@ -36,6 +36,14 @@ def _integer(value, what: str) -> int:
         return operator.index(value)
     except TypeError:
         raise ValueError(f"{what} must be an integer, got {value!r}") from None
+
+
+def _which(value, what: str) -> int:
+    """value as 1 or 2: a qubit of a pair (1 the left tensor factor) or a count of qubits."""
+    which = _integer(value, what)
+    if which not in (1, 2):
+        raise ValueError(f"{what} must be 1 or 2, got {which}")
+    return which
 
 
 @dataclass(frozen=True)

@@ -426,6 +426,37 @@ def test_phase_bound_admits_times_below_it(scenario_file, capsys):
     assert json.loads(out)["grid"]["t_end"] == 1.4e6
 
 
+@pytest.mark.parametrize("command, message", [("trajectory", "grid must keep the phase"),
+                                              ("map", "t must keep the phase")])
+def test_library_phase_bound_holds_under_a_looser_reconstruction(
+    scenario_file, capsys, command, message
+):
+    # pi * 1e7 = 3.1e7 rad: within 1e-6 / eps = 4.5e9 rad, beyond the default 4.5e6 rad
+    path = scenario_file({"gate": CPI, **PLUS_PLUS, "tolerances": {"reconstruction": 1e-6},
+                          "grid": {"t_end": 1e7, "steps": 2}})
+    code, out, err = run(capsys, command, "--scenario", path)
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
+def test_out_ending_in_csv_is_refused_before_any_output(scenario_file, capsys, tmp_path):
+    # the JSON report went to r.csv, and the CSV written beside it overwrote it
+    out = tmp_path / "r.csv"
+    trajectory = scenario_file({"gate": CPI, **PLUS_PLUS, "grid": {"steps": 2}})
+    for argv in (["qft", "--n", "2"], ["trajectory", "--scenario", trajectory]):
+        code, stdout, err = run(capsys, *argv, "--out", str(out))
+        assert code == 2
+        assert "--out" in err
+        assert stdout == ""
+        assert not out.exists()
+    # a command that writes no CSV may give its report any name
+    gate = scenario_file({"gate": CPI}, "gate.json")
+    code, stdout, _ = run(capsys, "analyze-gate", "--scenario", gate, "--out", str(out))
+    assert code == 0
+    assert out.read_text() == stdout
+
+
 @pytest.mark.parametrize(
     "argv",
     [

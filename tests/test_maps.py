@@ -1,5 +1,8 @@
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from udmlab import (
     DensityMatrix,
@@ -20,7 +23,10 @@ from udmlab import (
 )
 from udmlab import maps as maps_mod
 from udmlab.gates import equal_up_to_phase
+from udmlab.tolerances import DEFAULT
 from conftest import (
+    diagonal_coherence_factor,
+    diagonal_intermediate_map,
     evolve_joint,
     partial_trace_by_sums,
     random_density,
@@ -347,3 +353,47 @@ def test_generic_pair_maps_differ(rng):
         if np.linalg.norm(e1.superoperator - e2.superoperator) > 1e-3:
             hits += 1
     assert hits >= 9  # one map cannot serve both qubits in general
+
+
+def _bloch_state(r):
+    """The qubit state (1 + r . sigma) / 2, with r scaled into the unit ball."""
+    x, y, z = np.asarray(r) / max(1.0, float(np.linalg.norm(r)))
+    return DensityMatrix(np.array([[1 + z, x - 1j * y], [x + 1j * y, 1 - z]]) / 2)
+
+
+UNIT = st.floats(-1.0, 1.0)
+BLOCH = st.lists(UNIT, min_size=3, max_size=3)
+
+
+@settings(max_examples=80, derandomize=True, database=None, deadline=None)
+@given(entries=st.lists(UNIT, min_size=32, max_size=32), r=BLOCH,
+       log_share=st.floats(-9.0, -0.01))
+def test_induced_maps_within_the_phase_bound_are_cptp(entries, r, log_share):
+    a = np.reshape(entries[:16], (4, 4)) + 1j * np.reshape(entries[16:], (4, 4))
+    k = a + a.conj().T
+    norm = float(np.abs(np.linalg.eigvalsh(k)).max())
+    assume(norm > 1e-3)
+    # the phase max|eig K| t is the share 10^log_share of the bound reconstruction / eps
+    t = 10.0**log_share * DEFAULT.reconstruction / sys.float_info.epsilon / norm
+    env = _bloch_state(r)
+    for which in (1, 2):
+        cp, tp, _ = is_cptp(induced_map(k, env, t, which=which))
+        assert cp and tp
+
+
+@settings(max_examples=80, derandomize=True, database=None, deadline=None)
+@given(diagonal=st.lists(st.floats(-4.0, 4.0), min_size=4, max_size=4), r=BLOCH,
+       t1=st.floats(0.05, 2.0), gap=st.floats(0.05, 2.0))
+def test_diagonal_intermediate_map_is_cp_iff_the_coherence_does_not_grow(diagonal, r, t1, gap):
+    k = np.diag(diagonal).astype(complex)
+    env = _bloch_state(r)
+    t_star = t1 + gap
+    c1 = abs(diagonal_coherence_factor(k, env.matrix, t1))
+    c_star = abs(diagonal_coherence_factor(k, env.matrix, t_star))
+    # E(t1) invertible, and the verdict clear of |c(t*)| = |c(t1)| by more than the CP slack
+    assume(c1 > 0.05 and abs(c_star - c1) > 1e-6)
+    result = intermediate_map(induced_map(k, env, t1), induced_map(k, env, t_star))
+    _, want_min, want_cp = diagonal_intermediate_map(k, env.matrix, t1, t_star)
+    assert not result.indeterminate
+    assert result.cp == want_cp == (c_star <= c1)
+    assert abs(result.min_choi_eigenvalue - want_min) < 1e-8
