@@ -15,17 +15,19 @@ eigendecomposition gives all the negativities.
 The register is held as a (2,)*n tensor with one axis per qubit. In
 ``run_circuit`` each gate is one transpose and one matmul: m, the register
 with the gate's axes in front flattened to 2^k rows, times the gate matrix
-u gives out = u m, and no 2^n x 2^n matrix is built per gate. The axis
-permutation, its inverse and u are read from the circuit's per-gate plan,
-made once when the frozen ``Circuit`` is built. For a two-qubit gate m and
-out are the pair factors before and after the block, and the audit reuses
-them. ``circuit_unitary`` carries all 2^n basis columns and applies each
-gate by its name instead: a CPHASE scales the one slice where both its
-qubits are 1, a SWAP relabels two axes, and an H or X is one broadcast
-matmul, so no gate transposes the register. It starts from the identity's
-diagonal and writes an axis's columns out only when an H or X first mixes
-that axis, so the gates before do no arithmetic on the identity's zeros.
-Each loop is the faster one for its own call shape, one column or all 2^n.
+u gives out = u m, and no 2^n x 2^n matrix is built per gate. u and the
+axes taken from the previous product are read from the circuit's per-gate
+plan, made once when the frozen ``Circuit`` is built. For a two-qubit gate
+m and out are the pair factors before and after the block, written
+straight into the one stack the audit reads. ``circuit_unitary`` carries
+all 2^n basis columns and applies each gate by its name instead: a CPHASE
+scales the one slice where both its qubits are 1, a SWAP relabels two
+axes, and an H or X is one broadcast matmul, so no gate transposes the
+register. It starts from the identity's diagonal and writes an axis's
+columns out only when an H or X first mixes that axis, so the gates before
+do no arithmetic on the identity's zeros. Two 4^n buffers per call hold
+its register, and the result is the spare one. Each loop is the faster one
+for its own call shape, one column or all 2^n.
 
 A placed gate is the named ``gates.Gate``, generator included, built once
 per (name, phi) and shared by every circuit, so its matrices are read-only.
@@ -38,7 +40,7 @@ from functools import lru_cache
 import numpy as np
 
 from .gates import Gate, c_phase, hadamard, swap_gate, x_gate
-from .states import PureState, _check_density, _negativities, _state
+from .states import PureState, _check_density, _instance, _negativities
 from .tolerances import DEFAULT, _integer, _real
 
 __all__ = [
@@ -118,15 +120,20 @@ class Circuit:
             for q in g.qubits:
                 if not 1 <= q <= self.n_qubits:
                     raise ValueError(f"qubit index {q} out of range 1..{self.n_qubits}")
-        # run_circuit's per-gate plan: (unitary, axis permutation, its inverse, rows);
-        # not a field, so eq, hash, repr and fields() see only n_qubits and gates
-        plan = []
+        # run_circuit's plan: per gate (unitary, axes, rows), axes bringing the gate's
+        # qubits to the front of the previous gate's product; the axes putting the
+        # last product in qubit order; each two-qubit block's (position, gate). Not
+        # fields, so eq, hash, repr and fields() see only n_qubits and gates
+        plan, held = [], list(range(self.n_qubits))  # held[a]: the qubit at axis a
         for g in self.gates:
             perm = [q - 1 for q in g.qubits]
             perm += [a for a in range(self.n_qubits) if a not in perm]
-            inv = tuple(perm.index(a) for a in range(self.n_qubits))
-            plan.append((g.gate.unitary, tuple(perm), inv, 2 ** len(g.qubits)))
+            plan.append((g.gate.unitary, tuple(held.index(a) for a in perm), 2 ** len(g.qubits)))
+            held = perm
         object.__setattr__(self, "_plan", tuple(plan))
+        object.__setattr__(self, "_final", tuple(held.index(a) for a in range(self.n_qubits)))
+        blocks = tuple((pos, g) for pos, g in enumerate(self.gates, start=1) if len(g.qubits) == 2)
+        object.__setattr__(self, "_blocks", blocks)
 
 
 @dataclass(frozen=True)
@@ -178,31 +185,33 @@ def run_circuit(
     Returns the output state and one audit record per two-qubit gate with
     the pair's negativity and separability verdict at the block boundary.
     Each gate, whatever its name, is one transpose and one matmul, out = u m
-    (on one column this beats ``circuit_unitary``'s dispatch by name), with
-    u, the axis permutation and its inverse read from the circuit's plan;
-    for a two-qubit block m and out are the pair factors just before and
-    after the gate (spectators in the columns), and the loop keeps both. The
+    (on one column this beats ``circuit_unitary``'s dispatch by name): the
+    circuit's plan gives u and the axes that bring the gate's qubits to the
+    front of the previous product, which goes to qubit order only at the
+    end. For a two-qubit block m and out are the pair factors just before
+    and after the gate (spectators in the columns), written straight into
+    slots 2i and 2i + 1 of one (2B, 4, 2^(n-2)) stack for the B blocks. The
     audit is then evaluated once: all pair densities m m^dag come from one
     stacked product, every one is still validated as a density matrix
     (finite, Hermitian, trace 1, positive), and one batched
     eigendecomposition of their partial transposes gives the negativities.
     """
     tol = _real(tol, "tol", positive=True)
-    _state(input_state, PureState, circuit.n_qubits, "input_state")
+    _instance(input_state, PureState, circuit.n_qubits, "input_state")
     shape = (2,) * circuit.n_qubits
     t = input_state.amplitudes.reshape(shape)
-    blocks, factors = [], []
-    for pos, (g, (u, perm, inv, rows)) in enumerate(zip(circuit.gates, circuit._plan), start=1):
-        m = t.transpose(perm).reshape(rows, -1)
-        out = np.dot(u, m)
-        t = out.reshape(shape).transpose(inv)
+    factors = np.empty((2 * len(circuit._blocks), 4, t.size // 4), dtype=complex)
+    slots = iter(factors)
+    for u, axes, rows in circuit._plan:
         if rows == 4:
-            blocks.append((pos, g))
-            factors += (m, out)
+            m, out = next(slots), next(slots)
+            m.reshape(shape)[...] = t.transpose(axes)
+        else:
+            m, out = t.transpose(axes).reshape(rows, -1), None
+        t = np.dot(u, m, out=out).reshape(shape)
     records = ()
-    if factors:
-        mm = np.array(factors)
-        stack = mm @ mm.conj().swapaxes(-1, -2)
+    if circuit._blocks:
+        stack = factors @ factors.conj().swapaxes(-1, -2)
         _check_density(stack)
         negs = _negativities(stack).tolist()
         records = tuple(
@@ -210,9 +219,9 @@ def run_circuit(
                 pos, g.name, g.qubits, neg_in, neg_out,
                 separable_in=neg_in <= tol, separable_out=neg_out <= tol,
             )
-            for (pos, g), neg_in, neg_out in zip(blocks, negs[0::2], negs[1::2])
+            for (pos, g), neg_in, neg_out in zip(circuit._blocks, negs[0::2], negs[1::2])
         )
-    return PureState(t.reshape(-1)), BlockAudit(records)
+    return PureState(t.transpose(circuit._final).reshape(-1)), BlockAudit(records)
 
 
 def circuit_unitary(circuit: Circuit) -> np.ndarray:
@@ -246,8 +255,10 @@ def circuit_unitary(circuit: Circuit) -> np.ndarray:
     sum and rounds otherwise. Entries the matmul would multiply by 1 or
     only move are left as they are, and the entries not yet stored are
     zeros the zgemm keeps at +0. Two 4^n buffers per call hold the register
-    in their prefixes, the spare one also a CPHASE's product x er, so the
-    result is fresh.
+    in their prefixes; the spare one also holds a CPHASE's slice and its
+    product x er as contiguous copies (a ufunc on the strided slice would
+    allocate buffers), and at the end the register in qubit order. The
+    result is that spare buffer, fresh per call.
     """
     n = circuit.n_qubits
     dim = 2**n
@@ -276,9 +287,12 @@ def circuit_unitary(circuit: Circuit) -> np.ndarray:
             if e != 1:
                 lo, hi = sorted(axes)
                 x = t.reshape(2**lo, 2, 2 ** (hi - lo - 1), 2, -1)[:, 1, :, 1, :]
-                x_er = np.multiply(x, e.real, out=spare[: x.size].reshape(x.shape))
-                x *= 1j * e.imag
-                x += x_er
+                y, y_er = spare[: 2 * x.size].reshape((2,) + x.shape)
+                y[...] = x
+                np.multiply(y, e.real, out=y_er)
+                y *= 1j * e.imag
+                y += y_er
+                x[...] = y
         else:
             a = axes[0]
             if a not in columns:
@@ -291,7 +305,8 @@ def circuit_unitary(circuit: Circuit) -> np.ndarray:
         if a not in columns:
             t = write_column(a)
     order = axis + [n + columns.index(a) for a in range(n)]
-    return t.reshape((2,) * (2 * n)).transpose(order).reshape(dim, dim)
+    spare.reshape((2,) * (2 * n))[...] = t.reshape((2,) * (2 * n)).transpose(order)
+    return spare.reshape(dim, dim)
 
 
 def dft_matrix(n: int) -> np.ndarray:

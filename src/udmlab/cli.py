@@ -227,7 +227,7 @@ def _input_from_scenario(scenario: dict, n_qubits: int | None = None) -> states.
             "'input' must be a list of per-qubit state names "
             f"({sorted(states.NAMED_AMPLITUDES)}) or an object with 'amplitudes'"
         )
-    return states._state(psi, states.PureState, n_qubits, "input")
+    return states._instance(psi, states.PureState, n_qubits, "input")
 
 
 def _grid_from_scenario(

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .states import DensityMatrix, _check_density, _negativities, _state
+from .states import DensityMatrix, _check_density, _instance, _negativities
 from .tolerances import DEFAULT, _integer, _real
 
 __all__ = [
@@ -84,7 +84,8 @@ def evolve_trajectory(k, rho_in: DensityMatrix, grid: TimeGrid) -> Trajectory:
     bound covers both ends of the grid and the span evolved, t_end - t_start.
     """
     k = linalg._hermitian(k, "generator", 4)
-    _state(rho_in, DensityMatrix, 2, "rho_in")
+    _instance(rho_in, DensityMatrix, 2, "rho_in")
+    _instance(grid, TimeGrid, None, "grid")
     w, v = np.linalg.eigh(k)
     span = max(abs(grid.t_start), abs(grid.t_end), grid.t_end - grid.t_start)
     linalg._check_phase(w, span, "grid")
@@ -102,7 +103,7 @@ def evolve_trajectory(k, rho_in: DensityMatrix, grid: TimeGrid) -> Trajectory:
 
 def entanglement_profile(traj: Trajectory) -> list[ProfilePoint]:
     """Negativity (and tau where the joint state is pure) per grid point."""
-    m = traj.joint_states
+    m = _instance(traj, Trajectory, None, "traj").joint_states
     purity = _purities(m)
     pure = purity >= 1.0 - DEFAULT.positivity
     taus = [None] * len(m)
@@ -123,6 +124,6 @@ def find_entangled_instant(
     marginals; absence means no grid point crossed the threshold.
     """
     tol = _real(tol, "tol", positive=True)
-    negs = _negativities(traj.joint_states)
+    negs = _negativities(_instance(traj, Trajectory, None, "traj").joint_states)
     hits = np.flatnonzero(negs > tol)
     return (float(traj.grid.times()[hits[0]]), float(negs[hits[0]])) if hits.size else None

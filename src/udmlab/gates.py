@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .states import DensityMatrix, PureState, _state
+from .states import DensityMatrix, PureState, _instance
 from .tolerances import DEFAULT, _real, _which
 
 __all__ = [
@@ -140,10 +140,11 @@ def identity_gate(n_qubits: int = 2, t_star: float = 1.0) -> Gate:
 
 def apply(g: Gate, state):
     """Run the gate on a PureState (U|psi>) or DensityMatrix (U rho U^dag)."""
+    _instance(g, Gate, None, "g")
     if isinstance(state, PureState):
-        return PureState(g.unitary @ _state(state, PureState, g.n_qubits, "state").amplitudes)
+        return PureState(g.unitary @ _instance(state, PureState, g.n_qubits, "state").amplitudes)
     if isinstance(state, DensityMatrix):
-        rho = _state(state, DensityMatrix, g.n_qubits, "state").matrix
+        rho = _instance(state, DensityMatrix, g.n_qubits, "state").matrix
         return DensityMatrix(g.unitary @ rho @ g.unitary.conj().T)
     raise TypeError(f"expected PureState or DensityMatrix, got {type(state).__name__}")
 
@@ -165,7 +166,7 @@ def is_entangling(g: Gate, tol: float = DEFAULT.separability) -> tuple[bool, int
     that no such factorization exists.
     """
     tol = _real(tol, "tol", positive=True)
-    if g.n_qubits != 2:
+    if _instance(g, Gate, None, "g").n_qubits != 2:
         raise ValueError("is_entangling applies to 2-qubit gates")
     s = operator_schmidt_values(g.unitary)
     rank = int(np.count_nonzero(s > tol * s[0]))

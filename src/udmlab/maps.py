@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .states import DensityMatrix, _state, trace_distance
+from .states import DensityMatrix, _instance, trace_distance
 from .tolerances import DEFAULT, _real, _which
 
 __all__ = [
@@ -103,7 +103,7 @@ class DynamicalMap:
     def __post_init__(self):
         which = _which(self.which_qubit, "which_qubit")
         if self.environment_state is not None:
-            _state(self.environment_state, DensityMatrix, 1, "environment_state")
+            _instance(self.environment_state, DensityMatrix, 1, "environment_state")
         s = linalg.as_matrix(np.array(self.superoperator, dtype=complex))
         if s.shape != (4, 4):
             raise ValueError(f"superoperator must be 4x4, got {s.shape}")
@@ -173,7 +173,7 @@ def induced_map(k, env: DensityMatrix, t: float, which: int = 1) -> DynamicalMap
     t = _real(t, "t", positive=True)
     which = _which(which, "which")
     k = linalg._hermitian(k, "generator", 4)
-    _state(env, DensityMatrix, 1, "env")
+    _instance(env, DensityMatrix, 1, "env")
     # axes (out-sys, out-env, in-sys, in-env); qubit 2 as the system swaps the factors
     u = linalg.matexp_hermitian(k, t).reshape(2, 2, 2, 2)
     if which == 2:
@@ -197,7 +197,8 @@ def apply_map(m: DynamicalMap, rho: DensityMatrix) -> DensityMatrix:
     output outside the state space, in which case the validation error is
     the report (outputs are never clamped).
     """
-    return DensityMatrix(_images(m, _state(rho, DensityMatrix, 1, "rho").matrix))
+    _instance(m, DynamicalMap, None, "m")
+    return DensityMatrix(_images(m, _instance(rho, DensityMatrix, 1, "rho").matrix))
 
 
 def _images(m: DynamicalMap, rhos: np.ndarray) -> np.ndarray:
@@ -218,7 +219,8 @@ def choi(m: DynamicalMap) -> ChoiMatrix:
     (out-col, out-row, in-col, in-row); the Choi index order is
     ((out-row, in-row), (out-col, in-col)).
     """
-    c = np.reshape(m.superoperator, (2, 2, 2, 2)).transpose(1, 3, 0, 2).reshape(4, 4)
+    s = _instance(m, DynamicalMap, None, "m").superoperator
+    c = np.reshape(s, (2, 2, 2, 2)).transpose(1, 3, 0, 2).reshape(4, 4)
     c = (c + c.conj().T) / 2.0  # Hermitian up to roundoff for any map
     w = np.linalg.eigvalsh(c)[::-1]
     return ChoiMatrix(c, w)
@@ -231,7 +233,7 @@ def is_cptp(m: DynamicalMap, tol: float = DEFAULT.cp) -> tuple[bool, bool, float
     dual map preserves the identity within tol.
     """
     tol = _real(tol, "tol", positive=True)
-    min_eig = float(choi(m).eigenvalues[-1])
+    min_eig = float(choi(m).eigenvalues[-1])  # choi checks m
     cp = min_eig >= -tol
     ident = vec(np.eye(2, dtype=complex))
     tp = float(np.max(np.abs(m.superoperator.conj().T @ ident - ident))) <= tol
@@ -246,7 +248,7 @@ def kraus_decompose(c: ChoiMatrix) -> KrausSet:
     Kraus operators are unique only up to unitary mixing, so nothing
     beyond the eigenvalue ordering is canonicalized.
     """
-    w = np.asarray(c.eigenvalues, dtype=float)
+    w = np.asarray(_instance(c, ChoiMatrix, None, "c").eigenvalues, dtype=float)
     if w[-1] < -DEFAULT.cp:
         raise ValueError(
             f"Choi matrix has negative eigenvalue {w[-1]}: the map is not "
@@ -281,6 +283,8 @@ def intermediate_map(
     the short map is singular beyond the pseudo-inverse cutoff the
     composition is not trustworthy and the verdict is indeterminate.
     """
+    _instance(e_short, DynamicalMap, None, "e_short")
+    _instance(e_long, DynamicalMap, None, "e_long")
     if e_short.which_qubit != e_long.which_qubit:
         raise ValueError("maps describe different qubits")
     t0s, t1 = e_short.interval
@@ -322,7 +326,7 @@ def udm_witness_subinterval(
         raise ValueError(f"need 0 < t1 < t*, got t1={t1}, t*={t_star}")
     which = _which(which, "which")
     k = linalg._hermitian(k, "generator", 4)
-    _state(rho_in, DensityMatrix, 2, "rho_in")
+    _instance(rho_in, DensityMatrix, 2, "rho_in")
     marg1 = linalg.partial_trace(rho_in.matrix, keep=1)
     marg2 = linalg.partial_trace(rho_in.matrix, keep=2)
     if float(np.linalg.norm(rho_in.matrix - np.kron(marg1, marg2))) > 1e-9:
@@ -353,6 +357,6 @@ def local_pair_maps(
     fixed environment; one map cannot serve both qubits unless the setup
     is symmetric.
     """
-    _state(rho1, DensityMatrix, 1, "rho1")
-    _state(rho2, DensityMatrix, 1, "rho2")
+    _instance(rho1, DensityMatrix, 1, "rho1")
+    _instance(rho2, DensityMatrix, 1, "rho2")
     return induced_map(k, rho2, t, which=1), induced_map(k, rho1, t, which=2)

@@ -93,10 +93,10 @@ class DensityMatrix:
         return f"DensityMatrix(n_qubits={self.n_qubits})"
 
 
-def _state(value, kind, n_qubits: int | None, what: str):
-    """value, checked to be a kind (PureState or DensityMatrix) of n_qubits qubits, any when None.
+def _instance(value, kind, n_qubits: int | None, what: str):
+    """value, checked to be a kind; a state also of n_qubits qubits unless None.
 
-    The one check of a state argument; each message starts with what.
+    The one check of a structured argument's type; each message starts with what.
     """
     if not isinstance(value, kind):
         raise ValueError(f"{what} must be a {kind.__name__}, got {type(value).__name__}")
@@ -119,14 +119,14 @@ def product_state(factors) -> PureState:
     """Tensor product of single-qubit states given as names or PureStates."""
     amps = np.array([1.0], dtype=complex)
     for i, f in enumerate(factors):
-        psi = named_state(f) if isinstance(f, str) else _state(f, PureState, None, f"factors[{i}]")
+        psi = named_state(f) if isinstance(f, str) else _instance(f, PureState, None, f"factors[{i}]")
         amps = np.kron(amps, psi.amplitudes)
     return PureState(amps)
 
 
 def densify(psi: PureState) -> DensityMatrix:
     """|psi><psi| as a DensityMatrix."""
-    a = _state(psi, PureState, None, "psi").amplitudes
+    a = _instance(psi, PureState, None, "psi").amplitudes
     return DensityMatrix(np.outer(a, a.conj()))
 
 
@@ -136,7 +136,7 @@ def pure_entanglement(psi: PureState) -> float:
     tau vanishes exactly on separable states, ranges up to 1/2, and equals
     half the concurrence.
     """
-    g = _state(psi, PureState, 2, "psi").amplitudes
+    g = _instance(psi, PureState, 2, "psi").amplitudes
     return float(abs(g[0] * g[3] - g[1] * g[2]))
 
 
@@ -147,7 +147,7 @@ def negativity(rho: DensityMatrix) -> float:
     is exact at dimension 2x2), which covers the mixed inputs that pure
     state diagnostics cannot.
     """
-    return float(_negativities(_state(rho, DensityMatrix, 2, "rho").matrix))
+    return float(_negativities(_instance(rho, DensityMatrix, 2, "rho").matrix))
 
 
 def _check_density(m: np.ndarray) -> None:
@@ -155,22 +155,30 @@ def _check_density(m: np.ndarray) -> None:
 
     Each check runs over the whole stack at once: finite entries first (a
     NaN would pass every check below, since each comparison with it is
-    False), then Hermiticity, unit trace and the smallest eigenvalue. A
-    failing check quotes the value of the first matrix that fails it.
+    False), then Hermiticity, unit trace and positivity. A failing check
+    quotes the value of the first matrix that fails it.
+
+    One batched Cholesky of m + positivity * 1 decides positivity: the
+    factor exists exactly when every eigenvalue is above -positivity. Only
+    if it fails does ``eigvalsh`` run, to decide as before (an eigenvalue
+    of exactly -positivity passes) and quote the first failing value.
+    Both read the lower triangle only.
     """
     if not np.isfinite(m).all():
         raise ValueError("matrix has non-finite entries")
-    defect = np.abs(m - m.conj().swapaxes(-1, -2)).max(axis=(-2, -1), initial=0.0)
-    if (defect > DEFAULT.hermiticity).any():
+    if (np.abs(m - m.conj().swapaxes(-1, -2)) > DEFAULT.hermiticity).any():
         raise ValueError("density matrix is not Hermitian")
     tr = np.trace(m, axis1=-2, axis2=-1)
     bad = np.abs(tr - 1.0) > DEFAULT.hermiticity
     if bad.any():
         raise ValueError(f"density matrix trace {complex(_first(tr, bad))} is not 1")
-    w0 = np.linalg.eigvalsh(m)[..., 0]
-    bad = w0 < -DEFAULT.positivity
-    if bad.any():
-        raise ValueError(f"density matrix has negative eigenvalue {_first(w0, bad)}")
+    try:
+        np.linalg.cholesky(m + DEFAULT.positivity * np.eye(m.shape[-1]))
+    except np.linalg.LinAlgError:
+        w0 = np.linalg.eigvalsh(m)[..., 0]
+        bad = w0 < -DEFAULT.positivity
+        if bad.any():
+            raise ValueError(f"density matrix has negative eigenvalue {_first(w0, bad)}") from None
 
 
 def _first(values, bad):
@@ -187,7 +195,7 @@ def _negativities(m: np.ndarray) -> np.ndarray:
 
 def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:
     """(1/2) tr|a - b|: operational distinguishability of two states."""
-    _state(a, DensityMatrix, None, "a")
-    _state(b, DensityMatrix, a.n_qubits, "b")
+    _instance(a, DensityMatrix, None, "a")
+    _instance(b, DensityMatrix, a.n_qubits, "b")
     w = np.linalg.eigvalsh(a.matrix - b.matrix)
     return float(0.5 * np.sum(np.abs(w)))

@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 
 from udmlab import linalg
+from udmlab.circuits import AuditRecord
+from udmlab.states import PureState, _check_density, _negativities
 
 
 @pytest.fixture
@@ -121,3 +123,46 @@ def diagonal_intermediate_map(k, env, t1, t_star):
     lam = diagonal_coherence_factor(k, env, t_star) / c1
     superop = np.diag([1.0, lam, np.conj(lam), 1.0])
     return superop, min(0.0, 1.0 - abs(lam)), abs(lam) <= 1.0
+
+
+def eigvalsh_verdict(m, positivity):
+    """(smallest eigenvalue, rejected) of Hermitian m from numpy's eigvalsh alone.
+
+    rejected is True when the smallest eigenvalue is below -positivity.
+    """
+    w0 = np.linalg.eigvalsh(m)[0]
+    return w0, bool(w0 < -positivity)
+
+
+def run_circuit_by_factor_list(circuit, psi, tol=1e-9):
+    """run_circuit's loop with its pair factors collected in a list.
+
+    Each two-qubit block appends the transposed register m and u m, and
+    np.array stacks them after the loop: the reference that the factors
+    written straight into one stack must match byte for byte.
+    """
+    n = circuit.n_qubits
+    shape = (2,) * n
+    t = psi.amplitudes.reshape(shape)
+    blocks, factors = [], []
+    for pos, g in enumerate(circuit.gates, start=1):
+        perm = [q - 1 for q in g.qubits]
+        perm += [a for a in range(n) if a not in perm]
+        rows = 2 ** len(g.qubits)
+        m = t.transpose(perm).reshape(rows, -1)
+        out = np.dot(g.gate.unitary, m)
+        t = out.reshape(shape).transpose([perm.index(a) for a in range(n)])
+        if rows == 4:
+            blocks.append((pos, g))
+            factors += (m, out)
+    records = ()
+    if factors:
+        mm = np.array(factors)
+        stack = mm @ mm.conj().swapaxes(-1, -2)
+        _check_density(stack)
+        negs = _negativities(stack).tolist()
+        records = tuple(
+            AuditRecord(pos, g.name, g.qubits, neg_in, neg_out, neg_in <= tol, neg_out <= tol)
+            for (pos, g), neg_in, neg_out in zip(blocks, negs[0::2], negs[1::2])
+        )
+    return PureState(t.reshape(-1)), records

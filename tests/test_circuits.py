@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from udmlab import (
 from udmlab import circuits as circuits_mod
 from udmlab.circuits import AuditRecord
 from udmlab.tolerances import DEFAULT, Tolerances
-from conftest import H, SINGLET_PROJECTOR, SWAP, X, random_pure
+from conftest import H, SINGLET_PROJECTOR, SWAP, X, random_pure, run_circuit_by_factor_list
 
 
 def basis_state(n, bits):
@@ -322,7 +323,70 @@ def test_circuit_unitary_returns_a_fresh_array_each_call(circuit):
     assert not any(np.shares_memory(u, g.gate.unitary) for u in (first, second) for g in circuit.gates)
     want = second.tobytes()
     first[...] = 7
+    assert second.tobytes() == want
     assert circuit_unitary(circuit).tobytes() == want
+
+
+def x_swap_circuits():
+    x, swap = lambda q: PlacedGate("X", (q,)), lambda a, b: PlacedGate("SWAP", (a, b))
+    return [
+        Circuit(2, (swap(1, 2),)),
+        Circuit(3, (x(2), swap(1, 3), swap(3, 2), x(1))),
+        Circuit(5, (x(1), swap(1, 5), x(3), swap(2, 4), swap(5, 3), x(5), swap(1, 2))),
+        Circuit(8, tuple(swap(q, 9 - q) for q in range(1, 5)) + (x(8), swap(8, 1))),
+    ]
+
+
+def test_run_circuit_equals_the_factor_list_reference_bytewise(rng):
+    # the pair factors written straight into one stack, against the loop that
+    # collected them in a list and stacked them with np.array afterwards
+    no_pair = Circuit(3, (PlacedGate("H", (1,)), PlacedGate("X", (3,)), PlacedGate("H", (2,))))
+    circuits = [build_qft(n) for n in range(2, 9)] + [no_pair] + x_swap_circuits()
+    for circuit in circuits:
+        n = circuit.n_qubits
+        inputs = [basis_state(n, format(v, f"0{n}b")) for v in rng.choice(2**n, size=2, replace=False)]
+        inputs += [PureState(random_pure(rng, 2**n)) for _ in range(2)]
+        for psi in inputs:
+            out, audit = run_circuit(circuit, psi)
+            want_out, want_records = run_circuit_by_factor_list(circuit, psi)
+            assert out.amplitudes.tobytes() == want_out.amplitudes.tobytes()
+            assert audit.records == want_records
+            negs = [(r.negativity_in, r.negativity_out) for r in audit.records]
+            want_negs = [(r.negativity_in, r.negativity_out) for r in want_records]
+            assert np.array(negs).tobytes() == np.array(want_negs).tobytes()
+
+
+def traced_peak(call):
+    """Bytes tracemalloc sees allocated at the peak of call(), beyond those held before."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        result = call()  # held until the peak is read
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    return peak
+
+
+def test_circuit_unitary_allocates_two_registers_at_n8():
+    # the held and spare 4^n buffers, the result being the spare one, and
+    # 64 KiB for the rest: a third 4^n copy or per-slice buffers would exceed it
+    circuit = build_qft(8)
+    circuit_unitary(circuit)
+    assert traced_peak(lambda: circuit_unitary(circuit)) <= 2 * 4**8 * 16 + 64 * 1024
+
+
+def test_run_circuit_allocates_at_most_600_kib_at_n8(rng):
+    # the (2B, 4, 2^(n-2)) factor stack and its conjugate, 256 KiB each at n = 8,
+    # and the pair densities; a list of factors copied by np.array adds 256 KiB
+    circuit = build_qft(8)
+    for psi in (basis_state(8, "00000011"), PureState(random_pure(rng, 256))):
+        run_circuit(circuit, psi)
+        assert traced_peak(lambda: run_circuit(circuit, psi)) <= 600 * 1024
 
 
 @pytest.mark.parametrize(

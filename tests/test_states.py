@@ -12,7 +12,8 @@ from udmlab import (
     trace_distance,
 )
 from udmlab.states import _check_density
-from conftest import random_density, random_pure, random_unitary
+from udmlab.tolerances import DEFAULT
+from conftest import eigvalsh_verdict, random_density, random_pure, random_unitary
 
 BELL = PureState([1, 0, 0, 1])
 
@@ -164,6 +165,49 @@ def test_check_density_rejects_one_bad_matrix_anywhere_in_a_stack(rng):
             with pytest.raises(ValueError) as stacked:
                 _check_density(stack)
             assert str(stacked.value) == str(single.value), (kind, position)
+
+
+@pytest.mark.parametrize(
+    "scale, rejected",
+    [(-2.0, True), (-1.0000001, True), (-1.0, False), (-0.9999999, False), (-0.5, False)],
+)
+def test_positivity_verdict_at_the_boundary_in_mid_stack(rng, scale, rejected):
+    # diag(1 - lam, lam, 0, 0) with lam = scale * positivity: an eigenvalue of
+    # exactly -positivity passes, and a failure quotes lam itself
+    lam = scale * DEFAULT.positivity
+    stack = np.array([random_density(rng, 4) for _ in range(5)])
+    stack[2] = np.diag([1.0 - lam, lam, 0.0, 0.0])
+    if rejected:
+        with pytest.raises(ValueError) as exc:
+            _check_density(stack)
+        assert str(exc.value) == f"density matrix has negative eigenvalue {lam}"
+    else:
+        _check_density(stack)
+
+
+def test_positivity_verdict_agrees_with_eigvalsh_near_the_boundary():
+    # unit-trace Hermitian matrices whose smallest eigenvalue lies 1e-16..1e-8 either
+    # side of -positivity; within 1e-14 of it rounding may decide either way
+    rng = np.random.default_rng(20261019)
+    p = DEFAULT.positivity
+    verdicts = {True: 0, False: 0}
+    for _ in range(2000):
+        lam = -p + rng.choice([-1.0, 1.0]) * 10 ** rng.uniform(-16, -8)
+        w = np.concatenate(([lam], rng.dirichlet(np.ones(3)) * (1.0 - lam)))
+        u = random_unitary(rng, 4)
+        m = (u * w) @ u.conj().T
+        m = (m + m.conj().T) / 2.0
+        w0, rejected = eigvalsh_verdict(m, p)
+        if abs(w0 + p) < 1e-14:
+            continue
+        verdicts[rejected] += 1
+        if not rejected:
+            _check_density(m)
+        else:
+            with pytest.raises(ValueError) as exc:
+                _check_density(m)
+            assert str(exc.value) == f"density matrix has negative eigenvalue {w0}"
+    assert min(verdicts.values()) > 500, verdicts
 
 
 def negativity_as_before(rho):

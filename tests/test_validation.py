@@ -9,9 +9,11 @@ value must be positive or is a 1-based qubit. A second table holds
 malformed arguments that are no scalar: a state of the wrong type or
 qubit count, a generator that is not a Hermitian 4x4 matrix, a qubit that
 is not 1 or 2, a time beyond the phase bound and an interval that is no
-pair of finite times. Each passes through one of ``states._state``,
-``linalg._hermitian``, ``tolerances._which`` and ``linalg._check_phase``,
-so each message starts with the argument's name as well.
+pair of finite times, and a grid, trajectory, map, Choi matrix or gate
+that is a plain array or tuple. Each passes through one of
+``states._instance``, ``linalg._hermitian``, ``tolerances._which`` and
+``linalg._check_phase``, so each message starts with the argument's name
+as well.
 """
 import re
 
@@ -28,16 +30,20 @@ from udmlab import (
     apply_map,
     build_qft,
     c_phase,
+    choi,
     densify,
     dft_matrix,
+    entanglement_profile,
     equal_up_to_phase,
     evolve_trajectory,
     find_entangled_instant,
     gate_from_generator,
     generator_from_unitary,
     induced_map,
+    intermediate_map,
     is_cptp,
     is_entangling,
+    kraus_decompose,
     local_pair_maps,
     local_phase,
     matexp_hermitian,
@@ -206,6 +212,27 @@ STRUCTURED = [
      "^interval must be a pair"),
     ("map-interval-triple", lambda: DynamicalMap(np.eye(4), None, (0.0, 0.5, 1.0), 1),
      "^interval must be a pair"),
+    # a plain array or tuple where a grid, trajectory, map, Choi matrix or gate
+    # is meant: AttributeError on .t_start, .joint_states, .superoperator,
+    # .which_qubit, .eigenvalues or .n_qubits before
+    ("evolve_trajectory-tuple-grid", lambda: evolve_trajectory(K, RHO, (0.0, 1.0, 4)),
+     "^grid must be a TimeGrid, got tuple$"),
+    ("entanglement_profile-array", lambda: entanglement_profile(TRAJ.joint_states),
+     "^traj must be a Trajectory, got ndarray$"),
+    ("find_entangled_instant-array", lambda: find_entangled_instant(TRAJ.joint_states),
+     "^traj must be a Trajectory, got ndarray$"),
+    ("apply_map-array", lambda: apply_map(MAP.superoperator, ENV),
+     "^m must be a DynamicalMap, got ndarray$"),
+    ("choi-array", lambda: choi(np.eye(4)), "^m must be a DynamicalMap, got ndarray$"),
+    ("is_cptp-array", lambda: is_cptp(np.eye(4)), "^m must be a DynamicalMap, got ndarray$"),
+    ("intermediate_map-array-short", lambda: intermediate_map(np.eye(4), MAP),
+     "^e_short must be a DynamicalMap, got ndarray$"),
+    ("intermediate_map-array-long", lambda: intermediate_map(MAP, np.eye(4)),
+     "^e_long must be a DynamicalMap, got ndarray$"),
+    ("kraus_decompose-array", lambda: kraus_decompose(np.eye(4)),
+     "^c must be a ChoiMatrix, got ndarray$"),
+    ("is_entangling-array", lambda: is_entangling(GATE.unitary), "^g must be a Gate, got ndarray$"),
+    ("apply-array", lambda: apply(GATE.unitary, PSI2), "^g must be a Gate, got ndarray$"),
 ]
 
 
