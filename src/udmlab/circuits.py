@@ -214,13 +214,10 @@ def run_circuit(
         stack = factors @ factors.conj().swapaxes(-1, -2)
         _check_density(stack)
         negs = _negativities(stack).tolist()
-        records = tuple(
-            AuditRecord(
-                pos, g.name, g.qubits, neg_in, neg_out,
-                separable_in=neg_in <= tol, separable_out=neg_out <= tol,
-            )
+        records = tuple([
+            AuditRecord(pos, g.name, g.qubits, neg_in, neg_out, neg_in <= tol, neg_out <= tol)
             for (pos, g), neg_in, neg_out in zip(circuit._blocks, negs[0::2], negs[1::2])
-        )
+        ])
     return PureState(t.transpose(circuit._final).reshape(-1)), BlockAudit(records)
 
 
