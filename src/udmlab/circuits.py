@@ -36,6 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -136,8 +137,7 @@ class Circuit:
         object.__setattr__(self, "_blocks", blocks)
 
 
-@dataclass(frozen=True)
-class AuditRecord:
+class AuditRecord(NamedTuple):
     """Entanglement across a 2-qubit gate's pair, just before and after it."""
 
     position: int  # 1-based slot of the gate in the circuit

@@ -4,16 +4,15 @@ Five analysis commands (analyze-gate, trajectory, map, divisibility, qft)
 each run one batch analysis and print a JSON report to stdout; ``--out``
 also writes it to a file, and the commands that produce a time series or
 audit table (trajectory, qft) write a CSV next to it with the extension
-swapped to .csv, so their ``--out`` may not end in .csv itself. Numbers
-are serialized with 15 significant digits so that reruns of the same
-scenario and seed are byte-identical.
+swapped to .csv, so their ``--out`` may not end in .csv itself.
 
 ``main`` loads the scenario, resolves tolerances and seed and writes the
 report envelope; each ``_cmd_*`` returns only its own report keys, as
 plain library values (floats, complex arrays, tuples), and CSV text.
-``_plain`` (the JSON report) and ``_csv`` (the CSV records) are the only
-places that format numbers. A subcommand accepts only the flags its
-command reads.
+``_json_text`` (the JSON report, in one pass) and ``_csv`` (the CSV
+records) are the only code that formats numbers, at 15 significant
+digits, so reruns of the same scenario and seed are byte-identical. A
+subcommand accepts only the flags its command reads.
 
 Exit codes: 0 success, 2 input/scenario error, 3 internal invariant
 violation. The UDMLAB_TOL_OVERRIDE environment variable may hold a JSON
@@ -27,6 +26,7 @@ import json
 import os
 import sys
 from dataclasses import fields as dataclass_fields
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
 import numpy as np
@@ -43,52 +43,84 @@ _TOL_FIELDS = {f.name for f in dataclass_fields(Tolerances)}
 # serialization
 
 
-def _sig15(x: float) -> float:
-    # round-trip through 15 significant digits for stable golden output
-    return float(f"{float(x):.15g}")
+class _Exact(dict):
+    """A report entry written exactly as given, floats unrounded."""
 
 
-def _plain(x):
-    """The JSON value of a report entry, numbers at 15 significant digits.
+def _number(x: float) -> str:
+    """json's text of x at 15 significant digits; for 0 and a normal |x| < 1e14, whose
+    .15g text round-trips through a double, that text plus the ".0" of an integral value."""
+    text = f"{x:.15g}"
+    if 1e-300 < abs(x) < 1e14 or x == 0:
+        return text if "." in text or "e" in text else text + ".0"
+    return json.dumps(float(text))
 
-    Arrays become nested lists, a complex number an [re, im] pair, a tuple a
-    list; dicts are converted entry by entry, and bools, ints, strings and
-    None pass through.
+
+def _json_text(x, nl: str = "\n") -> str:
+    """The bytes ``json.dumps(value, indent=2)`` writes, floats at 15 significant digits.
+
+    An array is written as its nested lists, a complex number as an [re, im]
+    pair, a tuple as a list and an ``_Exact`` dict by json itself. Dict keys
+    are strings; nl is the newline and indent of the line the value starts on.
     """
-    if isinstance(x, dict):
-        return {k: _plain(v) for k, v in x.items()}
-    if isinstance(x, np.ndarray):
-        x = x.tolist()
-    if isinstance(x, (list, tuple)):
-        return [_plain(v) for v in x]
-    if isinstance(x, complex):
-        return [_sig15(x.real), _sig15(x.imag)]
     if isinstance(x, float):
-        return _sig15(x)
-    return x
+        return _number(x)
+    if isinstance(x, str):
+        return _quote(x)
+    if x is None:
+        return "null"
+    if isinstance(x, bool):
+        return "true" if x else "false"
+    if isinstance(x, int):
+        return int.__repr__(x)
+    if isinstance(x, np.ndarray):
+        return _array_text(x, nl) if x.size and x.dtype.kind in "fc" else _json_text(x.tolist(), nl)
+    if isinstance(x, _Exact):
+        return json.dumps(x, indent=2).replace("\n", nl)
+    if isinstance(x, complex):
+        x = (x.real, x.imag)
+    inner = nl + "  "
+    if isinstance(x, dict):
+        items = [f"{_quote(k)}: {_json_text(v, inner)}" for k, v in x.items()]
+        return "{" + inner + ("," + inner).join(items) + nl + "}" if items else "{}"
+    if isinstance(x, (list, tuple)):
+        items = [_json_text(v, inner) for v in x]
+        return "[" + inner + ("," + inner).join(items) + nl + "]" if items else "[]"
+    raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
+
+
+def _array_text(a: np.ndarray, nl: str) -> str:
+    """``_json_text`` of a non-empty float or complex array: all numbers, then the nesting."""
+    if a.dtype.kind == "c":
+        a = np.stack([a.real, a.imag], axis=-1)  # each entry an [re, im] pair
+    texts = [_number(v) for v in a.ravel().tolist()]
+    for depth in range(a.ndim - 1, -1, -1):  # innermost axis first
+        outer = nl + "  " * depth
+        sep, n = "," + outer + "  ", a.shape[depth]
+        texts = [f"[{outer}  {sep.join(texts[i:i + n])}{outer}]" for i in range(0, len(texts), n)]
+    return texts[0]
 
 
 def _csv(records) -> str:
-    """CSV of dataclass records: their field names, then one line per record.
+    """CSV of named-tuple records: their field names, then one line per record.
 
     Floats take 15 significant digits, None an empty cell, booleans are
     lower-case and a tuple of qubits is joined with ';'.
     """
-    rows = [vars(r) for r in records]
-    lines = [",".join(rows[0])]
-    lines += [",".join(_csv_cell(v) for v in row.values()) for row in rows]
+    lines = [",".join(records[0]._fields)]
+    lines += [",".join(map(_csv_cell, r)) for r in records]
     return "\n".join(lines) + "\n"
 
 
 def _csv_cell(x) -> str:
+    if isinstance(x, float):
+        return f"{x:.15g}"
     if x is None:
         return ""
     if isinstance(x, bool):
         return str(x).lower()
     if isinstance(x, tuple):
         return ";".join(map(str, x))
-    if isinstance(x, float):
-        return f"{x:.15g}"
     return str(x)
 
 
@@ -231,7 +263,7 @@ def _input_from_scenario(scenario: dict, n_qubits: int | None = None) -> states.
 
 
 def _grid_from_scenario(
-    scenario: dict, args, gate: gates.Gate, tol: Tolerances
+    scenario: dict, gate: gates.Gate, tol: Tolerances, steps: int | None = None
 ) -> dynamics.TimeGrid:
     spec = scenario.get("grid", {})
     if not isinstance(spec, dict):
@@ -242,10 +274,9 @@ def _grid_from_scenario(
     t_end = _real(spec.get("t_end", t_start + gate.duration), "grid.t_end")
     # the grid is evolved over t - t_start, so the span is bounded as well
     linalg._check_phase(w, max(abs(t_end), t_end - t_start), "grid.t_end", tol.reconstruction)
-    steps = _integer(spec.get("steps", dynamics.DEFAULT_STEPS), "grid.steps")
-    if args.steps is not None:
-        steps = args.steps
-    return dynamics.TimeGrid(t_start, t_end, steps)
+    # the scenario's count is checked even when --steps (steps) replaces it
+    count = _integer(spec.get("steps", dynamics.DEFAULT_STEPS), "grid.steps")
+    return dynamics.TimeGrid(t_start, t_end, count if steps is None else steps)
 
 
 def _product_input(scenario: dict, tol: Tolerances):
@@ -288,10 +319,10 @@ def _cmd_analyze_gate(scenario: dict, args, tol: Tolerances, seed: int) -> tuple
 def _cmd_trajectory(scenario: dict, args, tol: Tolerances, seed: int) -> tuple[dict, str]:
     gate = _gate_from_scenario(scenario, tol)
     psi = _input_from_scenario(scenario, n_qubits=2)
-    grid = _grid_from_scenario(scenario, args, gate, tol)
+    grid = _grid_from_scenario(scenario, gate, tol, args.steps)
     traj = dynamics.evolve_trajectory(gate.generator, states.densify(psi), grid)
     profile = dynamics.entanglement_profile(traj)
-    hit = dynamics.find_entangled_instant(traj, tol=tol.entanglement)
+    hit = next((p for p in profile if p.negativity > tol.entanglement), None)
     body = {
         "grid": {
             "t_start": grid.t_start,
@@ -299,8 +330,8 @@ def _cmd_trajectory(scenario: dict, args, tol: Tolerances, seed: int) -> tuple[d
             "steps": grid.steps,
             "epsilon": grid.epsilon,
         },
-        "t1": None if hit is None else hit[0],
-        "t1_negativity": None if hit is None else hit[1],
+        "t1": None if hit is None else hit.t,  # find_entangled_instant's, from the profile
+        "t1_negativity": None if hit is None else hit.negativity,
         "max_negativity": max(p.negativity for p in profile),
         "endpoint_purity": profile[-1].purity,
     }
@@ -340,7 +371,7 @@ def _map_report(m: maps.DynamicalMap, tol: Tolerances, rng) -> dict:
 def _cmd_map(scenario: dict, args, tol: Tolerances, seed: int) -> tuple[dict, None]:
     gate = _gate_from_scenario(scenario, tol)
     _, which, env, marginals = _product_input(scenario, tol)
-    grid = _grid_from_scenario(scenario, args, gate, tol)
+    grid = _grid_from_scenario(scenario, gate, tol)
     t = grid.t_end - grid.t_start
     rng = np.random.default_rng(seed)
 
@@ -359,7 +390,7 @@ def _cmd_map(scenario: dict, args, tol: Tolerances, seed: int) -> tuple[dict, No
 def _cmd_divisibility(scenario: dict, args, tol: Tolerances, seed: int) -> tuple[dict, None]:
     gate = _gate_from_scenario(scenario, tol)
     rho, which, env, _ = _product_input(scenario, tol)
-    grid = _grid_from_scenario(scenario, args, gate, tol)
+    grid = _grid_from_scenario(scenario, gate, tol)
     if "t1" not in scenario:
         raise ValueError("divisibility needs a 't1' intermediate time in the scenario")
     t1 = _real(scenario["t1"], "t1")
@@ -421,7 +452,7 @@ def _cmd_qft(scenario: dict, args, tol: Tolerances, seed: int) -> tuple[dict, st
         "circuit": circuits.circuit_to_dict(circuit),
         "dft_residual": residual,
         "output_amplitudes": out.amplitudes,
-        "audit": [vars(r) for r in audit.records],
+        "audit": [r._asdict() for r in audit.records],
         "all_separable": audit.all_separable(),
     }
     return body, _csv(audit.records)
@@ -455,9 +486,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="write the JSON report here (CSV beside it when produced)")
         p.add_argument("--tol-cp", type=float, default=None, help="override the CP tolerance")
         p.add_argument("--seed", type=int, default=None, help="seed for randomized sweeps")
-    for name in ("trajectory", "map", "divisibility"):
-        subs[name].add_argument("--steps", type=int, default=None,
-                                help="override the grid step count")
+    subs["trajectory"].add_argument("--steps", type=int, default=None,
+                                    help="override the grid step count")
     subs["map"].add_argument("--both-qubits", action="store_true",
                              help="report the maps of both qubits")
     subs["qft"].add_argument("--n", type=int, default=None, help="number of qubits (2..8)")
@@ -471,7 +501,7 @@ def _emit(report: dict, csv_text: str | None, out: str | None):
     path = Path(out) if out else None
     if path and csv_text is not None and path.suffix == ".csv":
         raise ValueError(f"--out {out} must not end in .csv: the CSV report is written there")
-    text = json.dumps(report, indent=2) + "\n"
+    text = _json_text(report) + "\n"
     sys.stdout.write(text)
     if path:
         path.write_text(text, encoding="utf-8")
@@ -486,10 +516,10 @@ def main(argv=None) -> int:
         tol, env_echo = _resolve_tolerances(scenario, args)
         seed = _resolve_seed(scenario, args)
         body, csv_text = _COMMANDS[args.command](scenario, args, tol, seed)
-        report = {"command": args.command, "seed": seed, "tolerances": _plain(tol.as_dict())}
+        report = {"command": args.command, "seed": seed, "tolerances": tol.as_dict()}
         if env_echo is not None:
-            report["env_tol_override"] = env_echo  # exactly as given
-        _emit({**report, **_plain(body)}, csv_text, args.out)
+            report["env_tol_override"] = _Exact(env_echo)
+        _emit({**report, **body}, csv_text, args.out)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -10,6 +10,7 @@ points form one (steps + 1, 4, 4) stack, evolved and audited as a whole.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -65,8 +66,7 @@ class Trajectory:
     joint_states: np.ndarray
 
 
-@dataclass(frozen=True)
-class ProfilePoint:
+class ProfilePoint(NamedTuple):
     t: float
     negativity: float
     tau: float | None  # only defined when the joint state is pure

@@ -11,7 +11,7 @@ takes a boolean: True would read as a time, tolerance or qubit of 1.
 import numbers
 import operator
 import sys
-from dataclasses import dataclass, asdict, replace
+from dataclasses import dataclass, replace
 
 
 def _real(value, what: str, positive: bool = False) -> float:
@@ -62,10 +62,10 @@ class Tolerances:
             object.__setattr__(self, name, _real(value, f"tolerance {name}", positive=True))
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        return self.__dict__.copy()  # the fields in order, each a float
 
     def override(self, **kwargs) -> "Tolerances":
-        return replace(self, **kwargs)
+        return replace(self, **kwargs) if kwargs else self
 
 
 DEFAULT = Tolerances()

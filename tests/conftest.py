@@ -5,6 +5,8 @@ traces are explicit double sums, reduced maps are evaluated by evolving
 the full joint state, and series expansions are summed term by term.
 Frozen expected values in the tests were computed with these.
 """
+import json
+
 import numpy as np
 import pytest
 
@@ -166,3 +168,34 @@ def run_circuit_by_factor_list(circuit, psi, tol=1e-9):
             for (pos, g), neg_in, neg_out in zip(blocks, negs[0::2], negs[1::2])
         )
     return PureState(t.reshape(-1)), records
+
+
+def sig15(x):
+    """x rounded to 15 significant digits, the precision reports print."""
+    return float(f"{float(x):.15g}")
+
+
+def plain(x):
+    """The JSON value of a report entry, numbers at 15 significant digits.
+
+    Arrays become nested lists, a complex number an [re, im] pair, a tuple a
+    list; dicts are converted entry by entry, and bools, ints, strings and
+    None pass through.
+    """
+    if isinstance(x, dict):
+        return {k: plain(v) for k, v in x.items()}
+    if isinstance(x, np.ndarray):
+        x = x.tolist()
+    if isinstance(x, (list, tuple)):
+        return [plain(v) for v in x]
+    if isinstance(x, complex):
+        return [sig15(x.real), sig15(x.imag)]
+    if isinstance(x, float):
+        return sig15(x)
+    return x
+
+
+def report_json(value):
+    """json.dumps(plain(value), indent=2): the standard library's report text,
+    the reference for the CLI's one-pass writer."""
+    return json.dumps(plain(value), indent=2)

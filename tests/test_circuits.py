@@ -351,6 +351,7 @@ def test_run_circuit_equals_the_factor_list_reference_bytewise(rng):
             want_out, want_records = run_circuit_by_factor_list(circuit, psi)
             assert out.amplitudes.tobytes() == want_out.amplitudes.tobytes()
             assert audit.records == want_records
+            assert all(type(r) is AuditRecord for r in audit.records)
             negs = [(r.negativity_in, r.negativity_out) for r in audit.records]
             want_negs = [(r.negativity_in, r.negativity_out) for r in want_records]
             assert np.array(negs).tobytes() == np.array(want_negs).tobytes()

@@ -12,10 +12,12 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import udmlab
-from udmlab import cli, maps, states
+from udmlab import cli, dynamics, gates, maps, states
+from udmlab.circuits import AuditRecord
 from udmlab.cli import main
+from udmlab.dynamics import ProfilePoint
 from udmlab.tolerances import DEFAULT
-from conftest import random_hermitian, random_pure
+from conftest import plain, random_hermitian, random_pure, report_json
 
 
 @pytest.fixture
@@ -465,6 +467,8 @@ def test_out_ending_in_csv_is_refused_before_any_output(scenario_file, capsys, t
         ["qft", "--both-qubits"],
         ["trajectory", "--both-qubits"],
         ["divisibility", "--n", "3"],
+        ["map", "--steps", "3"],
+        ["divisibility", "--steps", "3"],
     ],
 )
 def test_flag_the_command_does_not_read_is_rejected(argv, capsys):
@@ -590,3 +594,96 @@ def test_malformed_scenario_field_never_exits_3(field, value, tmp_path_factory, 
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main([command, "--scenario", str(file)])
     assert code in (0, 2), err.getvalue()
+
+
+# the values the one-pass JSON writer must write exactly as json.dumps(plain(value), indent=2)
+WRITER_CASES = {
+    "nested empty dicts and lists": {"a": {}, "b": [], "c": {"d": [[], {}, [[]]]}, "e": {"f": {}}},
+    "tuples": (1, (2.5, "x", ()), [(), (None,)]),
+    "0-d complex array": np.array(1 / 3 - 2j),
+    "2-d complex array": np.array([[1 + 1j, -0.0 - 1e-17j], [np.pi, 1e20j], [0j, 5e-324j]]),
+    "complex scalars": [0.1 + 0.2j, complex(-0.0, 1e300), np.complex128(2 / 3 - 1j)],
+    "float edge values": [-0.0, 0.0, 5e-324, 2.2250738585072014e-308, 1e-300, 1e300, 0.1 + 0.2,
+                          1.7976931348623157e308, 99999999999999.99, 1e14, 1e15, 1e16, 1e-5, 1e-4,
+                          123.0, -1 / 3, np.float64(2 / 3)],
+    "non-finite floats": [float("nan"), float("inf"), -float("inf"), np.array([np.nan, -np.inf])],
+    "bools next to ints": [True, False, 0, 1, 10**30, -7, None, {"t": True, "z": 0}],
+    "non-ASCII and control characters": {"k\u00e9\n\t\x00\u2028\U0001f600": "\u00ff\x1f\"\\/\r",
+                                         "": "", "\x7f": ["\u0101", "a\x08b"]},
+    "float arrays": [np.arange(6.0).reshape(2, 3) / 7, np.ones((2, 1, 2)), np.float32([0.1, 3])],
+    "other arrays": [np.zeros(0), np.zeros((2, 0), dtype=complex), np.arange(3), np.array([True])],
+}
+
+
+@pytest.mark.parametrize("name", sorted(WRITER_CASES))
+def test_writer_matches_the_standard_library(name):
+    value = WRITER_CASES[name]
+    assert cli._json_text(value) == report_json(value)
+    nested = {"command": "x", "body": [value, {"again": value}]}
+    assert cli._json_text(nested) == report_json(nested)
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(x=st.floats() | st.floats(-1e15, 1e15) | st.floats(-1e-290, 1e-290))
+def test_writer_rounds_every_float_as_the_standard_library(x):
+    assert cli._json_text([x, complex(x, -x)]) == report_json([x, complex(x, -x)])
+
+
+def test_writer_echoes_an_exact_dict_unrounded():
+    echo = {"cp": 1.2345678901234567e-06, "positivity": 1, "entanglement": 0.1 + 0.2}
+    value = {"tolerances": {"cp": 1.2345678901234567e-06}, "echo": cli._Exact(echo), "n": [1]}
+    want = json.dumps({"tolerances": plain(value["tolerances"]), "echo": echo, "n": [1]}, indent=2)
+    assert cli._json_text(value) == want
+    assert '"cp": 1.2345678901234567e-06' in want
+
+
+@pytest.mark.parametrize("leaf", [np.int64(3), np.float32(0.5), np.bool_(True)])
+def test_writer_rejects_numpy_leaves_as_json_does(leaf, scenario_file, capsys, monkeypatch):
+    with pytest.raises(TypeError) as want:
+        report_json({"a": [1.5, leaf]})
+    with pytest.raises(TypeError) as got:
+        cli._json_text({"a": [1.5, leaf]})
+    assert str(got.value) == str(want.value)
+    # inside a report the leaf is an internal error, with nothing printed to stdout
+    monkeypatch.setitem(cli._COMMANDS, "analyze-gate", lambda *_: ({"a": [1.5, leaf]}, None))
+    code, out, err = run(capsys, "analyze-gate", "--scenario", scenario_file({}))
+    assert (code, out) == (3, "")
+    assert err == f"internal error: TypeError: {want.value}\n"
+
+
+def test_record_fields_fix_report_keys_and_csv_headers(capsys, scenario_file, tmp_path):
+    assert AuditRecord._fields == ("position", "name", "qubits", "negativity_in",
+                                   "negativity_out", "separable_in", "separable_out")
+    assert ProfilePoint._fields == ("t", "negativity", "tau", "purity")
+    code, out, _ = run(capsys, "qft", "--n", "2", "--out", str(tmp_path / "q.json"))
+    assert code == 0
+    assert list(json.loads(out)["audit"][0]) == list(AuditRecord._fields)
+    assert (tmp_path / "q.csv").read_text().splitlines()[0] == ",".join(AuditRecord._fields)
+
+
+def test_trajectory_takes_every_negativity_once(scenario_file, capsys, monkeypatch):
+    calls = []
+
+    def counting(m):
+        calls.append(len(m))
+        return states._negativities(m)
+
+    monkeypatch.setattr(dynamics, "_negativities", counting)
+    path = scenario_file({"gate": CPI, **PLUS_PLUS, "grid": {"steps": 100}})
+    code, _, _ = run(capsys, "trajectory", "--scenario", path)
+    assert code == 0
+    assert calls == [101]
+
+
+@pytest.mark.parametrize("tol", [1e-6, 0.1, 0.35, 0.49, 0.6])
+@pytest.mark.parametrize("inp", [["+", "+"], ["+", "+i"], ["0", "+"]])
+def test_trajectory_t1_is_find_entangled_instant(tol, inp, scenario_file, capsys):
+    scenario = {"gate": CPI, "input": inp, "grid": {"steps": 40}, "tolerances": {"entanglement": tol}}
+    code, out, _ = run(capsys, "trajectory", "--scenario", scenario_file(scenario))
+    assert code == 0
+    report = json.loads(out)
+    traj = dynamics.evolve_trajectory(gates.c_phase(np.pi).generator,
+                                      states.densify(states.product_state(inp)), dynamics.TimeGrid(0, 1, 40))
+    hit = dynamics.find_entangled_instant(traj, tol=tol)
+    want = (None, None) if hit is None else tuple(plain(list(hit)))
+    assert (report["t1"], report["t1_negativity"]) == want
