@@ -5,7 +5,11 @@ state is computed by exact spectral propagation from the initial state to
 its own time, never by chaining small steps, so refining the grid changes
 what is observed but not the numbers at shared points. The composite is
 isolated, hence global purity stays constant along every trajectory. All
-points form one (steps + 1, 4, 4) stack, evolved and audited as a whole.
+points form one (steps + 1, 4, 4) stack, evolved and audited as a whole:
+the purities are computed once, for the drift check, and the profile reads
+them from the trajectory; tau is read off the density stack with the
+determinant that ``states.pure_entanglement`` uses, with no
+eigendecomposition.
 """
 from __future__ import annotations
 
@@ -15,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import linalg
-from .states import DensityMatrix, _check_density, _instance, _negativities
+from .states import DensityMatrix, _check_density, _instance, _negativities, _purities, _taus
 from .tolerances import DEFAULT, _integer, _real
 
 __all__ = [
@@ -60,10 +64,24 @@ class TimeGrid:
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Joint states as one validated, read-only (steps + 1, 4, 4) array, row i at times()[i]."""
+    """Joint states and their purities, row i at times()[i].
+
+    ``evolve_trajectory`` hands over the validated (steps + 1, 4, 4) stack and
+    the (steps + 1,) purities of its drift check, both read-only. The shapes
+    are checked against the grid on construction.
+    """
 
     grid: TimeGrid
     joint_states: np.ndarray
+    purities: np.ndarray
+
+    def __post_init__(self):
+        n = _instance(self.grid, TimeGrid, None, "grid").steps + 1
+        for name, shape in (("joint_states", (n, 4, 4)), ("purities", (n,))):
+            value = getattr(self, name)
+            got = value.shape if isinstance(value, np.ndarray) else type(value).__name__
+            if got != shape:
+                raise ValueError(f"{name} must be an array of shape {shape}, got {got}")
 
 
 class ProfilePoint(NamedTuple):
@@ -71,10 +89,6 @@ class ProfilePoint(NamedTuple):
     negativity: float
     tau: float | None  # only defined when the joint state is pure
     purity: float
-
-
-def _purities(m: np.ndarray) -> np.ndarray:
-    return np.trace(m @ m, axis1=-2, axis2=-1).real
 
 
 def evolve_trajectory(k, rho_in: DensityMatrix, grid: TimeGrid) -> Trajectory:
@@ -93,26 +107,29 @@ def evolve_trajectory(k, rho_in: DensityMatrix, grid: TimeGrid) -> Trajectory:
     phase = np.exp(-1j * w * (grid.times() - grid.t_start)[:, None])
     states = v @ (phase[:, :, None] * phase.conj()[:, None, :] * rho0) @ v.conj().T
     _check_density(states)
-    purity = _purities(states)
-    drift = np.abs(purity - purity[0]).max()
+    purities = _purities(states)
+    drift = np.abs(purities - purities[0]).max()
     if drift > DEFAULT.positivity:
         raise RuntimeError(f"global purity drifted by {drift} along the trajectory")
     states.flags.writeable = False
-    return Trajectory(grid, states)
+    purities.flags.writeable = False
+    return Trajectory(grid, states, purities)
 
 
 def entanglement_profile(traj: Trajectory) -> list[ProfilePoint]:
-    """Negativity (and tau where the joint state is pure) per grid point."""
+    """Negativity, tau where the joint state is pure, and purity per grid point.
+
+    A pure rho = psi psi^dag has column j equal to psi conj(psi_j), and
+    |psi_j|^2 = rho_jj, so tau(psi) = tau(column j) / rho_jj. Column j is
+    the one of the largest diagonal entry, which is at least 1/4.
+    """
     m = _instance(traj, Trajectory, None, "traj").joint_states
-    purity = _purities(m)
-    pure = purity >= 1.0 - DEFAULT.positivity
-    taus = [None] * len(m)
-    psis = np.linalg.eigh(m[pure])[1][:, :, -1].tolist()
-    for i, psi in zip(np.flatnonzero(pure).tolist(), psis):
-        # tau of the dominant eigenvector in Python complex arithmetic; numpy's moves the last bit
-        taus[i] = abs(psi[0] * psi[3] - psi[1] * psi[2])
+    rows = np.arange(len(m))
+    j = np.diagonal(m, axis1=-2, axis2=-1).real.argmax(axis=-1)
+    pure = traj.purities >= 1.0 - DEFAULT.positivity
+    taus = np.where(pure, _taus(m[rows, :, j]) / m[rows, j, j].real, None).tolist()
     negs = _negativities(m).tolist()
-    return list(map(ProfilePoint, traj.grid.times().tolist(), negs, taus, purity.tolist()))
+    return list(map(ProfilePoint, traj.grid.times().tolist(), negs, taus, traj.purities.tolist()))
 
 
 def find_entangled_instant(

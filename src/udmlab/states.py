@@ -87,7 +87,7 @@ class DensityMatrix:
         return self.matrix.shape[0]
 
     def purity(self) -> float:
-        return float(np.real(np.trace(self.matrix @ self.matrix)))
+        return float(_purities(self.matrix))
 
     def __repr__(self):
         return f"DensityMatrix(n_qubits={self.n_qubits})"
@@ -136,8 +136,7 @@ def pure_entanglement(psi: PureState) -> float:
     tau vanishes exactly on separable states, ranges up to 1/2, and equals
     half the concurrence.
     """
-    g = _instance(psi, PureState, 2, "psi").amplitudes
-    return float(abs(g[0] * g[3] - g[1] * g[2]))
+    return float(_taus(_instance(psi, PureState, 2, "psi").amplitudes))
 
 
 def negativity(rho: DensityMatrix) -> float:
@@ -191,6 +190,16 @@ def _negativities(m: np.ndarray) -> np.ndarray:
     pt = m.reshape(m.shape[:-2] + (2, 2, 2, 2)).swapaxes(-3, -1).reshape(m.shape)
     w = np.linalg.eigvalsh(pt)
     return np.where(w < 0.0, -w, 0.0).sum(axis=-1)
+
+
+def _taus(g: np.ndarray) -> np.ndarray:
+    """tau of every 4-vector in a (..., 4) stack, as pure_entanglement() defines it."""
+    return np.abs(g[..., 0] * g[..., 3] - g[..., 1] * g[..., 2])
+
+
+def _purities(m: np.ndarray) -> np.ndarray:
+    """tr(m m) of every matrix in a (..., d, d) stack, as DensityMatrix.purity() defines it."""
+    return np.trace(m @ m, axis1=-2, axis2=-1).real
 
 
 def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:

@@ -17,9 +17,9 @@ from udmlab import (
     negativity,
     product_state,
 )
-from udmlab import states as states_mod
+from udmlab import dynamics as dynamics_mod, states as states_mod
 from udmlab.dynamics import MAX_STEPS
-from conftest import X, random_density, random_hermitian
+from conftest import X, random_density, random_hermitian, random_pure
 
 Z = np.diag([1.0, -1.0]).astype(complex)
 K_CPI = np.diag([0.0, 0.0, 0.0, np.pi]).astype(complex)
@@ -140,9 +140,22 @@ def test_trajectory_functions_build_no_per_point_states(monkeypatch):
     monkeypatch.setattr(states_mod.DensityMatrix, "__init__", per_point)
     monkeypatch.setattr(states_mod.DensityMatrix, "purity", per_point)
     monkeypatch.setattr(states_mod, "negativity", per_point)
+    purity_passes = []
+
+    def purities(m):
+        purity_passes.append(m)
+        return states_mod._purities(m)
+
+    monkeypatch.setattr(dynamics_mod, "_purities", purities)
     traj = evolve_trajectory(K_CPI, rho, TimeGrid(0.0, 1.0, 100))
+
+    def eigendecomposition(*args, **kwargs):
+        raise AssertionError("the profile reads tau off the density stack")
+
+    monkeypatch.setattr(np.linalg, "eigh", eigendecomposition)
     assert len(entanglement_profile(traj)) == 101
     assert find_entangled_instant(traj) is not None
+    assert len(purity_passes) == 1  # the drift check's purities serve the profile
 
 
 def per_point_reference(k, rho, grid, tol):
@@ -156,8 +169,10 @@ def per_point_reference(k, rho, grid, tol):
         purity = state.purity()
         tau = None
         if purity >= 1.0 - DEFAULT.positivity:
-            psi = np.linalg.eigh(state.matrix)[1][:, -1]
-            tau = float(abs(psi[0] * psi[3] - psi[1] * psi[2]))
+            # column j of psi psi^dag is psi conj(psi_j), and |psi_j|^2 is its diagonal entry
+            j = int(np.argmax(np.diag(state.matrix).real))
+            c = state.matrix[:, j]
+            tau = float(np.abs(c[..., 0] * c[..., 3] - c[..., 1] * c[..., 2]) / c[j].real)
         neg = negativity(state)
         if hit is None and neg > tol:
             hit = (float(t), neg)
@@ -196,6 +211,24 @@ def test_joint_states_are_read_only():
     traj = evolve_trajectory(K_CPI, densify(product_state(["+", "+"])), TimeGrid(0.0, 1.0, 4))
     with pytest.raises(ValueError):
         traj.joint_states[0, 0, 0] = 0.0
+    with pytest.raises(ValueError):
+        traj.purities[0] = 0.0
+
+
+def test_profile_tau_matches_evolved_state_vector(rng):
+    # psi(t) = v e^{-i w (t - t_start)} v^dag psi(t_start), evolved as a vector;
+    # product inputs make tau ~ 1e-17 near t_start, where a square root of a
+    # round-off tau^2 would be ~1e-8 off
+    for _ in range(40):
+        k = random_hermitian(rng, 4)
+        psi0 = np.kron(random_pure(rng, 2), random_pure(rng, 2))
+        grid = TimeGrid(rng.uniform(-1.0, 0.0), rng.uniform(0.5, 2.0), 30)
+        traj = evolve_trajectory(k, DensityMatrix(np.outer(psi0, psi0.conj())), grid)
+        w, v = np.linalg.eigh(k)
+        for t, p in zip(grid.times(), entanglement_profile(traj)):
+            g = v @ (np.exp(-1j * w * (t - grid.t_start)) * (v.conj().T @ psi0))
+            assert p.tau is not None
+            assert abs(p.tau - abs(g[0] * g[3] - g[1] * g[2])) < 1e-13
 
 
 @pytest.mark.parametrize(

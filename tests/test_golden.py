@@ -13,8 +13,10 @@ scenarios. The exception is each qft case's ``dft_residual``, the distance
 of ``circuit_unitary``'s product from the DFT, which pins that product's
 rounding bit for bit: scaling a CPHASE slice with numpy's fused complex
 multiply, instead of one rounded real product per component, moves it in
-the qft cases from n = 4 on. After a deliberate change of a report
-format, rewrite the expected outputs with
+the qft cases from n = 4 on. The trajectory cases' ``tau`` column
+depends only on elementwise products of the density stack, read off the
+column of its largest diagonal entry, not on LAPACK's eigenvectors. After
+a deliberate change of a report format, rewrite the expected outputs with
 ``PYTHONPATH=src python tests/test_golden.py``, or only the named cases
 with ``PYTHONPATH=src python tests/test_golden.py NAME...``. Only the
 files whose bytes change are written, and each case prints ``unchanged``

@@ -13,7 +13,8 @@ pair of finite times, and a grid, trajectory, map, Choi matrix or gate
 that is a plain array or tuple. Each passes through one of
 ``states._instance``, ``linalg._hermitian``, ``tolerances._which`` and
 ``linalg._check_phase``, so each message starts with the argument's name
-as well.
+as well. A hand-built ``Trajectory`` whose grid is no ``TimeGrid`` or
+whose arrays do not fit the grid is refused, naming the field.
 """
 import re
 
@@ -26,6 +27,7 @@ from udmlab import (
     PlacedGate,
     PureState,
     TimeGrid,
+    Trajectory,
     apply,
     apply_map,
     build_qft,
@@ -233,6 +235,22 @@ STRUCTURED = [
      "^c must be a ChoiMatrix, got ndarray$"),
     ("is_entangling-array", lambda: is_entangling(GATE.unitary), "^g must be a Gate, got ndarray$"),
     ("apply-array", lambda: apply(GATE.unitary, PSI2), "^g must be a Gate, got ndarray$"),
+    # a Trajectory that does not fit its grid: a silently truncated profile, or
+    # AttributeError on .times before
+    ("Trajectory-none-grid", lambda: Trajectory(None, TRAJ.joint_states, TRAJ.purities),
+     "^grid must be a TimeGrid, got NoneType$"),
+    ("Trajectory-short-states", lambda: Trajectory(GRID, TRAJ.joint_states[:3], TRAJ.purities),
+     r"^joint_states must be an array of shape \(5, 4, 4\), got \(3, 4, 4\)$"),
+    ("Trajectory-longer-grid",
+     lambda: Trajectory(TimeGrid(0, 1, 10), TRAJ.joint_states, TRAJ.purities),
+     r"^joint_states must be an array of shape \(11, 4, 4\), got \(5, 4, 4\)$"),
+    ("Trajectory-list-states",
+     lambda: Trajectory(GRID, TRAJ.joint_states.tolist(), TRAJ.purities),
+     r"^joint_states must be an array of shape \(5, 4, 4\), got list$"),
+    ("Trajectory-short-purities", lambda: Trajectory(GRID, TRAJ.joint_states, TRAJ.purities[:3]),
+     r"^purities must be an array of shape \(5,\), got \(3,\)$"),
+    ("Trajectory-matrix-purities", lambda: Trajectory(GRID, TRAJ.joint_states, TRAJ.joint_states),
+     r"^purities must be an array of shape \(5,\), got \(5, 4, 4\)$"),
 ]
 
 
