@@ -201,10 +201,16 @@ def _tolerance_values(mapping, where: str) -> dict:
     return {k: _real(v, f"{where}.{k}") for k, v in mapping.items()}
 
 
-def _resolve_seed(scenario: dict, args) -> int:
-    seed = args.seed if args.seed is not None else _integer(scenario.get("seed", 0), "seed")
+def _flag_or(flag, entry, what: str, check=_integer):
+    """check(flag) if the flag is given, else check(entry); the entry is checked either way."""
+    entry = check(entry, what)
+    return entry if flag is None else check(flag, what)
+
+
+def _seed(value, what: str) -> int:
+    seed = _integer(value, what)
     if seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+        raise ValueError(f"{what} must be a non-negative integer, got {seed}")
     return seed
 
 
@@ -220,7 +226,7 @@ def _gate_from_scenario(scenario: dict, tol: Tolerances) -> gates.Gate:
         if not isinstance(spec, dict) or "name" not in spec:
             raise ValueError("'gate' must be an object with a 'name'")
         name = spec["name"]
-        duration = _real(spec.get("duration", 1.0), "gate.duration")
+        duration = _real(spec.get("duration", 1.0), "gate.duration", positive=True)
         if name == "cphase":
             return gates.c_phase(_real(spec.get("phi"), "gate.phi"), duration)
         if name == "local-phase":
@@ -236,7 +242,7 @@ def _gate_from_scenario(scenario: dict, tol: Tolerances) -> gates.Gate:
             raise ValueError("'generator' must be an object with a 'matrix'")
         k = _parse_matrix(spec["matrix"], "generator.matrix")
         w = np.linalg.eigvalsh(linalg._hermitian(k, "generator.matrix", 4))
-        duration = _real(spec.get("duration", 1.0), "generator.duration")
+        duration = _real(spec.get("duration", 1.0), "generator.duration", positive=True)
         linalg._check_phase(w, duration, "generator.duration", tol.reconstruction)
         return gates.gate_from_generator(k, duration)
     raise ValueError("scenario must specify a 'gate' or a 'generator'")
@@ -274,27 +280,18 @@ def _grid_from_scenario(
     t_end = _real(spec.get("t_end", t_start + gate.duration), "grid.t_end")
     # the grid is evolved over t - t_start, so the span is bounded as well
     linalg._check_phase(w, max(abs(t_end), t_end - t_start), "grid.t_end", tol.reconstruction)
-    # the scenario's count is checked even when --steps (steps) replaces it
-    count = _integer(spec.get("steps", dynamics.DEFAULT_STEPS), "grid.steps")
-    return dynamics.TimeGrid(t_start, t_end, count if steps is None else steps)
+    count = _flag_or(steps, spec.get("steps", dynamics.DEFAULT_STEPS), "grid.steps")
+    return dynamics.TimeGrid(t_start, t_end, count)
 
 
 def _product_input(scenario: dict, tol: Tolerances):
     """(joint state, described qubit, its environment, both marginals) of a product input."""
-    psi = _input_from_scenario(scenario, n_qubits=2)
-    tau = states.pure_entanglement(psi)
-    if tau > tol.separability:
-        raise ValueError(
-            f"input state is entangled (determinant diagnostic {tau:.3g}): a "
-            "state-independent map exists only when the composite starts in a "
-            "product state rho_1 (x) rho_2 with a fixed environment state"
-        )
+    rho = states.densify(_input_from_scenario(scenario, n_qubits=2))
+    product = states._product(rho.matrix, tol.separability, "input")
+    marginals = tuple(map(states.DensityMatrix, product))
     which = _integer(scenario.get("which_qubit", 1), "which_qubit")
     which = tolerances._which(which, "which_qubit")
-    rho = states.densify(psi)
-    marg1 = states.DensityMatrix(linalg.partial_trace(rho.matrix, keep=1))
-    marg2 = states.DensityMatrix(linalg.partial_trace(rho.matrix, keep=2))
-    return rho, which, (marg2 if which == 1 else marg1), (marg1, marg2)
+    return rho, which, marginals[2 - which], marginals
 
 
 # ---------------------------------------------------------------------------
@@ -434,10 +431,9 @@ def _cmd_divisibility(scenario: dict, args, tol: Tolerances, seed: int) -> tuple
 
 
 def _cmd_qft(scenario: dict, args, tol: Tolerances, seed: int) -> tuple[dict, str]:
-    n = args.n if args.n is not None else scenario.get("n_qubits")
-    if n is None:
+    if args.n is None and scenario.get("n_qubits") is None:
         raise ValueError("qft needs --n or an 'n_qubits' scenario entry")
-    circuit = circuits.build_qft(_integer(n, "n_qubits"))
+    circuit = circuits.build_qft(_flag_or(args.n, scenario.get("n_qubits", args.n), "n_qubits"))
     if "input" in scenario:
         psi = _input_from_scenario(scenario, n_qubits=circuit.n_qubits)
     else:
@@ -502,11 +498,11 @@ def _emit(report: dict, csv_text: str | None, out: str | None):
     if path and csv_text is not None and path.suffix == ".csv":
         raise ValueError(f"--out {out} must not end in .csv: the CSV report is written there")
     text = _json_text(report) + "\n"
-    sys.stdout.write(text)
     if path:
         path.write_text(text, encoding="utf-8")
         if csv_text is not None:
             path.with_suffix(".csv").write_text(csv_text, encoding="utf-8")
+    sys.stdout.write(text)  # only once every file is written, so a failed write prints nothing
 
 
 def main(argv=None) -> int:
@@ -514,7 +510,7 @@ def main(argv=None) -> int:
     try:
         scenario = _load_scenario(args.scenario)
         tol, env_echo = _resolve_tolerances(scenario, args)
-        seed = _resolve_seed(scenario, args)
+        seed = _flag_or(args.seed, scenario.get("seed", 0), "seed", _seed)
         body, csv_text = _COMMANDS[args.command](scenario, args, tol, seed)
         report = {"command": args.command, "seed": seed, "tolerances": tol.as_dict()}
         if env_echo is not None:

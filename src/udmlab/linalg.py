@@ -28,7 +28,7 @@ def as_matrix(m) -> np.ndarray:
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2:
         raise ValueError(f"expected a matrix, got ndim={a.ndim}")
-    if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
+    if not np.isfinite(a).all():
         raise ValueError("matrix has non-finite entries")
     return a
 
@@ -52,10 +52,13 @@ def partial_trace(rho, keep: int) -> np.ndarray:
     preserved exactly.
     """
     keep = _which(keep, "keep")
-    r = _hermitian(rho, "rho", 4).reshape(2, 2, 2, 2)
-    if keep == 1:
-        return np.trace(r, axis1=1, axis2=3)
-    return np.trace(r, axis1=0, axis2=2)
+    return _marginals(_hermitian(rho, "rho", 4))[keep - 1]
+
+
+def _marginals(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(Tr_2 m, Tr_1 m) of a 4x4 array m, unchecked: the one two-qubit reduction."""
+    r = m.reshape(2, 2, 2, 2)
+    return np.trace(r, axis1=1, axis2=3), np.trace(r, axis1=0, axis2=2)
 
 
 def _hermitian(k, what: str, dim: int | None = None) -> np.ndarray:

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .states import DensityMatrix, _instance, trace_distance
+from .states import DensityMatrix, _instance, _product, trace_distance
 from .tolerances import DEFAULT, _real, _which
 
 __all__ = [
@@ -297,7 +297,7 @@ def intermediate_map(
         dev = np.max(
             np.abs(e_short.environment_state.matrix - e_long.environment_state.matrix)
         )
-        if dev > 1e-9:
+        if dev > DEFAULT.reconstruction:
             raise ValueError("maps were induced from different environment states")
     pinv, rank = linalg.pseudo_inverse(e_short.superoperator, cutoff=cutoff)
     candidate = DynamicalMap(
@@ -312,13 +312,14 @@ def udm_witness_subinterval(
 ) -> WitnessReport:
     """Witness that no state-independent map covers [t1, t*].
 
-    The product input evolves to t1, giving the true joint state sigma;
-    a second joint state with the same marginals but erased correlations,
-    Tr_2(sigma) (x) Tr_1(sigma), evolves alongside it to t*. The trace
-    distance between the two reduced outputs of qubit ``which`` is zero
-    whenever a map of that qubit's state alone could describe the stretch,
-    so a positive distance is the operational content of "no such map
-    exists".
+    The product input (``_product`` at DEFAULT.separability) evolves to t1,
+    giving the true joint state sigma, whose correlation in the same measure
+    is reported; a second joint state with the same marginals but erased
+    correlations, Tr_2(sigma) (x) Tr_1(sigma), evolves alongside it to t*.
+    The trace distance between the two reduced outputs of qubit ``which``
+    is zero whenever a map of that qubit's state alone could describe the
+    stretch, so a positive distance is the operational content of "no such
+    map exists".
     """
     t1 = _real(t1, "t1", positive=True)
     t_star = _real(t_star, "t_star", positive=True)
@@ -327,23 +328,14 @@ def udm_witness_subinterval(
     which = _which(which, "which")
     k = linalg._hermitian(k, "generator", 4)
     _instance(rho_in, DensityMatrix, 2, "rho_in")
-    marg1 = linalg.partial_trace(rho_in.matrix, keep=1)
-    marg2 = linalg.partial_trace(rho_in.matrix, keep=2)
-    if float(np.linalg.norm(rho_in.matrix - np.kron(marg1, marg2))) > 1e-9:
-        raise ValueError(
-            "witness input must be a product state rho_1 (x) rho_2: the "
-            "state-independent description being tested exists only for "
-            "product initial conditions with a fixed environment"
-        )
+    _product(rho_in.matrix, DEFAULT.separability, "rho_in")
     u1 = linalg.matexp_hermitian(k, t1)
     sigma = u1 @ rho_in.matrix @ u1.conj().T
-    sigma_product = np.kron(
-        linalg.partial_trace(sigma, keep=1), linalg.partial_trace(sigma, keep=2)
-    )
+    sigma_product = np.kron(*linalg._marginals(sigma))
     correlation = float(np.linalg.norm(sigma - sigma_product))
     u2 = linalg.matexp_hermitian(k, t_star - t1)
-    out_true = linalg.partial_trace(u2 @ sigma @ u2.conj().T, keep=which)
-    out_erased = linalg.partial_trace(u2 @ sigma_product @ u2.conj().T, keep=which)
+    out_true = linalg._marginals(u2 @ sigma @ u2.conj().T)[which - 1]
+    out_erased = linalg._marginals(u2 @ sigma_product @ u2.conj().T)[which - 1]
     dist = trace_distance(DensityMatrix(out_true), DensityMatrix(out_erased))
     return WitnessReport(t1, t_star, dist, correlation)
 

@@ -8,12 +8,14 @@ States are normalized on construction. Separability of a pure two-qubit
 state is decided through the determinant |g00*g11 - g01*g10| of the
 coefficient matrix, which is the ratio condition g00/g01 = g10/g11 made
 total (no division by vanishing coefficients). For mixed states the
-partial-transpose criterion is exact at this dimension.
+partial-transpose criterion is exact at this dimension. ``_product``
+alone decides the product state rho_1 (x) rho_2 a state-independent map needs.
 """
 from __future__ import annotations
 
 import numpy as np
 
+from .linalg import _marginals
 from .tolerances import DEFAULT
 
 __all__ = [
@@ -44,7 +46,7 @@ class PureState:
 
     def __init__(self, amplitudes):
         a = np.asarray(amplitudes, dtype=complex).reshape(-1)
-        if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
+        if not np.isfinite(a).all():
             raise ValueError("amplitudes contain non-finite entries")
         n = int(np.log2(a.size)) if a.size else 0
         if a.size < 2 or 2**n != a.size:
@@ -55,10 +57,6 @@ class PureState:
             raise ValueError(f"cannot normalize amplitudes of norm {norm:.3g}")
         self.amplitudes = a / norm
         self.n_qubits = n
-
-    @property
-    def dim(self) -> int:
-        return self.amplitudes.size
 
     def __repr__(self):
         return f"PureState(n_qubits={self.n_qubits}, amplitudes={self.amplitudes!r})"
@@ -81,10 +79,6 @@ class DensityMatrix:
         _check_density(m)
         self.matrix = m
         self.n_qubits = n
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
 
     def purity(self) -> float:
         return float(_purities(self.matrix))
@@ -147,6 +141,20 @@ def negativity(rho: DensityMatrix) -> float:
     state diagnostics cannot.
     """
     return float(_negativities(_instance(rho, DensityMatrix, 2, "rho").matrix))
+
+
+def _product(m: np.ndarray, tol: float, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """(Tr_2 m, Tr_1 m) of a 4x4 state m whose correlation c = ||m - Tr_2 m (x) Tr_1 m||_F
+    is at most tol: the one product-state rule. A refusal starts with what and quotes c."""
+    marg1, marg2 = _marginals(m)
+    c = float(np.linalg.norm(m - np.kron(marg1, marg2)))
+    if c > tol:
+        raise ValueError(
+            f"{what} is correlated (||rho - rho_1 (x) rho_2||_F = {c:.3g}): a "
+            "state-independent map exists only when the composite starts in a "
+            "product state rho_1 (x) rho_2 with a fixed environment state"
+        )
+    return marg1, marg2
 
 
 def _check_density(m: np.ndarray) -> None:

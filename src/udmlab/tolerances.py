@@ -52,7 +52,7 @@ class Tolerances:
     unitarity: float = 1e-10     # max-abs deviation of u u^dag - 1
     reconstruction: float = 1e-9  # eig/svd reconstruction identities
     positivity: float = 1e-9     # slack on smallest density-matrix eigenvalue
-    separability: float = 1e-9   # pure-state separability verdicts
+    separability: float = 1e-9   # separability verdicts; product states: ||rho - rho_1 (x) rho_2||_F
     entanglement: float = 1e-6   # "entangled at t1" threshold on negativity
     cp: float = 1e-7             # Choi-eigenvalue slack for CP verdicts
     pinv_cutoff: float = 1e-10   # relative singular-value cutoff

@@ -69,6 +69,43 @@ def partial_trace_by_sums(rho, keep):
     return out
 
 
+def product_correlation(m):
+    """||m - Tr_2 m (x) Tr_1 m||_F of a 4x4 m, its marginals by explicit sums."""
+    marginals = np.kron(partial_trace_by_sums(m, 1), partial_trace_by_sums(m, 2))
+    return float(np.linalg.norm(m - marginals))
+
+
+def correlated_pair(tau):
+    """(amplitudes, c) of cos a|00> + sin a|11> with tau = |g00 g11| = sin(2a) / 2.
+
+    Both marginals are diag(cos^2 a, sin^2 a), so m minus their product has
+    diagonal tau^2 (1, -1, -1, 1) and tau at (00, 11) and (11, 00): the
+    correlation is c = sqrt(4 tau^4 + 2 tau^2) = tau sqrt(2 + 4 tau^2).
+    """
+    a = 0.5 * np.arcsin(2.0 * tau)
+    return [float(np.cos(a)), 0.0, 0.0, float(np.sin(a))], tau * np.sqrt(2.0 + 4.0 * tau**2)
+
+
+def witness_by_sums(k, rho, t1, t_star, which):
+    """(trace distance, correlation at t1) of the same-marginal witness.
+
+    U = exp(-i k t) from numpy's eigh, marginals by explicit sums: the
+    state at t1 and its marginals' product evolve on to t*, and the
+    distance is half the absolute spectrum of the difference of qubit
+    which's two outputs.
+    """
+    w, v = np.linalg.eigh(k)
+
+    def evolve(m, t):
+        u = (v * np.exp(-1j * w * t)) @ v.conj().T
+        return u @ m @ u.conj().T
+
+    sigma = evolve(rho, t1)
+    erased = np.kron(partial_trace_by_sums(sigma, 1), partial_trace_by_sums(sigma, 2))
+    diff = partial_trace_by_sums(evolve(sigma, t_star - t1) - evolve(erased, t_star - t1), which)
+    return 0.5 * float(np.abs(np.linalg.eigvalsh(diff)).sum()), product_correlation(sigma)
+
+
 def evolve_joint(k, rho, t):
     """U rho U^dag with U = exp(-i k t), straight through the library kernel."""
     u = linalg.matexp_hermitian(k, t)

@@ -17,7 +17,14 @@ from udmlab.circuits import AuditRecord
 from udmlab.cli import main
 from udmlab.dynamics import ProfilePoint
 from udmlab.tolerances import DEFAULT
-from conftest import plain, random_hermitian, random_pure, report_json
+from conftest import (
+    correlated_pair,
+    plain,
+    product_correlation,
+    random_hermitian,
+    random_pure,
+    report_json,
+)
 
 
 @pytest.fixture
@@ -132,6 +139,22 @@ def test_map_rejects_entangled_input(scenario_file, capsys):
     code, _, err = run(capsys, "map", "--scenario", path)
     assert code == 2
     assert "product state" in err and "environment" in err
+
+
+@pytest.mark.parametrize("tau, want", [(8e-4, 2), (6e-4, 0)])
+def test_product_input_is_decided_by_its_correlation(tau, want, scenario_file, capsys):
+    # the rule bounds c = ||rho - rho_1 (x) rho_2||_F = tau sqrt(2 + 4 tau^2), not tau:
+    # at tau = 8e-4 the correlation 1.131e-3 exceeds the tolerance 1e-3
+    amplitudes, c = correlated_pair(tau)
+    assert abs(product_correlation(np.outer(amplitudes, amplitudes)) - c) < 1e-15
+    scenario = {"gate": CPI, "input": {"amplitudes": amplitudes},
+                "tolerances": {"separability": 1e-3}}
+    code, out, err = run(capsys, "map", "--scenario", scenario_file(scenario))
+    assert code == want, err
+    if want == 2:
+        assert out == ""
+        assert err.startswith(f"error: input is correlated (||rho - rho_1 (x) rho_2||_F = {c:.3g})")
+        assert "product state" in err and "environment" in err
 
 
 def test_divisibility_inside_gate(scenario_file, capsys):
@@ -406,6 +429,9 @@ GEN_Z = {"matrix": [[1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, -1]]}
         # each end within the bound, the span t_end - t_start beyond it
         ("map", {"gate": CPI, **PLUS_PLUS, "grid": {"t_start": -1.4e6, "t_end": 1.4e6}}, [],
          None, "grid.t_end"),
+        # a scenario entry is checked even when a flag replaces it
+        ("map", {"gate": CPI, **PLUS_PLUS, "seed": -5}, ["--seed", "3"], None, "seed"),
+        ("qft", {"n_qubits": "eight"}, ["--n", "3"], None, "n_qubits"),
     ],
 )
 def test_malformed_input_exits_2_naming_the_field(
@@ -418,6 +444,28 @@ def test_malformed_input_exits_2_naming_the_field(
     code, _, err = run(capsys, command, "--scenario", scenario_file(scenario), *extra)
     assert code == 2, err
     assert field in err
+
+
+@pytest.mark.parametrize("duration", [0, -1])
+@pytest.mark.parametrize(
+    "key, spec",
+    [("gate", CPI), ("gate", {"name": "local-phase", "phi": 0.5}), ("gate", {"name": "swap"}),
+     ("gate", {"name": "identity"}), ("generator", GEN_Z)],
+)
+def test_non_positive_duration_names_its_field(key, spec, duration, scenario_file, capsys):
+    path = scenario_file({key: {**spec, "duration": duration}})
+    code, out, err = run(capsys, "analyze-gate", "--scenario", path)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {key}.duration must be finite and > 0, got {duration!r}")
+
+
+@pytest.mark.parametrize("command, out", [("analyze-gate", "missing/r.json"), ("trajectory", "r.json")])
+def test_a_file_that_cannot_be_written_prints_no_report(command, out, scenario_file, capsys, tmp_path):
+    (tmp_path / "r.csv").mkdir()  # trajectory's CSV beside r.json cannot be written
+    path = scenario_file({"gate": CPI, **PLUS_PLUS, "grid": {"steps": 4}})
+    code, stdout, err = run(capsys, command, "--scenario", path, "--out", str(tmp_path / out))
+    assert (code, stdout) == (2, "")
+    assert err.startswith("error: [Errno")
 
 
 def test_phase_bound_admits_times_below_it(scenario_file, capsys):

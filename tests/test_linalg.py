@@ -50,6 +50,10 @@ def test_partial_trace_rejects_nonfinite():
     bad = np.diag([np.nan, 0, 0, 1]).astype(complex)
     with pytest.raises(ValueError, match="non-finite"):
         linalg.partial_trace(bad, keep=1)
+    for entry in (complex(0.0, np.inf), complex(1.0, np.nan)):  # only the imaginary part
+        bad = np.diag([entry, 0, 0, 1]).astype(complex)
+        with pytest.raises(ValueError, match="matrix has non-finite entries"):
+            linalg.partial_trace(bad, keep=1)
 
 
 def test_matexp_zero_time_is_identity(rng):

@@ -29,9 +29,11 @@ from conftest import (
     diagonal_intermediate_map,
     evolve_joint,
     partial_trace_by_sums,
+    product_correlation,
     random_density,
     random_hermitian,
     reduced_evolution,
+    witness_by_sums,
 )
 
 Z = np.diag([1.0, -1.0]).astype(complex)
@@ -295,6 +297,28 @@ def test_witness_rejects_entangled_input_and_empty_interval():
     product = densify(product_state(["0", "0"]))
     with pytest.raises(ValueError):
         udm_witness_subinterval(K_CPI, product, 1.0, 0.5)  # empty interval
+
+
+def test_witness_refuses_a_separable_but_correlated_input():
+    # 1/2 (|00><00| + |11><11|) has no negativity, yet it is no product state: c = 1/2
+    m = np.diag([0.5, 0.0, 0.0, 0.5]).astype(complex)
+    assert product_correlation(m) == 0.5
+    with pytest.raises(ValueError) as exc:
+        udm_witness_subinterval(K_CPI, DensityMatrix(m), 0.5, 1.0)
+    assert str(exc.value).startswith("rho_in is correlated (||rho - rho_1 (x) rho_2||_F = 0.5)")
+    assert "product state" in str(exc.value) and "environment" in str(exc.value)
+
+
+@pytest.mark.parametrize("which", [1, 2])
+def test_witness_accepts_a_mixed_product_input(rng, which):
+    k = random_hermitian(rng, 4)
+    rho = np.kron(random_density(rng, 2), random_density(rng, 2))
+    assert product_correlation(rho) < 1e-15
+    got = udm_witness_subinterval(k, DensityMatrix(rho), 0.4, 1.0, which=which)
+    distance, correlation = witness_by_sums(k, rho, 0.4, 1.0, which)
+    assert abs(got.trace_distance - distance) < 1e-12
+    assert abs(got.correlation_at_t1 - correlation) < 1e-12
+    assert got.trace_distance > 1e-3 and got.correlation_at_t1 > 1e-3
 
 
 def test_witness_of_qubit_2_traces_to_qubit_2(rng):

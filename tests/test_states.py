@@ -11,9 +11,16 @@ from udmlab import (
     pure_entanglement,
     trace_distance,
 )
-from udmlab.states import _check_density
+from udmlab.states import _check_density, _product
 from udmlab.tolerances import DEFAULT
-from conftest import eigvalsh_verdict, random_density, random_pure, random_unitary
+from conftest import (
+    eigvalsh_verdict,
+    partial_trace_by_sums,
+    product_correlation,
+    random_density,
+    random_pure,
+    random_unitary,
+)
 
 BELL = PureState([1, 0, 0, 1])
 
@@ -33,6 +40,8 @@ def test_purestate_normalizes_and_validates():
         PureState([1, 0, 0])  # not 2^n
     with pytest.raises(ValueError):
         PureState([np.nan, 1])
+    with pytest.raises(ValueError, match="amplitudes contain non-finite entries"):
+        PureState([complex(1.0, np.inf), 1])  # only the imaginary part is not finite
 
 
 def test_densitymatrix_invariants():
@@ -227,3 +236,17 @@ def test_single_matrix_results_as_before(rng):
         got = negativity(rho)
         assert type(got) is float and got == negativity_as_before(m)
     assert DensityMatrix(a).n_qubits == 1
+
+
+def test_product_rule_bounds_the_correlation_and_returns_the_marginals(rng):
+    # c = 1/2 exactly for 1/2 (|00><00| + |11><11|): accepted at tol = c, refused below it
+    m = np.diag([0.5, 0.0, 0.0, 0.5]).astype(complex)
+    marg1, marg2 = _product(m, 0.5, "m")
+    np.testing.assert_array_equal(marg1, partial_trace_by_sums(m, 1))
+    np.testing.assert_array_equal(marg2, partial_trace_by_sums(m, 2))
+    with pytest.raises(ValueError, match=r"^m is correlated \(\|\|rho - rho_1 \(x\) rho_2\|\|_F = 0.5\)"):
+        _product(m, 0.4999, "m")
+    rho = np.kron(random_density(rng, 2), random_density(rng, 2))
+    assert product_correlation(rho) < DEFAULT.separability
+    for got, keep in zip(_product(rho, DEFAULT.separability, "rho"), (1, 2)):
+        np.testing.assert_allclose(got, partial_trace_by_sums(rho, keep), atol=1e-15)
