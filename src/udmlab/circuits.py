@@ -25,15 +25,18 @@ scales the one slice where both its qubits are 1, a SWAP relabels two
 axes, and an H or X is one broadcast matmul, so no gate transposes the
 register. It starts from the identity's diagonal and writes an axis's
 columns out only when an H or X first mixes that axis, so the gates before
-do no arithmetic on the identity's zeros. Two 4^n buffers per call hold
-its register, and the result is the spare one. Each loop is the faster one
-for its own call shape, one column or all 2^n.
+do no arithmetic on the identity's zeros. Each call allocates one 4^n
+array, its result, and holds the register inside it in the result's own
+layout (rows in final qubit order, stored columns in natural order), so
+nothing is transposed at the end and no second 4^n buffer is touched.
+Each loop is the faster one for its own call shape, one column or all 2^n.
 
 A placed gate is the named ``gates.Gate``, generator included, built once
 per (name, phi) and shared by every circuit, so its matrices are read-only.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -123,15 +126,21 @@ class Circuit:
                     raise ValueError(f"qubit index {q} out of range 1..{self.n_qubits}")
         # run_circuit's plan: per gate (unitary, axes, rows), axes bringing the gate's
         # qubits to the front of the previous gate's product; the axes putting the
-        # last product in qubit order; each two-qubit block's (position, gate). Not
-        # fields, so eq, hash, repr and fields() see only n_qubits and gates
+        # last product in qubit order; each two-qubit block's (position, gate). For
+        # circuit_unitary, _swapped[q]: the input qubit the SWAPs bring to qubit q
+        # (0-based). Not fields, so eq, hash, repr and fields() see only n_qubits and gates
         plan, held = [], list(range(self.n_qubits))  # held[a]: the qubit at axis a
+        swapped = list(range(self.n_qubits))
         for g in self.gates:
             perm = [q - 1 for q in g.qubits]
             perm += [a for a in range(self.n_qubits) if a not in perm]
             plan.append((g.gate.unitary, tuple(held.index(a) for a in perm), 2 ** len(g.qubits)))
             held = perm
+            if g.name == "SWAP":
+                i, j = perm[:2]
+                swapped[i], swapped[j] = swapped[j], swapped[i]
         object.__setattr__(self, "_plan", tuple(plan))
+        object.__setattr__(self, "_swapped", tuple(swapped))
         object.__setattr__(self, "_final", tuple(held.index(a) for a in range(self.n_qubits)))
         blocks = tuple((pos, g) for pos, g in enumerate(self.gates, start=1) if len(g.qubits) == 2)
         object.__setattr__(self, "_blocks", blocks)
@@ -224,86 +233,179 @@ def run_circuit(
 def circuit_unitary(circuit: Circuit) -> np.ndarray:
     """Ordered product of the gate unitaries: the circuit run on every basis column.
 
-    The register starts as the identity's diagonal, 2^n ones, and holds the
-    n row axes (2,)*n followed by one column axis per register axis an H
-    or X has touched, in the order they were first touched. An untouched
-    axis's column index equals its row index (a CPHASE is diagonal and a
-    SWAP moves no data), so its column is not stored. Each gate is applied
-    by its name, with no transpose:
+    The register starts as the identity's diagonal, 2^n ones, in the
+    result's own layout: n row axes (2,)*n in final qubit order (read off
+    the circuit's SWAPs before the loop), then the stored column axes in
+    natural order. An axis's column is stored, at its sorted place, when an
+    H or X first touches it; until then its column index equals its row
+    index (a CPHASE is diagonal and a SWAP moves no data). Each gate is
+    applied by its name, with no transpose:
 
     - a CPHASE scales, in place, the one slice where both its qubits are 1
       by its matrix's entry e = u[3, 3], as x er + x (i ei), and leaves the
       register as it is when e is exactly 1;
-    - a SWAP exchanges its qubits' entries in the qubit-to-axis map, with no
-      arithmetic; the rows are put in qubit order once, at the end;
-    - an H or X on axis a is one broadcast matmul of its 2x2 matrix over
-      the (2^a, 2, rest) view, written into a second buffer. At the first
-      H or X on the axis, its column is written out first as a trailing
-      axis: the register goes on the diagonal of a zeroed buffer twice
-      its size.
+    - a SWAP exchanges its qubits' row axes in the qubit-to-row map, with no
+      arithmetic;
+    - an H or X on row axis r is one broadcast matmul of its 2x2 matrix over
+      the (2^r, 2, rest) view, after its column is stored if it is the
+      first touch.
 
-    The axes no gate touched are written out the same way at the end, and
-    one transpose puts the rows in qubit order and the columns in natural
-    order. The product is bitwise the per-gate matmul's (zgemm's) on the
-    dense identity. Multiplying by a purely real or purely imaginary number
-    is one real product per component, so the CPHASE case gives
+    The axes no gate touched have their columns stored at the end, and the
+    result is then complete. One 4^n array is allocated per call, the
+    result. While the register fits in half of it, it moves between the
+    two halves: a stored column and an H or X write into the idle half,
+    which also holds a CPHASE slice's two contiguous copies (a ufunc on
+    the strided slice is slower). The column that fills the result is
+    stored in place, and an H, X or CPHASE on the full register runs in
+    place in blocks of at most 4^n / 16 entries, through a copy of each
+    block; a result of at most 4,096 entries (n <= 6) is one block.
+
+    The product is bitwise the per-gate matmul's (zgemm's) on the dense
+    identity. Multiplying by a purely real or purely imaginary number is
+    one real product per component, so the CPHASE case gives
     re = xr er - xi ei and im = xr ei + xi er with each product rounded
     once, as the zgemm does; numpy's complex x * e fuses a product into the
     sum and rounds otherwise. Entries the matmul would multiply by 1 or
     only move are left as they are, and the entries not yet stored are
-    zeros the zgemm keeps at +0. Two 4^n buffers per call hold the register
-    in their prefixes; the spare one also holds a CPHASE's slice and its
-    product x er as contiguous copies (a ufunc on the strided slice would
-    allocate buffers), and at the end the register in qubit order. The
-    result is that spare buffer, fresh per call.
+    zeros the zgemm keeps at +0. A matmul over only two trailing entries
+    takes another kernel path, which gives some zeros another sign than the
+    wide product does. That shape would come only from a first H or X on
+    the last row with no column stored, so there row n - 2's column is
+    stored first (a stored column of the identity is what the dense
+    product holds, so the bytes do not change).
     """
     n = circuit.n_qubits
-    dim = 2**n
-    held, spare = np.empty(dim * dim, dtype=complex), np.empty(dim * dim, dtype=complex)
-    t = held[:dim]
+    size = 4**n
+    result = np.empty(size, dtype=complex)
+    halves = result[: size // 2], result[size // 2 :]
+    limit = size if size <= 4096 else size // 16  # entries per block of an in-place gate
+    src = circuit._swapped  # src[r]: the input qubit whose column pairs with row axis r
+    row = sorted(range(n), key=src.__getitem__)  # row[q - 1]: the row axis that holds qubit q
+    stored = []  # the input qubits whose columns are stored, in order
+    h, t = 0, halves[0][: 2**n]  # the register, a prefix of halves[h] until it fills result
     t.fill(1)
-    axis = list(range(n))  # axis[q - 1]: the register axis that holds qubit q
-    columns = []  # columns[j]: the register axis whose column is axis n + j
 
-    def write_column(a):
-        """The register with axis a's column as one more trailing axis; it becomes held."""
-        nonlocal held, spare
-        wide = spare[: 2 * t.size]
-        wide.fill(0)
-        np.einsum("abcb->abc", wide.reshape(2**a, 2, -1, 2))[...] = t.reshape(2**a, 2, -1)
-        columns.append(a)
-        held, spare = spare, held
-        return wide
+    def write_column(r):
+        """The register with row axis r's column stored at its sorted place."""
+        nonlocal h
+        c = src[r]
+        j = bisect_left(stored, c)
+        stored.insert(j, c)
+        d = 2 ** (len(stored) - 1 - j)  # entries per index of the columns after it
+        run = 2 ** (n - 1 - r + j)  # consecutive indices above d sharing row axis r's value
+        if 4 * t.size <= size:
+            h, wide = 1 - h, halves[1 - h][: 2 * t.size]
+            wide.fill(0)
+            _diagonal(wide, t, 0, run, d)
+            return wide
+        _fill_in_place(result, h, d, run, limit // 4)
+        return result
 
-    for g in circuit.gates:
-        axes = [axis[q - 1] for q in g.qubits]
-        if g.name == "SWAP":
-            axis[g.qubits[0] - 1], axis[g.qubits[1] - 1] = axes[1], axes[0]
-        elif g.name == "CPHASE":
-            e = g.gate.unitary[3, 3]
+    for g, (u, _, _) in zip(circuit.gates, circuit._plan):
+        if g.name == "CPHASE":
+            e = u[3, 3]
             if e != 1:
-                lo, hi = sorted(axes)
+                lo, hi = row[g.qubits[0] - 1], row[g.qubits[1] - 1]
+                if lo > hi:
+                    lo, hi = hi, lo
                 x = t.reshape(2**lo, 2, 2 ** (hi - lo - 1), 2, -1)[:, 1, :, 1, :]
-                y, y_er = spare[: 2 * x.size].reshape((2,) + x.shape)
-                y[...] = x
-                np.multiply(y, e.real, out=y_er)
-                y *= 1j * e.imag
-                y += y_er
-                x[...] = y
+                if t.size < size:
+                    _phase(x, e, halves[1 - h])
+                elif size <= limit:
+                    _phase(x, e, np.empty(2 * x.size, dtype=complex))
+                else:
+                    for part in _parts(x, limit // 2):
+                        _phase(part, e, np.empty(2 * part.size, dtype=complex))
+        elif g.name == "SWAP":
+            i, j = g.qubits
+            row[i - 1], row[j - 1] = row[j - 1], row[i - 1]
         else:
-            a = axes[0]
-            if a not in columns:
-                t = write_column(a)
-            rows = 2**a
-            out = spare[: t.size]
-            np.matmul(g.gate.unitary, t.reshape(rows, 2, -1), out=out.reshape(rows, 2, -1))
-            t, held, spare = out, spare, held
-    for a in range(n):
-        if a not in columns:
-            t = write_column(a)
-    order = axis + [n + columns.index(a) for a in range(n)]
-    spare.reshape((2,) * (2 * n))[...] = t.reshape((2,) * (2 * n)).transpose(order)
-    return spare.reshape(dim, dim)
+            r = row[g.qubits[0] - 1]
+            if src[r] not in stored:
+                if r == n - 1 and not stored:  # so that the matmul sees more than 2 columns
+                    t = write_column(n - 2)
+                t = write_column(r)
+            x = t.reshape(2**r, 2, -1)
+            if t.size < size:
+                out = halves[1 - h][: t.size]
+                np.matmul(u, x, out=out.reshape(x.shape))
+                h, t = 1 - h, out
+            elif size <= limit:
+                np.matmul(u, x.copy(), out=x)
+            else:
+                for part in _parts(x.swapaxes(1, 2), limit):
+                    part = part.swapaxes(-1, -2)
+                    np.matmul(u, part.copy(), out=part)
+    for r in range(n):
+        if src[r] not in stored:
+            t = write_column(r)
+    return result.reshape(2**n, 2**n)
+
+
+def _diagonal(wide, x, lo, run, d):
+    """Write x, a flat (m, d), into the zeroed flat (m, 2, d) wide at (i, b, :).
+
+    b is the bit of the new column's row axis at index lo + i, which runs over
+    the row axes and the columns before the new one: run consecutive indices
+    share one b, and [lo, lo + m) lies within one run or covers whole pairs.
+    """
+    if x.size <= run * d:
+        wide.reshape(-1, 2, d)[:, lo // run % 2] = x.reshape(-1, d)
+    else:
+        wide, x = wide.reshape(-1, 2, run, 2, d), x.reshape(-1, 2, run, d)
+        wide[:, 0, :, 0] = x[:, 0]
+        wide[:, 1, :, 1] = x[:, 1]
+
+
+def _fill_in_place(result, h, d, run, small):
+    """Store the last column: the register in half h of result grows into all of it, in place.
+
+    Row i of the register, viewed as (m, d), goes to (i, b, :) of the result
+    viewed as (m, 2, d), 2 i d entries in. Dyadic blocks of i are moved so
+    that none overwrites an entry not yet read: in the lower half, block
+    [k, 2k) lands on entries [2kd, 4kd) (zeros included), above every
+    entry of the blocks below it, so the top blocks go first; in the upper
+    half it is the mirror image, bottom blocks first. Blocks stop at small
+    entries, and the rest, at most 2 small entries, moves through a copy.
+    """
+    half = result.size // 2
+    x = result[half:] if h else result[:half]
+    top = half // d
+    while top // 2 * d > small:
+        lo, hi = (top // 2, top) if h == 0 else (half // d - top, half // d - top // 2)
+        wide = result[2 * lo * d : 2 * hi * d]
+        wide.fill(0)
+        _diagonal(wide, x[lo * d : hi * d], lo, run, d)
+        top //= 2
+    lo = 0 if h == 0 else half // d - top
+    rest = x[lo * d : (lo + top) * d].copy()
+    wide = result[2 * lo * d : 2 * (lo + top) * d]
+    wide.fill(0)
+    _diagonal(wide, rest, lo, run, d)
+
+
+def _phase(x, e, spare):
+    """x *= e in place, as x er + x (i ei), with the two contiguous copies held in spare."""
+    y, y_er = spare[: 2 * x.size].reshape((2,) + x.shape)
+    y[...] = x
+    np.multiply(y, e.real, out=y_er)
+    y *= 1j * e.imag
+    y += y_er
+    x[...] = y
+
+
+def _parts(v, limit):
+    """Views tiling v in blocks of at most limit entries, splitting its leading axes first."""
+    if v.size <= limit:
+        yield v
+        return
+    step = limit // (v.size // len(v))
+    if step:
+        for i in range(0, len(v), step):
+            yield v[i : i + step]
+    else:
+        for sub in v:
+            yield from _parts(sub, limit)
 
 
 def dft_matrix(n: int) -> np.ndarray:

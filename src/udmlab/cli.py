@@ -402,7 +402,7 @@ def _cmd_divisibility(scenario: dict, args, tol: Tolerances, seed: int) -> tuple
     e_long = maps.induced_map(k, env, grid.t_end - grid.t_start, which=which)
     inter = maps.intermediate_map(e_short, e_long, cutoff=tol.pinv_cutoff, cp_tol=tol.cp)
     witness = maps.udm_witness_subinterval(
-        k, rho, t1 - grid.t_start, grid.t_end - grid.t_start, which=which
+        k, rho, t1 - grid.t_start, grid.t_end - grid.t_start, which=which, tol=tol.separability
     )
 
     independent = witness.trace_distance <= tol.entanglement
@@ -498,10 +498,10 @@ def _emit(report: dict, csv_text: str | None, out: str | None):
     if path and csv_text is not None and path.suffix == ".csv":
         raise ValueError(f"--out {out} must not end in .csv: the CSV report is written there")
     text = _json_text(report) + "\n"
-    if path:
-        path.write_text(text, encoding="utf-8")
+    if path:  # the CSV first, so a CSV that cannot be written leaves no JSON report behind
         if csv_text is not None:
             path.with_suffix(".csv").write_text(csv_text, encoding="utf-8")
+        path.write_text(text, encoding="utf-8")
     sys.stdout.write(text)  # only once every file is written, so a failed write prints nothing
 
 

@@ -308,14 +308,16 @@ def intermediate_map(
 
 
 def udm_witness_subinterval(
-    k, rho_in: DensityMatrix, t1: float, t_star: float, which: int = 1
+    k, rho_in: DensityMatrix, t1: float, t_star: float, which: int = 1,
+    *, tol: float = DEFAULT.separability,
 ) -> WitnessReport:
     """Witness that no state-independent map covers [t1, t*].
 
-    The product input (``_product`` at DEFAULT.separability) evolves to t1,
-    giving the true joint state sigma, whose correlation in the same measure
-    is reported; a second joint state with the same marginals but erased
-    correlations, Tr_2(sigma) (x) Tr_1(sigma), evolves alongside it to t*.
+    The product input (checked by ``_product`` within ``tol``, the
+    separability tolerance) evolves to t1, giving the true joint state
+    sigma, whose correlation in the same measure is reported; a second
+    joint state with the same marginals but erased correlations,
+    Tr_2(sigma) (x) Tr_1(sigma), evolves alongside it to t*.
     The trace distance between the two reduced outputs of qubit ``which``
     is zero whenever a map of that qubit's state alone could describe the
     stretch, so a positive distance is the operational content of "no such
@@ -326,9 +328,10 @@ def udm_witness_subinterval(
     if not t1 < t_star:
         raise ValueError(f"need 0 < t1 < t*, got t1={t1}, t*={t_star}")
     which = _which(which, "which")
+    tol = _real(tol, "tol", positive=True)
     k = linalg._hermitian(k, "generator", 4)
     _instance(rho_in, DensityMatrix, 2, "rho_in")
-    _product(rho_in.matrix, DEFAULT.separability, "rho_in")
+    _product(rho_in.matrix, tol, "rho_in")
     u1 = linalg.matexp_hermitian(k, t1)
     sigma = u1 @ rho_in.matrix @ u1.conj().T
     sigma_product = np.kron(*linalg._marginals(sigma))

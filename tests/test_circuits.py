@@ -286,13 +286,50 @@ def lazy_start_circuits():
     return circuits
 
 
+def full_register_circuits():
+    """Circuits at n = 7 and 8 that apply H, X and CPHASE after every axis has its
+    column. The column that fills the result is qubit 1's or qubit n's, at row 0
+    or the last row (the other way round after the SWAP), and the extra X on a
+    stored axis moves the register to the other half before it fills the
+    result, so the in-place growth runs in both block orders."""
+    circuits = []
+    for n in (7, 8):
+        for last in (1, n):
+            others = [q for q in range(1, n + 1) if q != last]
+            for flip in (False, True):
+                for swap in ((), (PlacedGate("SWAP", (1, n)),)):
+                    gates = [PlacedGate("H", (q,)) for q in others]
+                    gates += [PlacedGate("X", (others[0],))] * flip
+                    gates += [PlacedGate("H", (last,)), PlacedGate("CPHASE", (last, others[1]), phi=2.5),
+                              PlacedGate("X", (others[2],)), PlacedGate("H", (last,)),
+                              PlacedGate("CPHASE", (others[3], others[0]), phi=-1.0)]
+                    circuits.append(Circuit(n, tuple(gates) + swap))
+    return circuits
+
+
+def last_row_first_touch_circuits():
+    """A first H or X on the last row, after a CPHASE: a matmul over the register's
+    two trailing entries would round the signs of some zeros unlike the reference."""
+    circuits = []
+    for phi in (2.5, -2.5, -3.8731375461440507, np.pi):
+        for gate in ("H", "X"):
+            circuits += [
+                Circuit(2, (PlacedGate("CPHASE", (1, 2), phi=phi), PlacedGate(gate, (2,)))),
+                Circuit(3, (PlacedGate("CPHASE", (1, 3), phi=phi), PlacedGate(gate, (3,)),
+                            PlacedGate("H", (1,)))),
+                Circuit(3, (PlacedGate("CPHASE", (2, 1), phi=phi), PlacedGate("SWAP", (1, 3)),
+                            PlacedGate(gate, (1,)))),
+            ]
+    return circuits
+
+
 def test_circuit_unitary_equals_tensordot_reference_bitwise(rng):
     # byte for byte: the diagonal start does no arithmetic on the identity's
     # zeros, so the signs of the zeros it writes are pinned too
     circuits = [build_qft(n) for n in range(2, 9)]
     circuits += [nonadjacent_pair_circuit(rng) for _ in range(5)]
     circuits += [mixed_vocabulary_circuit(rng, n) for n in range(2, 9)]
-    circuits += lazy_start_circuits()
+    circuits += lazy_start_circuits() + full_register_circuits() + last_row_first_touch_circuits()
     for circuit in circuits:
         assert circuit_unitary(circuit).tobytes() == tensordot_unitary(circuit).tobytes()
 
@@ -373,12 +410,14 @@ def traced_peak(call):
     return peak
 
 
-def test_circuit_unitary_allocates_two_registers_at_n8():
-    # the held and spare 4^n buffers, the result being the spare one, and
-    # 64 KiB for the rest: a third 4^n copy or per-slice buffers would exceed it
-    circuit = build_qft(8)
+@pytest.mark.parametrize("n", [7, 8])
+def test_circuit_unitary_allocates_one_register_and_an_eighth(n):
+    # the result holds the register; an in-place gate's blocks of 4^n / 16
+    # entries and the growth's last block take the rest. A second 4^n buffer
+    # (2 MiB at n = 8 with the result) exceeds it
+    circuit = build_qft(n)
     circuit_unitary(circuit)
-    assert traced_peak(lambda: circuit_unitary(circuit)) <= 2 * 4**8 * 16 + 64 * 1024
+    assert traced_peak(lambda: circuit_unitary(circuit)) <= 4**n * 16 * 9 // 8
 
 
 def test_run_circuit_allocates_at_most_600_kib_at_n8(rng):

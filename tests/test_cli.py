@@ -157,6 +157,21 @@ def test_product_input_is_decided_by_its_correlation(tau, want, scenario_file, c
         assert "product state" in err and "environment" in err
 
 
+def test_divisibility_checks_the_input_at_the_reports_tolerance(scenario_file, capsys):
+    # c = 8.49e-4 passes the scenario's separability tolerance 1e-3; the witness
+    # must check it against the same tolerance, not the default 1e-9
+    amplitudes, c = correlated_pair(6e-4)
+    scenario = {"gate": CPI, "input": {"amplitudes": amplitudes}, "t1": 0.5,
+                "tolerances": {"separability": 1e-3}}
+    code, out, err = run(capsys, "divisibility", "--scenario", scenario_file(scenario))
+    assert code == 0, err
+    rho = states.densify(states.PureState(amplitudes))
+    want = maps.udm_witness_subinterval(gates.c_phase(np.pi).generator, rho, 0.5, 1.0, tol=1e-3)
+    got = json.loads(out)["witness"]
+    assert got["correlation_at_t1"] == pytest.approx(want.correlation_at_t1, rel=1e-12)
+    assert got["trace_distance"] == pytest.approx(want.trace_distance, abs=1e-15)
+
+
 def test_divisibility_inside_gate(scenario_file, capsys):
     path = scenario_file({"gate": CPI, "input": ["+", "+"], "t1": 0.5})
     code, out, _ = run(capsys, "divisibility", "--scenario", path)
@@ -466,6 +481,7 @@ def test_a_file_that_cannot_be_written_prints_no_report(command, out, scenario_f
     code, stdout, err = run(capsys, command, "--scenario", path, "--out", str(tmp_path / out))
     assert (code, stdout) == (2, "")
     assert err.startswith("error: [Errno")
+    assert not (tmp_path / "r.json").exists()  # no report is left behind for a failed run
 
 
 def test_phase_bound_admits_times_below_it(scenario_file, capsys):

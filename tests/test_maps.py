@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 from udmlab import (
     DensityMatrix,
     DynamicalMap,
+    PureState,
     apply_map,
     choi,
     densify,
@@ -25,6 +26,7 @@ from udmlab import maps as maps_mod
 from udmlab.gates import equal_up_to_phase
 from udmlab.tolerances import DEFAULT
 from conftest import (
+    correlated_pair,
     diagonal_coherence_factor,
     diagonal_intermediate_map,
     evolve_joint,
@@ -287,6 +289,17 @@ def test_witness_vanishes_continuously_at_t1_zero():
         assert d > previous
         previous = d
     assert udm_witness_subinterval(K_CPI, rho, 1e-3, 1.0).trace_distance < 1e-2
+
+
+def test_witness_checks_its_input_at_the_tolerance_it_is_given():
+    # c = 8.49e-4: a product state within tol = 1e-3, correlated at 1e-4 and at the default
+    amplitudes, c = correlated_pair(6e-4)
+    rho = densify(PureState(amplitudes))
+    w = udm_witness_subinterval(K_CPI, rho, 0.5, 1.0, tol=1e-3)
+    assert w.correlation_at_t1 == pytest.approx(c, rel=1e-9)  # a diagonal gate keeps it
+    for tol in (1e-4, DEFAULT.separability):
+        with pytest.raises(ValueError, match=f"rho_in is correlated .*= {c:.3g}"):
+            udm_witness_subinterval(K_CPI, rho, 0.5, 1.0, tol=tol)
 
 
 def test_witness_rejects_entangled_input_and_empty_interval():

@@ -101,6 +101,7 @@ ENTRY_POINTS = [
     ("witness-t_star", "t_star", "positive", lambda v: udm_witness_subinterval(K, RHO, 0.5, v)),
     ("witness-which", "which",
      "qubit", lambda v: udm_witness_subinterval(K, RHO, 0.5, 1.0, which=v)),
+    ("witness-tol", "tol", "positive", lambda v: udm_witness_subinterval(K, RHO, 0.5, 1.0, tol=v)),
     ("PlacedGate", "CPHASE phi", "phase", lambda v: PlacedGate("CPHASE", (1, 2), phi=v)),
     ("run_circuit", "tol", "positive", lambda v: run_circuit(QFT2, PSI2, tol=v)),
     # dft_matrix allocates 4^n entries: no row may reach it with n >= 12
