@@ -26,9 +26,10 @@ axes, and an H or X is one broadcast matmul, so no gate transposes the
 register. It starts from the identity's diagonal and writes an axis's
 columns out only when an H or X first mixes that axis, so the gates before
 do no arithmetic on the identity's zeros. Each call allocates one 4^n
-array, its result, and holds the register inside it in the result's own
-layout (rows in final qubit order, stored columns in natural order), so
-nothing is transposed at the end and no second 4^n buffer is touched.
+array, its result, and holds the register as its prefix in the result's
+own layout (rows in final qubit order, stored columns in natural order),
+with the free tail past it as the only scratch, so nothing is transposed
+at the end and no second 4^n buffer is touched.
 Each loop is the faster one for its own call shape, one column or all 2^n.
 
 A placed gate is the named ``gates.Gate``, generator included, built once
@@ -252,13 +253,14 @@ def circuit_unitary(circuit: Circuit) -> np.ndarray:
 
     The axes no gate touched have their columns stored at the end, and the
     result is then complete. One 4^n array is allocated per call, the
-    result. While the register fits in half of it, it moves between the
-    two halves: a stored column and an H or X write into the idle half,
-    which also holds a CPHASE slice's two contiguous copies (a ufunc on
-    the strided slice is slower). The column that fills the result is
-    stored in place, and an H, X or CPHASE on the full register runs in
-    place in blocks of at most 4^n / 16 entries, through a copy of each
-    block; a result of at most 4,096 entries (n <= 6) is one block.
+    result, and the register is always its prefix, with the free tail past
+    it as the only scratch: a first H or X stores the doubled register
+    there when four times the register fits, and its matmul writes back to
+    the prefix; a CPHASE holds its slice's two contiguous copies there (a
+    ufunc on the strided slice is slower). Any other column store grows the
+    prefix in place, and any other H or X, or a CPHASE on the full result,
+    runs in place in blocks of at most 4^n / 16 entries, through a copy of
+    each block; a result of at most 4,096 entries (n <= 6) is one block.
 
     The product is bitwise the per-gate matmul's (zgemm's) on the dense
     identity. Multiplying by a purely real or purely imaginary number is
@@ -277,29 +279,27 @@ def circuit_unitary(circuit: Circuit) -> np.ndarray:
     n = circuit.n_qubits
     size = 4**n
     result = np.empty(size, dtype=complex)
-    halves = result[: size // 2], result[size // 2 :]
     limit = size if size <= 4096 else size // 16  # entries per block of an in-place gate
     src = circuit._swapped  # src[r]: the input qubit whose column pairs with row axis r
     row = sorted(range(n), key=src.__getitem__)  # row[q - 1]: the row axis that holds qubit q
     stored = []  # the input qubits whose columns are stored, in order
-    h, t = 0, halves[0][: 2**n]  # the register, a prefix of halves[h] until it fills result
+    t = result[: 2**n]  # the register, always a prefix of result
     t.fill(1)
 
-    def write_column(r):
-        """The register with row axis r's column stored at its sorted place."""
-        nonlocal h
+    def write_column(r, wide=None):
+        """Store row axis r's column at its sorted place: the register doubled into
+        wide, a zeroed part of the free tail, or by default grown in place."""
         c = src[r]
         j = bisect_left(stored, c)
         stored.insert(j, c)
         d = 2 ** (len(stored) - 1 - j)  # entries per index of the columns after it
         run = 2 ** (n - 1 - r + j)  # consecutive indices above d sharing row axis r's value
-        if 4 * t.size <= size:
-            h, wide = 1 - h, halves[1 - h][: 2 * t.size]
-            wide.fill(0)
-            _diagonal(wide, t, 0, run, d)
-            return wide
-        _fill_in_place(result, h, d, run, limit // 4)
-        return result
+        if wide is None:
+            _grow_in_place(result, t.size, d, run, limit // 4)
+            return result[: 2 * t.size]
+        wide.fill(0)
+        _diagonal(wide, t, 0, run, d)
+        return wide
 
     for g, (u, _, _) in zip(circuit.gates, circuit._plan):
         if g.name == "CPHASE":
@@ -310,9 +310,7 @@ def circuit_unitary(circuit: Circuit) -> np.ndarray:
                     lo, hi = hi, lo
                 x = t.reshape(2**lo, 2, 2 ** (hi - lo - 1), 2, -1)[:, 1, :, 1, :]
                 if t.size < size:
-                    _phase(x, e, halves[1 - h])
-                elif size <= limit:
-                    _phase(x, e, np.empty(2 * x.size, dtype=complex))
+                    _phase(x, e, result[t.size :])
                 else:
                     for part in _parts(x, limit // 2):
                         _phase(part, e, np.empty(2 * part.size, dtype=complex))
@@ -324,18 +322,15 @@ def circuit_unitary(circuit: Circuit) -> np.ndarray:
             if src[r] not in stored:
                 if r == n - 1 and not stored:  # so that the matmul sees more than 2 columns
                     t = write_column(n - 2)
+                if 4 * t.size <= size:  # the matmul writes the stored tail back to the prefix
+                    x = write_column(r, result[2 * t.size : 4 * t.size]).reshape(2**r, 2, -1)
+                    t = result[: x.size]
+                    np.matmul(u, x, out=t.reshape(x.shape))
+                    continue
                 t = write_column(r)
-            x = t.reshape(2**r, 2, -1)
-            if t.size < size:
-                out = halves[1 - h][: t.size]
-                np.matmul(u, x, out=out.reshape(x.shape))
-                h, t = 1 - h, out
-            elif size <= limit:
-                np.matmul(u, x.copy(), out=x)
-            else:
-                for part in _parts(x.swapaxes(1, 2), limit):
-                    part = part.swapaxes(-1, -2)
-                    np.matmul(u, part.copy(), out=part)
+            for part in _parts(t.reshape(2**r, 2, -1).swapaxes(1, 2), limit):
+                part = part.swapaxes(-1, -2)
+                np.matmul(u, part.copy(), out=part)
     for r in range(n):
         if src[r] not in stored:
             t = write_column(r)
@@ -357,31 +352,27 @@ def _diagonal(wide, x, lo, run, d):
         wide[:, 1, :, 1] = x[:, 1]
 
 
-def _fill_in_place(result, h, d, run, small):
-    """Store the last column: the register in half h of result grows into all of it, in place.
+def _grow_in_place(result, size, d, run, small):
+    """Store a column in place: the register result[:size] grows into result[:2 size].
 
-    Row i of the register, viewed as (m, d), goes to (i, b, :) of the result
-    viewed as (m, 2, d), 2 i d entries in. Dyadic blocks of i are moved so
-    that none overwrites an entry not yet read: in the lower half, block
-    [k, 2k) lands on entries [2kd, 4kd) (zeros included), above every
-    entry of the blocks below it, so the top blocks go first; in the upper
-    half it is the mirror image, bottom blocks first. Blocks stop at small
-    entries, and the rest, at most 2 small entries, moves through a copy.
+    Row i of the register, viewed as (m, d), goes to (i, b, :) of the prefix
+    viewed as (m, 2, d), 2 i d entries in. Dyadic blocks of i are moved top
+    first: block [k, 2k) lands on entries [2kd, 4kd) (zeros included), above
+    every entry of the blocks below it, so none overwrites an entry not yet
+    read. Blocks stop at small entries, and the rest, at most 2 small
+    entries, moves through a copy.
     """
-    half = result.size // 2
-    x = result[half:] if h else result[:half]
-    top = half // d
+    top = size // d
     while top // 2 * d > small:
-        lo, hi = (top // 2, top) if h == 0 else (half // d - top, half // d - top // 2)
-        wide = result[2 * lo * d : 2 * hi * d]
+        lo = top // 2
+        wide = result[2 * lo * d : 2 * top * d]
         wide.fill(0)
-        _diagonal(wide, x[lo * d : hi * d], lo, run, d)
-        top //= 2
-    lo = 0 if h == 0 else half // d - top
-    rest = x[lo * d : (lo + top) * d].copy()
-    wide = result[2 * lo * d : 2 * (lo + top) * d]
+        _diagonal(wide, result[lo * d : top * d], lo, run, d)
+        top = lo
+    rest = result[: top * d].copy()
+    wide = result[: 2 * top * d]
     wide.fill(0)
-    _diagonal(wide, rest, lo, run, d)
+    _diagonal(wide, rest, 0, run, d)
 
 
 def _phase(x, e, spare):

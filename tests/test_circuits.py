@@ -289,9 +289,10 @@ def lazy_start_circuits():
 def full_register_circuits():
     """Circuits at n = 7 and 8 that apply H, X and CPHASE after every axis has its
     column. The column that fills the result is qubit 1's or qubit n's, at row 0
-    or the last row (the other way round after the SWAP), and the extra X on a
-    stored axis moves the register to the other half before it fills the
-    result, so the in-place growth runs in both block orders."""
+    or the last row (the other way round after the SWAP), so the growth that
+    fills it, top blocks first, puts the new axis's bit at either end of the
+    row index; the extra X on a stored axis runs in place on the half-full
+    register just before it."""
     circuits = []
     for n in (7, 8):
         for last in (1, n):
@@ -304,6 +305,20 @@ def full_register_circuits():
                               PlacedGate("X", (others[2],)), PlacedGate("H", (last,)),
                               PlacedGate("CPHASE", (others[3], others[0]), phi=-1.0)]
                     circuits.append(Circuit(n, tuple(gates) + swap))
+    return circuits
+
+
+def repeated_touch_circuits():
+    """A second H or X on an axis while the register is small, which runs in place
+    through a copy: at n = 3 in one block, at n = 8 in blocks of 4^n / 16 entries,
+    before and after a CPHASE and between first touches that store into the tail."""
+    circuits = []
+    for n, first in ((3, 2), (8, 5)):
+        for gate in ("H", "X"):
+            gates = [PlacedGate("H", (q,)) for q in range(1, first + 1)]
+            gates += [PlacedGate(gate, (1,)), PlacedGate("CPHASE", (1, first), phi=2.5),
+                      PlacedGate(gate, (first,)), PlacedGate("H", (n,)), PlacedGate(gate, (1,))]
+            circuits.append(Circuit(n, tuple(gates)))
     return circuits
 
 
@@ -330,6 +345,7 @@ def test_circuit_unitary_equals_tensordot_reference_bitwise(rng):
     circuits += [nonadjacent_pair_circuit(rng) for _ in range(5)]
     circuits += [mixed_vocabulary_circuit(rng, n) for n in range(2, 9)]
     circuits += lazy_start_circuits() + full_register_circuits() + last_row_first_touch_circuits()
+    circuits += repeated_touch_circuits()
     for circuit in circuits:
         assert circuit_unitary(circuit).tobytes() == tensordot_unitary(circuit).tobytes()
 

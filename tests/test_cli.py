@@ -447,6 +447,16 @@ GEN_Z = {"matrix": [[1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, -1]]}
         # a scenario entry is checked even when a flag replaces it
         ("map", {"gate": CPI, **PLUS_PLUS, "seed": -5}, ["--seed", "3"], None, "seed"),
         ("qft", {"n_qubits": "eight"}, ["--n", "3"], None, "n_qubits"),
+        # a scenario missing what its command needs, or of the wrong shape
+        ("map", [CPI], [], None, "scenario file must contain a JSON object"),
+        ("map", {"gate": CPI, "generator": GEN_Z, **PLUS_PLUS}, [], None,
+         "either 'gate' or 'generator', not both"),
+        ("map", PLUS_PLUS, [], None, "must specify a 'gate' or a 'generator'"),
+        ("map", {"gate": CPI}, [], None, "must specify an 'input' state"),
+        ("trajectory", {"gate": CPI, **PLUS_PLUS, "grid": [0, 1, 4]}, [], None,
+         "'grid' must be an object"),
+        ("divisibility", {"gate": CPI, **PLUS_PLUS}, [], None, "needs a 't1' intermediate time"),
+        ("qft", {}, [], None, "qft needs --n or an 'n_qubits' scenario entry"),
     ],
 )
 def test_malformed_input_exits_2_naming_the_field(
@@ -459,6 +469,19 @@ def test_malformed_input_exits_2_naming_the_field(
     code, _, err = run(capsys, command, "--scenario", scenario_file(scenario), *extra)
     assert code == 2, err
     assert field in err
+
+
+@pytest.mark.parametrize(
+    "command, counts",
+    [("qft", {"n_qubits": 3}), ("trajectory", {"gate": CPI, **PLUS_PLUS, "grid": {"steps": 10}}),
+     ("map", {"gate": CPI, "input": ["+", "1"], "which_qubit": 2, "seed": 5})],
+)
+def test_integral_float_counts_read_as_their_integers(command, counts, scenario_file, capsys):
+    # a count may be written 3.0: the report is the integer form's, byte for byte
+    as_float = json.loads(json.dumps(counts), parse_int=float)
+    code, want, _ = run(capsys, command, "--scenario", scenario_file(counts))
+    assert code == 0
+    assert run(capsys, command, "--scenario", scenario_file(as_float, "float.json")) == (0, want, "")
 
 
 @pytest.mark.parametrize("duration", [0, -1])

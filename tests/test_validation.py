@@ -14,7 +14,12 @@ that is a plain array or tuple. Each passes through one of
 ``states._instance``, ``linalg._hermitian``, ``tolerances._which`` and
 ``linalg._check_phase``, so each message starts with the argument's name
 as well. A hand-built ``Trajectory`` whose grid is no ``TimeGrid`` or
-whose arrays do not fit the grid is refused, naming the field.
+whose arrays do not fit the grid is refused, naming the field. The
+same table holds the refusals of a malformed object whose messages name
+the defect instead of an argument: a circuit, gate, superoperator or
+density matrix of the wrong size, a matrix that is not unitary, a pair of
+maps that do not compose, an unknown state name, and a state that is a
+plain array (the one ``TypeError``).
 """
 import re
 
@@ -22,6 +27,8 @@ import numpy as np
 import pytest
 
 from udmlab import (
+    Circuit,
+    DensityMatrix,
     DynamicalMap,
     Gate,
     PlacedGate,
@@ -51,6 +58,7 @@ from udmlab import (
     matexp_hermitian,
     named_state,
     negativity,
+    operator_schmidt_values,
     partial_trace,
     product_state,
     pseudo_inverse,
@@ -67,12 +75,16 @@ RHO = densify(product_state(["+", "+"]))
 GATE = c_phase(1.0)
 TRAJ = evolve_trajectory(K, RHO, TimeGrid(0.0, 1.0, 4))
 MAP = induced_map(K, ENV, 1.0)
+MAP_2 = induced_map(K, ENV, 2.0)
+MAP_2_WHICH_2 = induced_map(K, ENV, 2.0, which=2)
+MAP_2_ENV_0 = induced_map(K, densify(named_state("0")), 2.0)
 QFT2 = build_qft(2)
 PSI1 = named_state("+")
 PSI2 = product_state(["0", "1"])
 GRID = TimeGrid(0.0, 1.0, 4)
 # a 4x4 generator that is not Hermitian: i (X (x) 1)
 SKEW = 1j * np.kron(X, np.eye(2))
+NOT_UNITARY = np.diag([1.0, 2.0]).astype(complex)
 
 # (entry point, argument name as the message gives it, kind, call with the value)
 ENTRY_POINTS = [
@@ -252,14 +264,46 @@ STRUCTURED = [
      r"^purities must be an array of shape \(5,\), got \(3,\)$"),
     ("Trajectory-matrix-purities", lambda: Trajectory(GRID, TRAJ.joint_states, TRAJ.joint_states),
      r"^purities must be an array of shape \(5,\), got \(5, 4, 4\)$"),
+    # a malformed object, refused by a message that names the defect
+    ("Circuit-9-qubits", lambda: Circuit(9, ()), r"^n_qubits must be in \[2, 8\], got 9$"),
+    ("Gate-not-unitary", lambda: Gate(np.zeros((2, 2)), 1.0, NOT_UNITARY),
+     "^cached gate matrix is not unitary$"),
+    ("generator_from_unitary-not-unitary",
+     lambda: generator_from_unitary(np.kron(NOT_UNITARY, np.eye(2)), 1.0),
+     "^generator_from_unitary requires a unitary matrix$"),
+    ("apply-array-state", lambda: apply(GATE, RHO.matrix),
+     "^expected PureState or DensityMatrix, got ndarray$", TypeError),
+    ("operator_schmidt_values-2x2", lambda: operator_schmidt_values(np.eye(2)),
+     r"^expected a 4x4 operator, got \(2, 2\)$"),
+    ("is_entangling-1-qubit", lambda: is_entangling(Gate(X, 1.0)),
+     "^is_entangling applies to 2-qubit gates$"),
+    ("equal_up_to_phase-shapes", lambda: equal_up_to_phase(X, np.eye(4)), "^shape mismatch$"),
+    ("DynamicalMap-2x2", lambda: DynamicalMap(np.eye(2), None, (0.0, 1.0), 1),
+     r"^superoperator must be 4x4, got \(2, 2\)$"),
+    ("intermediate_map-qubits", lambda: intermediate_map(MAP, MAP_2_WHICH_2),
+     "^maps describe different qubits$"),
+    ("intermediate_map-starts",
+     lambda: intermediate_map(DynamicalMap(MAP.superoperator, ENV, (0.5, 1.0), 1), MAP_2),
+     "^maps must share the start time$"),
+    ("intermediate_map-t1-outside", lambda: intermediate_map(MAP_2, MAP),
+     r"^need t0 < t1 < t\*, got t0=0.0, t1=2.0, t\*=1.0$"),
+    ("intermediate_map-environments", lambda: intermediate_map(MAP, MAP_2_ENV_0),
+     "^maps were induced from different environment states$"),
+    ("DensityMatrix-1-d", lambda: DensityMatrix(np.ones(4)), "^expected a matrix, got ndim=1$"),
+    ("DensityMatrix-not-square", lambda: DensityMatrix(np.ones((2, 4))),
+     r"^density matrix must be square, got \(2, 4\)$"),
+    ("named_state-z", lambda: named_state("z"), r"^unknown state name 'z'; expected one of \["),
 ]
 
 
+# a row's fourth entry, when it has one, is the error raised instead of ValueError
 @pytest.mark.parametrize(
-    "call, message", [pytest.param(call, message, id=i) for i, call, message in STRUCTURED]
+    "call, message, error",
+    [pytest.param(call, message, *(error or [ValueError]), id=i)
+     for i, call, message, *error in STRUCTURED],
 )
-def test_malformed_structured_argument_raises_naming_it(call, message):
-    with pytest.raises(ValueError, match=message):
+def test_malformed_structured_argument_raises_naming_it(call, message, error):
+    with pytest.raises(error, match=message):
         call()
 
 
