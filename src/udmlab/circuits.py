@@ -23,13 +23,9 @@ straight into the one stack the audit reads. ``circuit_unitary`` carries
 all 2^n basis columns and applies each gate by its name instead: a CPHASE
 scales the one slice where both its qubits are 1, a SWAP relabels two
 axes, and an H or X is one broadcast matmul, so no gate transposes the
-register. It starts from the identity's diagonal and writes an axis's
-columns out only when an H or X first mixes that axis, so the gates before
-do no arithmetic on the identity's zeros. Each call allocates one 4^n
-array, its result, and holds the register as its prefix in the result's
-own layout (rows in final qubit order, stored columns in natural order),
-with the free tail past it as the only scratch, so nothing is transposed
-at the end and no second 4^n buffer is touched.
+register. It starts from the identity's diagonal and holds the register
+as a prefix of its one 4^n result, in the result's own layout, so every
+column store and every gate runs in place (its docstring has the layout).
 Each loop is the faster one for its own call shape, one column or all 2^n.
 
 A placed gate is the named ``gates.Gate``, generator included, built once
@@ -251,16 +247,11 @@ def circuit_unitary(circuit: Circuit) -> np.ndarray:
       the (2^r, 2, rest) view, after its column is stored if it is the
       first touch.
 
-    The axes no gate touched have their columns stored at the end, and the
-    result is then complete. One 4^n array is allocated per call, the
-    result, and the register is always its prefix, with the free tail past
-    it as the only scratch: a first H or X stores the doubled register
-    there when four times the register fits, and its matmul writes back to
-    the prefix; a CPHASE holds its slice's two contiguous copies there (a
-    ufunc on the strided slice is slower). Any other column store grows the
-    prefix in place, and any other H or X, or a CPHASE on the full result,
-    runs in place in blocks of at most 4^n / 16 entries, through a copy of
-    each block; a result of at most 4,096 entries (n <= 6) is one block.
+    The axes no gate touched have their columns stored at the end. The one
+    4^n array allocated per call is the result, and the register is always
+    its prefix: a column store grows it in place, and every H, X or CPHASE
+    runs in place through a copy of each block of at most 4^n / 16 entries
+    (one block for n <= 6; a ufunc on the strided CPHASE slice is slower).
 
     The product is bitwise the per-gate matmul's (zgemm's) on the dense
     identity. Multiplying by a purely real or purely imaginary number is
@@ -286,20 +277,15 @@ def circuit_unitary(circuit: Circuit) -> np.ndarray:
     t = result[: 2**n]  # the register, always a prefix of result
     t.fill(1)
 
-    def write_column(r, wide=None):
-        """Store row axis r's column at its sorted place: the register doubled into
-        wide, a zeroed part of the free tail, or by default grown in place."""
+    def write_column(r):
+        """Store row axis r's column at its sorted place, growing the register in place."""
         c = src[r]
         j = bisect_left(stored, c)
         stored.insert(j, c)
         d = 2 ** (len(stored) - 1 - j)  # entries per index of the columns after it
         run = 2 ** (n - 1 - r + j)  # consecutive indices above d sharing row axis r's value
-        if wide is None:
-            _grow_in_place(result, t.size, d, run, limit // 4)
-            return result[: 2 * t.size]
-        wide.fill(0)
-        _diagonal(wide, t, 0, run, d)
-        return wide
+        _grow_in_place(result, t.size, d, run, limit // 4)
+        return result[: 2 * t.size]
 
     for g, (u, _, _) in zip(circuit.gates, circuit._plan):
         if g.name == "CPHASE":
@@ -309,11 +295,8 @@ def circuit_unitary(circuit: Circuit) -> np.ndarray:
                 if lo > hi:
                     lo, hi = hi, lo
                 x = t.reshape(2**lo, 2, 2 ** (hi - lo - 1), 2, -1)[:, 1, :, 1, :]
-                if t.size < size:
-                    _phase(x, e, result[t.size :])
-                else:
-                    for part in _parts(x, limit // 2):
-                        _phase(part, e, np.empty(2 * part.size, dtype=complex))
+                for part in _parts(x, limit // 2):
+                    _phase(part, e)
         elif g.name == "SWAP":
             i, j = g.qubits
             row[i - 1], row[j - 1] = row[j - 1], row[i - 1]
@@ -322,11 +305,6 @@ def circuit_unitary(circuit: Circuit) -> np.ndarray:
             if src[r] not in stored:
                 if r == n - 1 and not stored:  # so that the matmul sees more than 2 columns
                     t = write_column(n - 2)
-                if 4 * t.size <= size:  # the matmul writes the stored tail back to the prefix
-                    x = write_column(r, result[2 * t.size : 4 * t.size]).reshape(2**r, 2, -1)
-                    t = result[: x.size]
-                    np.matmul(u, x, out=t.reshape(x.shape))
-                    continue
                 t = write_column(r)
             for part in _parts(t.reshape(2**r, 2, -1).swapaxes(1, 2), limit):
                 part = part.swapaxes(-1, -2)
@@ -337,49 +315,36 @@ def circuit_unitary(circuit: Circuit) -> np.ndarray:
     return result.reshape(2**n, 2**n)
 
 
-def _diagonal(wide, x, lo, run, d):
-    """Write x, a flat (m, d), into the zeroed flat (m, 2, d) wide at (i, b, :).
-
-    b is the bit of the new column's row axis at index lo + i, which runs over
-    the row axes and the columns before the new one: run consecutive indices
-    share one b, and [lo, lo + m) lies within one run or covers whole pairs.
-    """
-    if x.size <= run * d:
-        wide.reshape(-1, 2, d)[:, lo // run % 2] = x.reshape(-1, d)
-    else:
-        wide, x = wide.reshape(-1, 2, run, 2, d), x.reshape(-1, 2, run, d)
-        wide[:, 0, :, 0] = x[:, 0]
-        wide[:, 1, :, 1] = x[:, 1]
-
-
 def _grow_in_place(result, size, d, run, small):
     """Store a column in place: the register result[:size] grows into result[:2 size].
 
     Row i of the register, viewed as (m, d), goes to (i, b, :) of the prefix
-    viewed as (m, 2, d), 2 i d entries in. Dyadic blocks of i are moved top
-    first: block [k, 2k) lands on entries [2kd, 4kd) (zeros included), above
-    every entry of the blocks below it, so none overwrites an entry not yet
-    read. Blocks stop at small entries, and the rest, at most 2 small
-    entries, moves through a copy.
+    viewed as (m, 2, d), b the new column's row axis bit at i (run consecutive
+    i share one b). Dyadic blocks of i move top first: block [k, 2k) lands on
+    entries [2kd, 4kd), above every entry not yet read. Blocks stop at small
+    entries, and the rest, at most 2 small entries, moves through a copy.
     """
     top = size // d
-    while top // 2 * d > small:
-        lo = top // 2
+    while top:
+        lo = top // 2 if top // 2 * d > small else 0
+        x = result[lo * d : top * d]
+        if not lo:
+            x = x.copy()
         wide = result[2 * lo * d : 2 * top * d]
         wide.fill(0)
-        _diagonal(wide, result[lo * d : top * d], lo, run, d)
+        if x.size <= run * d:  # [lo, top) lies within one run
+            wide.reshape(-1, 2, d)[:, lo // run % 2] = x.reshape(-1, d)
+        else:  # [lo, top) covers whole pairs of runs
+            wide, x = wide.reshape(-1, 2, run, 2, d), x.reshape(-1, 2, run, d)
+            wide[:, 0, :, 0] = x[:, 0]
+            wide[:, 1, :, 1] = x[:, 1]
         top = lo
-    rest = result[: top * d].copy()
-    wide = result[: 2 * top * d]
-    wide.fill(0)
-    _diagonal(wide, rest, 0, run, d)
 
 
-def _phase(x, e, spare):
-    """x *= e in place, as x er + x (i ei), with the two contiguous copies held in spare."""
-    y, y_er = spare[: 2 * x.size].reshape((2,) + x.shape)
-    y[...] = x
-    np.multiply(y, e.real, out=y_er)
+def _phase(x, e):
+    """x *= e in place, as x er + x (i ei), through two contiguous copies of x."""
+    y = x.copy()
+    y_er = y * e.real
     y *= 1j * e.imag
     y += y_er
     x[...] = y

@@ -55,11 +55,11 @@ class Gate:
         if shape not in ((2, 2), (4, 4)):
             raise ValueError(f"gates act on 1 or 2 qubits: generator must be 2x2 or 4x4, got {shape}")
         object.__setattr__(self, "duration", _real(self.duration, "gate duration", positive=True))
-        if self.unitary is not None and linalg.unitarity_defect(self.unitary) > DEFAULT.unitarity:
-            raise ValueError("cached gate matrix is not unitary")
         rebuilt = linalg.matexp_hermitian(self.generator, self.duration)
         if self.unitary is None:
             object.__setattr__(self, "unitary", rebuilt)
+        elif (defect := linalg.unitarity_defect(self.unitary)) > DEFAULT.unitarity:
+            raise ValueError(f"unitary must be a unitary matrix, got unitarity defect {defect:.3g}")
         elif float(np.max(np.abs(rebuilt - self.unitary))) > DEFAULT.reconstruction:
             raise ValueError("gate matrix does not match exp(-i K t*)")
         for field in ("generator", "unitary"):
@@ -153,7 +153,7 @@ def operator_schmidt_values(u) -> np.ndarray:
     """Singular values of the qubit-pairing reshuffle of a 4x4 operator."""
     u = linalg.as_matrix(u)
     if u.shape != (4, 4):
-        raise ValueError(f"expected a 4x4 operator, got {u.shape}")
+        raise ValueError(f"u must be a 4x4 operator, got shape {u.shape}")
     reshuffled = u.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)
     return np.linalg.svd(reshuffled, compute_uv=False)
 
@@ -182,7 +182,7 @@ def equal_up_to_phase(a, b, tol: float = DEFAULT.reconstruction) -> bool:
     a = linalg.as_matrix(a)
     b = linalg.as_matrix(b)
     if a.shape != b.shape:
-        raise ValueError("shape mismatch")
+        raise ValueError(f"a and b must have the same shape, got {a.shape} and {b.shape}")
     idx = np.unravel_index(np.argmax(np.abs(b)), b.shape)
     if abs(b[idx]) < 1e-15:
         return float(np.linalg.norm(a)) <= tol

@@ -286,7 +286,7 @@ def intermediate_map(
     _instance(e_short, DynamicalMap, None, "e_short")
     _instance(e_long, DynamicalMap, None, "e_long")
     if e_short.which_qubit != e_long.which_qubit:
-        raise ValueError("maps describe different qubits")
+        raise ValueError(f"e_long must act on qubit {e_short.which_qubit}, got {e_long.which_qubit}")
     t0s, t1 = e_short.interval
     t0l, t_star = e_long.interval
     if abs(t0s - t0l) > 1e-12:

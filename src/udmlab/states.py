@@ -70,7 +70,7 @@ class DensityMatrix:
     def __init__(self, matrix):
         m = np.asarray(matrix, dtype=complex)
         if m.ndim != 2:
-            raise ValueError(f"expected a matrix, got ndim={m.ndim}")
+            raise ValueError(f"matrix must be 2-D, got shape {m.shape}")
         if m.shape[0] != m.shape[1]:
             raise ValueError(f"density matrix must be square, got {m.shape}")
         n = int(np.log2(m.shape[0])) if m.size else 0

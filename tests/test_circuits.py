@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from udmlab import (
     Circuit,
@@ -28,6 +29,11 @@ from udmlab import circuits as circuits_mod
 from udmlab.circuits import AuditRecord
 from udmlab.tolerances import DEFAULT, Tolerances
 from conftest import H, SINGLET_PROJECTOR, SWAP, X, random_pure, run_circuit_by_factor_list
+
+try:
+    import resource
+except ImportError:  # POSIX only
+    resource = None
 
 
 def basis_state(n, bits):
@@ -289,10 +295,10 @@ def lazy_start_circuits():
 def full_register_circuits():
     """Circuits at n = 7 and 8 that apply H, X and CPHASE after every axis has its
     column. The column that fills the result is qubit 1's or qubit n's, at row 0
-    or the last row (the other way round after the SWAP), so the growth that
-    fills it, top blocks first, puts the new axis's bit at either end of the
-    row index; the extra X on a stored axis runs in place on the half-full
-    register just before it."""
+    or the last row (the other way round after the SWAP), so the last in-place
+    growth, top blocks first, puts the new axis's bit at either end of the row
+    index; the extra X on a stored axis runs in place on the half-full register
+    just before it."""
     circuits = []
     for n in (7, 8):
         for last in (1, n):
@@ -311,7 +317,7 @@ def full_register_circuits():
 def repeated_touch_circuits():
     """A second H or X on an axis while the register is small, which runs in place
     through a copy: at n = 3 in one block, at n = 8 in blocks of 4^n / 16 entries,
-    before and after a CPHASE and between first touches that store into the tail."""
+    before and after a CPHASE and between first touches that grow the register."""
     circuits = []
     for n, first in ((3, 2), (8, 5)):
         for gate in ("H", "X"):
@@ -348,6 +354,30 @@ def test_circuit_unitary_equals_tensordot_reference_bitwise(rng):
     circuits += repeated_touch_circuits()
     for circuit in circuits:
         assert circuit_unitary(circuit).tobytes() == tensordot_unitary(circuit).tobytes()
+
+
+@st.composite
+def random_circuits(draw):
+    """Up to 12 gates of H, X, SWAP and CPHASE on n = 2..6 qubits, the CPHASE
+    phases drawn from [-4, 4] or the phases whose e^{i phi} has a zero component."""
+    n = draw(st.integers(2, 6))
+    qubit = st.integers(1, n)
+    pair = st.lists(qubit, min_size=2, max_size=2, unique=True).map(tuple)
+    phi = st.floats(-4.0, 4.0) | st.sampled_from([0.0, np.pi / 2, -np.pi / 2, np.pi, -np.pi])
+    gate = (
+        st.builds(PlacedGate, st.sampled_from(["H", "X"]), qubit.map(lambda q: (q,)))
+        | st.builds(PlacedGate, st.just("SWAP"), pair)
+        | st.builds(PlacedGate, st.just("CPHASE"), pair, phi)
+    )
+    return Circuit(n, tuple(draw(st.lists(gate, max_size=12))))
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(circuit=random_circuits())
+def test_circuit_unitary_equals_tensordot_reference_on_random_circuits(circuit):
+    # the hand-built families above reach the paths they were written for;
+    # random gate orders reach first touches, in-place gates and growth in any mix
+    assert circuit_unitary(circuit).tobytes() == tensordot_unitary(circuit).tobytes()
 
 
 @pytest.mark.parametrize("phi", [0.0, np.pi / 2, -np.pi / 2, np.pi, -np.pi, 2 * np.pi])
@@ -434,6 +464,20 @@ def test_circuit_unitary_allocates_one_register_and_an_eighth(n):
     circuit = build_qft(n)
     circuit_unitary(circuit)
     assert traced_peak(lambda: circuit_unitary(circuit)) <= 4**n * 16 * 9 // 8
+
+
+@pytest.mark.skipif(resource is None, reason="needs the POSIX resource module")
+@pytest.mark.parametrize("n", [7, 8])
+def test_warm_circuit_unitary_takes_no_page_faults(n):
+    # the result is the one large allocation and every gate runs in place, so a
+    # warm call reuses the pages the last one freed; a second 4^n buffer touched
+    # per call took about 480 minor faults at n = 8
+    circuit = build_qft(n)
+    circuit_unitary(circuit)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(50):
+        circuit_unitary(circuit)
+    assert (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 50 < 1
 
 
 def test_run_circuit_allocates_at_most_600_kib_at_n8(rng):

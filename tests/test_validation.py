@@ -14,12 +14,17 @@ that is a plain array or tuple. Each passes through one of
 ``states._instance``, ``linalg._hermitian``, ``tolerances._which`` and
 ``linalg._check_phase``, so each message starts with the argument's name
 as well. A hand-built ``Trajectory`` whose grid is no ``TimeGrid`` or
-whose arrays do not fit the grid is refused, naming the field. The
-same table holds the refusals of a malformed object whose messages name
-the defect instead of an argument: a circuit, gate, superoperator or
-density matrix of the wrong size, a matrix that is not unitary, a pair of
-maps that do not compose, an unknown state name, and a state that is a
-plain array (the one ``TypeError``).
+whose arrays do not fit the grid is refused, naming the field, and so are
+a ``Gate`` whose ``unitary`` is not unitary, a ``DensityMatrix`` of a 1-d
+array, an ``operator_schmidt_values`` operator that is not 4x4, two
+``equal_up_to_phase`` arrays of different shapes and two
+``intermediate_map`` maps of different qubits, each message quoting the
+offending shape or value. The same table holds the refusals of a
+malformed object whose messages name the defect instead of an argument: a
+circuit, gate, superoperator or density matrix of the wrong size, a
+generator input that is not unitary, a pair of maps that do not compose,
+an unknown state name, and a state that is a plain array (the one
+``TypeError``).
 """
 import re
 
@@ -264,24 +269,26 @@ STRUCTURED = [
      r"^purities must be an array of shape \(5,\), got \(3,\)$"),
     ("Trajectory-matrix-purities", lambda: Trajectory(GRID, TRAJ.joint_states, TRAJ.joint_states),
      r"^purities must be an array of shape \(5,\), got \(5, 4, 4\)$"),
-    # a malformed object, refused by a message that names the defect
+    # a malformed object, refused by a message that names the defect or the
+    # argument that holds it
     ("Circuit-9-qubits", lambda: Circuit(9, ()), r"^n_qubits must be in \[2, 8\], got 9$"),
     ("Gate-not-unitary", lambda: Gate(np.zeros((2, 2)), 1.0, NOT_UNITARY),
-     "^cached gate matrix is not unitary$"),
+     r"^unitary must be a unitary matrix, got unitarity defect 3$"),
     ("generator_from_unitary-not-unitary",
      lambda: generator_from_unitary(np.kron(NOT_UNITARY, np.eye(2)), 1.0),
      "^generator_from_unitary requires a unitary matrix$"),
     ("apply-array-state", lambda: apply(GATE, RHO.matrix),
      "^expected PureState or DensityMatrix, got ndarray$", TypeError),
     ("operator_schmidt_values-2x2", lambda: operator_schmidt_values(np.eye(2)),
-     r"^expected a 4x4 operator, got \(2, 2\)$"),
+     r"^u must be a 4x4 operator, got shape \(2, 2\)$"),
     ("is_entangling-1-qubit", lambda: is_entangling(Gate(X, 1.0)),
      "^is_entangling applies to 2-qubit gates$"),
-    ("equal_up_to_phase-shapes", lambda: equal_up_to_phase(X, np.eye(4)), "^shape mismatch$"),
+    ("equal_up_to_phase-shapes", lambda: equal_up_to_phase(X, np.eye(4)),
+     r"^a and b must have the same shape, got \(2, 2\) and \(4, 4\)$"),
     ("DynamicalMap-2x2", lambda: DynamicalMap(np.eye(2), None, (0.0, 1.0), 1),
      r"^superoperator must be 4x4, got \(2, 2\)$"),
     ("intermediate_map-qubits", lambda: intermediate_map(MAP, MAP_2_WHICH_2),
-     "^maps describe different qubits$"),
+     "^e_long must act on qubit 1, got 2$"),
     ("intermediate_map-starts",
      lambda: intermediate_map(DynamicalMap(MAP.superoperator, ENV, (0.5, 1.0), 1), MAP_2),
      "^maps must share the start time$"),
@@ -289,7 +296,7 @@ STRUCTURED = [
      r"^need t0 < t1 < t\*, got t0=0.0, t1=2.0, t\*=1.0$"),
     ("intermediate_map-environments", lambda: intermediate_map(MAP, MAP_2_ENV_0),
      "^maps were induced from different environment states$"),
-    ("DensityMatrix-1-d", lambda: DensityMatrix(np.ones(4)), "^expected a matrix, got ndim=1$"),
+    ("DensityMatrix-1-d", lambda: DensityMatrix(np.ones(4)), r"^matrix must be 2-D, got shape \(4,\)$"),
     ("DensityMatrix-not-square", lambda: DensityMatrix(np.ones((2, 4))),
      r"^density matrix must be square, got \(2, 4\)$"),
     ("named_state-z", lambda: named_state("z"), r"^unknown state name 'z'; expected one of \["),
