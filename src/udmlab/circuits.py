@@ -107,9 +107,8 @@ class Circuit:
     gates: tuple[PlacedGate, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "n_qubits", _integer(self.n_qubits, "circuit qubit count"))
-        if not MIN_QUBITS <= self.n_qubits <= MAX_QUBITS:
-            raise ValueError(f"n_qubits must be in [{MIN_QUBITS}, {MAX_QUBITS}], got {self.n_qubits}")
+        n = _integer(self.n_qubits, "n_qubits", MIN_QUBITS, MAX_QUBITS)
+        object.__setattr__(self, "n_qubits", n)
         try:
             gates = tuple(self.gates)
         except TypeError:
@@ -119,18 +118,17 @@ class Circuit:
             if not isinstance(g, PlacedGate):
                 raise ValueError(f"circuit gates must be PlacedGate, got {g!r}")
             for q in g.qubits:
-                if not 1 <= q <= self.n_qubits:
-                    raise ValueError(f"qubit index {q} out of range 1..{self.n_qubits}")
+                _integer(q, f"{g.name} qubit index", 1, n)
         # run_circuit's plan: per gate (unitary, axes, rows), axes bringing the gate's
         # qubits to the front of the previous gate's product; the axes putting the
         # last product in qubit order; each two-qubit block's (position, gate). For
         # circuit_unitary, _swapped[q]: the input qubit the SWAPs bring to qubit q
         # (0-based). Not fields, so eq, hash, repr and fields() see only n_qubits and gates
-        plan, held = [], list(range(self.n_qubits))  # held[a]: the qubit at axis a
-        swapped = list(range(self.n_qubits))
+        plan, held = [], list(range(n))  # held[a]: the qubit at axis a
+        swapped = list(range(n))
         for g in self.gates:
             perm = [q - 1 for q in g.qubits]
-            perm += [a for a in range(self.n_qubits) if a not in perm]
+            perm += [a for a in range(n) if a not in perm]
             plan.append((g.gate.unitary, tuple(held.index(a) for a in perm), 2 ** len(g.qubits)))
             held = perm
             if g.name == "SWAP":
@@ -138,7 +136,7 @@ class Circuit:
                 swapped[i], swapped[j] = swapped[j], swapped[i]
         object.__setattr__(self, "_plan", tuple(plan))
         object.__setattr__(self, "_swapped", tuple(swapped))
-        object.__setattr__(self, "_final", tuple(held.index(a) for a in range(self.n_qubits)))
+        object.__setattr__(self, "_final", tuple(held.index(a) for a in range(n)))
         blocks = tuple((pos, g) for pos, g in enumerate(self.gates, start=1) if len(g.qubits) == 2)
         object.__setattr__(self, "_blocks", blocks)
 
@@ -170,9 +168,7 @@ def build_qft(n: int) -> Circuit:
     each later qubit k; a tail of SWAPs reverses the qubit order. Gate
     count: n Hadamards, n(n-1)/2 controlled phases, floor(n/2) SWAPs.
     """
-    n = _integer(n, "QFT size")
-    if not MIN_QUBITS <= n <= MAX_QUBITS:
-        raise ValueError(f"QFT size must be in [{MIN_QUBITS}, {MAX_QUBITS}], got {n}")
+    n = _integer(n, "n", MIN_QUBITS, MAX_QUBITS)
     placed = []
     for j in range(1, n + 1):
         placed.append(PlacedGate("H", (j,)))
@@ -366,9 +362,7 @@ def _parts(v, limit):
 
 def dft_matrix(n: int) -> np.ndarray:
     """DFT matrix on 2^n amplitudes: entries e^{2 pi i jk / 2^n} / 2^(n/2), 1 <= n <= 8."""
-    n = _integer(n, "n")
-    if not 1 <= n <= MAX_QUBITS:
-        raise ValueError(f"n must be in [1, {MAX_QUBITS}], got {n}")
+    n = _integer(n, "n", 1, MAX_QUBITS)
     dim = 2**n
     jk = np.outer(np.arange(dim), np.arange(dim))
     return np.exp(2j * np.pi * jk / dim) / np.sqrt(dim)

@@ -150,11 +150,11 @@ def _parse_matrix(rows, field: str) -> np.ndarray:
     )
 
 
-def _integer(value, field: str) -> int:
+def _integer(value, field: str, *bounds) -> int:
     # JSON has one number type: an integral float such as 3.0 counts
     if type(value) is float and value.is_integer():
         value = int(value)
-    return tolerances._integer(value, field)
+    return tolerances._integer(value, field, *bounds)
 
 
 def _json(text: str, source: str):
@@ -201,10 +201,13 @@ def _tolerance_values(mapping, where: str) -> dict:
     return {k: _real(v, f"{where}.{k}") for k, v in mapping.items()}
 
 
-def _flag_or(flag, entry, what: str, check=_integer):
-    """check(flag) if the flag is given, else check(entry); the entry is checked either way."""
-    entry = check(entry, what)
-    return entry if flag is None else check(flag, what)
+def _flag_or(flag, entry, what: str, *bounds, check=_integer):
+    """check(flag) if the flag is given, else check(entry); the entry is checked either way.
+
+    bounds, an inclusive (lo, hi) when given, go to check with each value.
+    """
+    entry = check(entry, what, *bounds)
+    return entry if flag is None else check(flag, what, *bounds)
 
 
 def _seed(value, what: str) -> int:
@@ -280,7 +283,9 @@ def _grid_from_scenario(
     t_end = _real(spec.get("t_end", t_start + gate.duration), "grid.t_end")
     # the grid is evolved over t - t_start, so the span is bounded as well
     linalg._check_phase(w, max(abs(t_end), t_end - t_start), "grid.t_end", tol.reconstruction)
-    count = _flag_or(steps, spec.get("steps", dynamics.DEFAULT_STEPS), "grid.steps")
+    count = _flag_or(
+        steps, spec.get("steps", dynamics.DEFAULT_STEPS), "grid.steps", 1, dynamics.MAX_STEPS
+    )
     return dynamics.TimeGrid(t_start, t_end, count)
 
 
@@ -433,7 +438,9 @@ def _cmd_divisibility(scenario: dict, args, tol: Tolerances, seed: int) -> tuple
 def _cmd_qft(scenario: dict, args, tol: Tolerances, seed: int) -> tuple[dict, str]:
     if args.n is None and scenario.get("n_qubits") is None:
         raise ValueError("qft needs --n or an 'n_qubits' scenario entry")
-    circuit = circuits.build_qft(_flag_or(args.n, scenario.get("n_qubits", args.n), "n_qubits"))
+    n = _flag_or(args.n, scenario.get("n_qubits", args.n), "n_qubits",
+                 circuits.MIN_QUBITS, circuits.MAX_QUBITS)
+    circuit = circuits.build_qft(n)
     if "input" in scenario:
         psi = _input_from_scenario(scenario, n_qubits=circuit.n_qubits)
     else:
@@ -510,7 +517,7 @@ def main(argv=None) -> int:
     try:
         scenario = _load_scenario(args.scenario)
         tol, env_echo = _resolve_tolerances(scenario, args)
-        seed = _flag_or(args.seed, scenario.get("seed", 0), "seed", _seed)
+        seed = _flag_or(args.seed, scenario.get("seed", 0), "seed", check=_seed)
         body, csv_text = _COMMANDS[args.command](scenario, args, tol, seed)
         report = {"command": args.command, "seed": seed, "tolerances": tol.as_dict()}
         if env_echo is not None:

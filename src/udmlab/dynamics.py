@@ -49,9 +49,7 @@ class TimeGrid:
         object.__setattr__(self, "t_end", _real(self.t_end, "grid t_end"))
         if self.t_end <= self.t_start:
             raise ValueError("t_end must exceed t_start")
-        object.__setattr__(self, "steps", _integer(self.steps, "grid steps"))
-        if not 1 <= self.steps <= MAX_STEPS:
-            raise ValueError(f"steps must be an integer in [1, {MAX_STEPS}], got {self.steps}")
+        object.__setattr__(self, "steps", _integer(self.steps, "grid steps", 1, MAX_STEPS))
 
     @property
     def epsilon(self) -> float:

@@ -51,19 +51,17 @@ class Gate:
     unitary: np.ndarray | None = None
 
     def __post_init__(self):
-        shape = np.shape(self.generator)
-        if shape not in ((2, 2), (4, 4)):
-            raise ValueError(f"gates act on 1 or 2 qubits: generator must be 2x2 or 4x4, got {shape}")
+        k = linalg._matrix(self.generator, "generator")
+        if len(k) not in (2, 4):
+            raise ValueError(f"generator must be 2x2 or 4x4, got {k.shape}")
         object.__setattr__(self, "duration", _real(self.duration, "gate duration", positive=True))
-        rebuilt = linalg.matexp_hermitian(self.generator, self.duration)
-        if self.unitary is None:
-            object.__setattr__(self, "unitary", rebuilt)
-        elif (defect := linalg.unitarity_defect(self.unitary)) > DEFAULT.unitarity:
-            raise ValueError(f"unitary must be a unitary matrix, got unitarity defect {defect:.3g}")
-        elif float(np.max(np.abs(rebuilt - self.unitary))) > DEFAULT.reconstruction:
-            raise ValueError("gate matrix does not match exp(-i K t*)")
-        for field in ("generator", "unitary"):
-            frozen = np.array(getattr(self, field))
+        u = rebuilt = linalg.matexp_hermitian(k, self.duration)
+        if self.unitary is not None:
+            u = linalg._unitary(self.unitary, "unitary", len(k))
+            if (dev := float(np.max(np.abs(rebuilt - u)))) > DEFAULT.reconstruction:
+                raise ValueError(f"unitary must match exp(-i K t*), got max deviation {dev:.3g}")
+        for field, value in (("generator", k), ("unitary", u)):
+            frozen = np.array(value)
             frozen.flags.writeable = False
             object.__setattr__(self, field, frozen)
 
@@ -74,7 +72,7 @@ class Gate:
 
 def gate_from_generator(k, t_star: float) -> Gate:
     """Gate driven by Hermitian k for duration t_star."""
-    return Gate(linalg.as_matrix(k), t_star)
+    return Gate(k, t_star)
 
 
 def generator_from_unitary(u, t_star: float) -> np.ndarray:
@@ -87,9 +85,7 @@ def generator_from_unitary(u, t_star: float) -> np.ndarray:
     t_star = _real(t_star, "duration", positive=True)
     if not np.isfinite(np.pi / t_star):  # a float quotient: no warning
         raise ValueError(f"duration must keep the phases / t* of K finite, got {t_star!r}")
-    u = linalg.as_matrix(u)
-    if linalg.unitarity_defect(u) > DEFAULT.unitarity:
-        raise ValueError("generator_from_unitary requires a unitary matrix")
+    u = linalg._unitary(u, "u")
     # u = v diag(lam) v^-1 holds for any eigenbasis of a diagonalisable u,
     # orthonormal or not, so degenerate eigenphases need no special care
     lam, v = np.linalg.eig(u)
@@ -146,14 +142,12 @@ def apply(g: Gate, state):
     if isinstance(state, DensityMatrix):
         rho = _instance(state, DensityMatrix, g.n_qubits, "state").matrix
         return DensityMatrix(g.unitary @ rho @ g.unitary.conj().T)
-    raise TypeError(f"expected PureState or DensityMatrix, got {type(state).__name__}")
+    raise ValueError(f"state must be a PureState or DensityMatrix, got {type(state).__name__}")
 
 
 def operator_schmidt_values(u) -> np.ndarray:
     """Singular values of the qubit-pairing reshuffle of a 4x4 operator."""
-    u = linalg.as_matrix(u)
-    if u.shape != (4, 4):
-        raise ValueError(f"u must be a 4x4 operator, got shape {u.shape}")
+    u = linalg._matrix(u, "u", 4)
     reshuffled = u.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)
     return np.linalg.svd(reshuffled, compute_uv=False)
 
@@ -167,7 +161,7 @@ def is_entangling(g: Gate, tol: float = DEFAULT.separability) -> tuple[bool, int
     """
     tol = _real(tol, "tol", positive=True)
     if _instance(g, Gate, None, "g").n_qubits != 2:
-        raise ValueError("is_entangling applies to 2-qubit gates")
+        raise ValueError(f"g must be a 2-qubit gate, got {g.n_qubits} qubit")
     s = operator_schmidt_values(g.unitary)
     rank = int(np.count_nonzero(s > tol * s[0]))
     return rank > 1, rank
@@ -179,8 +173,8 @@ def equal_up_to_phase(a, b, tol: float = DEFAULT.reconstruction) -> bool:
     c is estimated from the largest-magnitude entry of b.
     """
     tol = _real(tol, "tol", positive=True)
-    a = linalg.as_matrix(a)
-    b = linalg.as_matrix(b)
+    a = linalg._matrix(a, "a", square=False)
+    b = linalg._matrix(b, "b", square=False)
     if a.shape != b.shape:
         raise ValueError(f"a and b must have the same shape, got {a.shape} and {b.shape}")
     idx = np.unravel_index(np.argmax(np.abs(b)), b.shape)

@@ -25,11 +25,25 @@ __all__ = [
 
 def as_matrix(m) -> np.ndarray:
     """Coerce to a complex 2-D array and reject non-finite entries."""
-    a = np.asarray(m, dtype=complex)
-    if a.ndim != 2:
-        raise ValueError(f"expected a matrix, got ndim={a.ndim}")
+    return _matrix(m, "m", square=False)
+
+
+def _matrix(m, what: str, dim: int | None = None, *, square: bool = True) -> np.ndarray:
+    """m as a finite complex 2-D array, square unless square is False, dim x dim when given.
+
+    The one check of a matrix argument; each message starts with what, and
+    a refused shape is quoted.
+    """
+    try:
+        a = np.asarray(m, dtype=complex)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{what}: {exc}") from None
+    if dim is not None and a.shape != (dim, dim):
+        raise ValueError(f"{what} must be {dim}x{dim}, got {a.shape}")
+    if a.ndim != 2 or (square and a.shape[0] != a.shape[1]):
+        raise ValueError(f"{what} must be a {'square ' if square else ''}matrix, got {a.shape}")
     if not np.isfinite(a).all():
-        raise ValueError("matrix has non-finite entries")
+        raise ValueError(f"{what} has non-finite entries")
     return a
 
 
@@ -62,21 +76,21 @@ def _marginals(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _hermitian(k, what: str, dim: int | None = None) -> np.ndarray:
-    """k by as_matrix, square (dim x dim when given) and Hermitian to DEFAULT.hermiticity.
-
-    The one check of a Hermitian matrix argument; each message starts with what.
-    """
-    try:
-        k = as_matrix(k)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{what}: {exc}") from None
-    n = len(k) if dim is None else dim
-    if k.shape != (n, n):
-        raise ValueError(f"{what} must be {n}x{n}, got {k.shape}")
+    """k by _matrix, square, and Hermitian to DEFAULT.hermiticity: the one Hermitian rule."""
+    k = _matrix(k, what, dim)
     defect = hermiticity_defect(k)
     if defect > DEFAULT.hermiticity:
         raise ValueError(f"{what} must be Hermitian, got max|m - m^dag| = {defect:.3g}")
     return k
+
+
+def _unitary(u, what: str, dim: int | None = None) -> np.ndarray:
+    """u by _matrix, square, and unitary to DEFAULT.unitarity: the one unitary rule."""
+    u = _matrix(u, what, dim)
+    defect = unitarity_defect(u)
+    if defect > DEFAULT.unitarity:
+        raise ValueError(f"{what} must be a unitary matrix, got unitarity defect {defect:.3g}")
+    return u
 
 
 def _check_phase(w, t: float, what: str, reconstruction: float = DEFAULT.reconstruction):
@@ -115,7 +129,7 @@ def pseudo_inverse(m, cutoff: float = DEFAULT.pinv_cutoff) -> tuple[np.ndarray, 
     reported, never fatal.
     """
     cutoff = _real(cutoff, "cutoff", positive=True)
-    m = as_matrix(m)
+    m = _matrix(m, "m", square=False)
     u, s, vh = np.linalg.svd(m)
     if s.size == 0 or s[0] == 0.0:
         return np.zeros((m.shape[1], m.shape[0]), dtype=complex), 0

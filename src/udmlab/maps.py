@@ -79,7 +79,7 @@ def unvec(v: np.ndarray) -> np.ndarray:
 
 def unitary_superoperator(u: np.ndarray) -> np.ndarray:
     """Superoperator of rho -> u rho u^dag."""
-    u = linalg.as_matrix(u)
+    u = linalg._matrix(u, "u")
     return np.kron(u.conj(), u)
 
 
@@ -104,9 +104,7 @@ class DynamicalMap:
         which = _which(self.which_qubit, "which_qubit")
         if self.environment_state is not None:
             _instance(self.environment_state, DensityMatrix, 1, "environment_state")
-        s = linalg.as_matrix(np.array(self.superoperator, dtype=complex))
-        if s.shape != (4, 4):
-            raise ValueError(f"superoperator must be 4x4, got {s.shape}")
+        s = np.array(linalg._matrix(self.superoperator, "superoperator", 4))
         try:
             t_a, t_b = self.interval
         except (TypeError, ValueError):
@@ -290,15 +288,17 @@ def intermediate_map(
     t0s, t1 = e_short.interval
     t0l, t_star = e_long.interval
     if abs(t0s - t0l) > 1e-12:
-        raise ValueError("maps must share the start time")
+        raise ValueError(f"e_long must start at t0 = {t0s}, got {t0l}")
     if not t0s < t1 < t_star:
-        raise ValueError(f"need t0 < t1 < t*, got t0={t0s}, t1={t1}, t*={t_star}")
-    if e_short.environment_state is not None and e_long.environment_state is not None:
-        dev = np.max(
-            np.abs(e_short.environment_state.matrix - e_long.environment_state.matrix)
+        raise ValueError(
+            f"e_short and e_long must span t0 < t1 < t*, got t0={t0s}, t1={t1}, t*={t_star}"
         )
+    if e_short.environment_state is not None and e_long.environment_state is not None:
+        dev = np.max(np.abs(e_short.environment_state.matrix - e_long.environment_state.matrix))
         if dev > DEFAULT.reconstruction:
-            raise ValueError("maps were induced from different environment states")
+            raise ValueError(
+                f"e_long must share e_short's environment state, got max deviation {dev:.3g}"
+            )
     pinv, rank = linalg.pseudo_inverse(e_short.superoperator, cutoff=cutoff)
     candidate = DynamicalMap(
         e_long.superoperator @ pinv, None, (t1, t_star), e_long.which_qubit
@@ -326,7 +326,7 @@ def udm_witness_subinterval(
     t1 = _real(t1, "t1", positive=True)
     t_star = _real(t_star, "t_star", positive=True)
     if not t1 < t_star:
-        raise ValueError(f"need 0 < t1 < t*, got t1={t1}, t*={t_star}")
+        raise ValueError(f"t1 must be less than t_star, got t1={t1}, t_star={t_star}")
     which = _which(which, "which")
     tol = _real(tol, "tol", positive=True)
     k = linalg._hermitian(k, "generator", 4)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import _marginals
+from .linalg import _marginals, _matrix
 from .tolerances import DEFAULT
 
 __all__ = [
@@ -48,9 +48,7 @@ class PureState:
         a = np.asarray(amplitudes, dtype=complex).reshape(-1)
         if not np.isfinite(a).all():
             raise ValueError("amplitudes contain non-finite entries")
-        n = int(np.log2(a.size)) if a.size else 0
-        if a.size < 2 or 2**n != a.size:
-            raise ValueError(f"amplitude length {a.size} is not 2^n for n >= 1")
+        n = _qubit_count(a.size, "amplitudes")
         with np.errstate(over="ignore"):  # a norm that overflows is inf, refused below
             norm = float(np.linalg.norm(a))
         if not 1e-12 <= norm < np.inf:
@@ -68,14 +66,8 @@ class DensityMatrix:
     __slots__ = ("matrix", "n_qubits")
 
     def __init__(self, matrix):
-        m = np.asarray(matrix, dtype=complex)
-        if m.ndim != 2:
-            raise ValueError(f"matrix must be 2-D, got shape {m.shape}")
-        if m.shape[0] != m.shape[1]:
-            raise ValueError(f"density matrix must be square, got {m.shape}")
-        n = int(np.log2(m.shape[0])) if m.size else 0
-        if 2**n != m.shape[0] or n < 1:
-            raise ValueError(f"dimension {m.shape[0]} is not 2^n for n >= 1")
+        m = _matrix(matrix, "matrix")
+        n = _qubit_count(len(m), "matrix")
         _check_density(m)
         self.matrix = m
         self.n_qubits = n
@@ -85,6 +77,14 @@ class DensityMatrix:
 
     def __repr__(self):
         return f"DensityMatrix(n_qubits={self.n_qubits})"
+
+
+def _qubit_count(size: int, what: str) -> int:
+    """n >= 1 with size = 2^n: the one rule for a state's dimension; a refusal starts with what."""
+    n = size.bit_length() - 1
+    if n < 1 or size != 2**n:
+        raise ValueError(f"{what} must be 2^n-dimensional for n >= 1, got dimension {size}")
+    return n
 
 
 def _instance(value, kind, n_qubits: int | None, what: str):
@@ -104,9 +104,7 @@ def named_state(name: str) -> PureState:
     try:
         return PureState(NAMED_AMPLITUDES[name])
     except KeyError:
-        raise ValueError(
-            f"unknown state name {name!r}; expected one of {sorted(NAMED_AMPLITUDES)}"
-        ) from None
+        raise ValueError(f"name must be one of {sorted(NAMED_AMPLITUDES)}, got {name!r}") from None
 
 
 def product_state(factors) -> PureState:

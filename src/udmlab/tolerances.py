@@ -5,8 +5,9 @@ which leaves large headroom; the defaults below are fixed globally rather
 than tuned per call site. The CP tolerance is looser than the state
 tolerances because pseudo-inverse composition amplifies noise. Each
 scalar argument of a public entry point passes once through ``_real``,
-``_integer`` or ``_which``, and the caller keeps the value returned. None
-takes a boolean: True would read as a time, tolerance or qubit of 1.
+``_integer`` (with the bounds of a count that has a range) or ``_which``,
+and the caller keeps the value returned. None takes a boolean: True would
+read as a time, tolerance or qubit of 1.
 """
 import numbers
 import operator
@@ -28,14 +29,18 @@ def _real(value, what: str, positive: bool = False) -> float:
     raise ValueError(f"{what} must be a finite number, got {value!r}")
 
 
-def _integer(value, what: str) -> int:
-    """value as a Python int; numpy integers pass, booleans and floats do not."""
+def _integer(value, what: str, lo: int | None = None, hi: int | None = None) -> int:
+    """value as a Python int, in [lo, hi] when bounds are given; numpy integers pass,
+    booleans and floats do not. The one rule for a count or an index."""
     try:
         if isinstance(value, bool):
             raise TypeError
-        return operator.index(value)
+        count = operator.index(value)
     except TypeError:
         raise ValueError(f"{what} must be an integer, got {value!r}") from None
+    if lo is not None and not lo <= count <= hi:
+        raise ValueError(f"{what} must be in [{lo}, {hi}], got {count}")
+    return count
 
 
 def _which(value, what: str) -> int:

@@ -366,6 +366,16 @@ def test_internal_invariant_violation_exits_3(scenario_file, capsys, monkeypatch
     assert "synthetic invariant breach" in err
 
 
+def test_induced_map_failing_its_cptp_check_exits_3(scenario_file, capsys, monkeypatch):
+    monkeypatch.setattr(maps, "is_cptp", lambda m, tol: (False, True, -0.5))
+    code, out, err = run(capsys, "map", "--scenario", scenario_file({"gate": CPI, **PLUS_PLUS}))
+    assert (code, out) == (3, "")
+    assert err == (
+        "internal error: RuntimeError: induced map failed the CPTP check "
+        "(cp=False, tp=True, min eig=-0.5)\n"
+    )
+
+
 def test_reports_are_byte_identical_across_runs(scenario_file, capsys):
     path = scenario_file({"gate": CPI, "input": ["+", "1"], "seed": 5})
     outputs = []
@@ -457,6 +467,22 @@ GEN_Z = {"matrix": [[1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, -1]]}
          "'grid' must be an object"),
         ("divisibility", {"gate": CPI, **PLUS_PLUS}, [], None, "needs a 't1' intermediate time"),
         ("qft", {}, [], None, "qft needs --n or an 'n_qubits' scenario entry"),
+        # a count out of range names its field, as its type refusal does, from
+        # the flag or the scenario, and even when a flag replaces the entry
+        pytest.param("qft", {}, ["--n", "9"], None, "error: n_qubits must be in [2, 8], got 9\n",
+                     id="qft-flag-n-9"),
+        pytest.param("qft", {"n_qubits": 1}, [], None,
+                     "error: n_qubits must be in [2, 8], got 1\n", id="qft-n_qubits-1"),
+        pytest.param("qft", {"n_qubits": 9}, ["--n", "3"], None,
+                     "error: n_qubits must be in [2, 8], got 9\n", id="qft-n_qubits-9-under-flag"),
+        pytest.param("trajectory", {"gate": CPI, **PLUS_PLUS, "grid": {"steps": 0}}, [], None,
+                     "error: grid.steps must be in [1, 100000], got 0\n", id="trajectory-steps-0"),
+        pytest.param("trajectory", {"gate": CPI, **PLUS_PLUS}, ["--steps", "0"], None,
+                     "error: grid.steps must be in [1, 100000], got 0\n",
+                     id="trajectory-flag-steps-0"),
+        pytest.param("trajectory", {"gate": CPI, **PLUS_PLUS, "grid": {"steps": 0}},
+                     ["--steps", "10"], None, "error: grid.steps must be in [1, 100000], got 0\n",
+                     id="trajectory-steps-0-under-flag"),
     ],
 )
 def test_malformed_input_exits_2_naming_the_field(

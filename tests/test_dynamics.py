@@ -271,3 +271,10 @@ def test_evolve_rejects_bad_inputs():
     rho.matrix = 2 * rho.matrix  # changed after its own validation; the stack is checked again
     with pytest.raises(ValueError, match="trace"):
         evolve_trajectory(K_CPI, rho, TimeGrid(0, 1, 2))
+
+
+def test_evolve_trajectory_refuses_a_purity_drift(monkeypatch):
+    # a unitary evolution keeps the purity to round-off: only a broken stack drifts
+    monkeypatch.setattr(dynamics_mod, "_purities", lambda m: np.linspace(1.0, 0.5, len(m)))
+    with pytest.raises(RuntimeError, match="^global purity drifted by 0.5 along the trajectory$"):
+        evolve_trajectory(K_CPI, densify(product_state(["+", "+"])), TimeGrid(0, 1, 4))

@@ -54,9 +54,12 @@ def test_gate_qubit_count_follows_its_generator():
     assert Gate(np.zeros((4, 4)), 1.0).n_qubits == 2
     with pytest.raises(AttributeError):
         Gate(np.zeros((4, 4)), 1.0).n_qubits = 1
-    for shape in ((1, 1), (3, 3), (8, 8), (2, 4)):
-        with pytest.raises(ValueError, match="2x2 or 4x4"):
-            Gate(np.zeros(shape), 1.0)
+    for d in (1, 3, 8):
+        with pytest.raises(ValueError, match=rf"^generator must be 2x2 or 4x4, got \({d}, {d}\)$"):
+            Gate(np.zeros((d, d)), 1.0)
+    # squareness is the matrix rule's, before any size
+    with pytest.raises(ValueError, match=r"^generator must be a square matrix, got \(2, 4\)$"):
+        Gate(np.zeros((2, 4)), 1.0)
 
 
 @pytest.mark.parametrize(
@@ -233,6 +236,15 @@ def test_equal_up_to_phase():
     assert equal_up_to_phase(np.eye(2), np.eye(2), tol=1e-12)
     assert equal_up_to_phase(-1j * X, X, tol=1e-12)
     assert not equal_up_to_phase(X, Z, tol=1e-9)
+
+
+def test_equal_up_to_phase_against_a_zero_b():
+    # no entry of b fixes the phase: a matches iff a is itself zero within tol
+    zero = np.zeros((2, 2))
+    assert equal_up_to_phase(zero, zero)
+    assert equal_up_to_phase(1e-10 * X, zero, tol=1e-9)
+    assert not equal_up_to_phase(1e-8 * X, zero, tol=1e-9)
+    assert not equal_up_to_phase(X, zero)
 
 
 def test_random_gates_preserve_norm_and_reverse(rng):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from udmlab import (
+    ChoiMatrix,
     DensityMatrix,
     DynamicalMap,
     PureState,
@@ -190,6 +191,22 @@ def test_kraus_refuses_non_cp_choi():
     transpose = np.eye(4)[[0, 2, 1, 3]].astype(complex)
     with pytest.raises(ValueError):
         kraus_decompose(choi(_dm(transpose)))
+
+
+def test_kraus_refuses_an_incomplete_set():
+    # twice a valid Choi matrix with its eigenvalues kept: the operators are
+    # sqrt(2) times a complete set, so their completeness sum is 2 * identity
+    c = choi(induced_map(K_CPI, ENV_PLUS, 1.0))
+    with pytest.raises(RuntimeError, match="^Kraus completeness sum deviates from identity$"):
+        kraus_decompose(ChoiMatrix(2 * c.matrix, c.eigenvalues))
+
+
+def test_induced_map_refuses_a_map_that_fails_the_cptp_check(monkeypatch):
+    # an induced map is CPTP by construction: only a broken map or check fails it
+    monkeypatch.setattr(maps_mod, "is_cptp", lambda m, tol: (False, True, -0.5))
+    want = r"^induced map failed the CPTP check \(cp=False, tp=True, min eig=-0.5\)$"
+    with pytest.raises(RuntimeError, match=want):
+        induced_map(K_CPI, ENV_PLUS, 1.0)
 
 
 def test_intermediate_map_identity_dynamics():
