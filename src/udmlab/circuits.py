@@ -42,7 +42,7 @@ import numpy as np
 
 from .gates import Gate, c_phase, hadamard, swap_gate, x_gate
 from .states import PureState, _check_density, _instance, _negativities
-from .tolerances import DEFAULT, _integer, _real
+from .tolerances import DEFAULT, _choice, _integer, _real, _sequence
 
 __all__ = [
     "PlacedGate",
@@ -75,23 +75,18 @@ class PlacedGate:
     phi: float | None = None
 
     def __post_init__(self):
-        if self.name not in _NAMED:
-            raise ValueError(f"unknown gate {self.name!r}; expected one of {sorted(_NAMED)}")
-        try:
-            qubits = tuple(self.qubits)
-        except TypeError:
-            raise ValueError(f"{self.name} qubits must be a sequence, got {self.qubits!r}") from None
-        qubits = tuple(_integer(q, f"{self.name} qubit index") for q in qubits)
-        object.__setattr__(self, "qubits", qubits)
-        if (self.name == "CPHASE") != (self.phi is not None):
-            raise ValueError("phi is required for CPHASE and only for CPHASE")
-        if self.phi is not None:
+        name = _choice(self.name, _NAMED, "name")
+        if name == "CPHASE":
+            if self.phi is None:
+                raise ValueError("CPHASE phi must be given")
             object.__setattr__(self, "phi", _real(self.phi, "CPHASE phi"))
-        arity = self.gate.n_qubits
-        if len(self.qubits) != arity:
-            raise ValueError(f"{self.name} takes {arity} qubit(s), got {self.qubits}")
+        elif self.phi is not None:
+            raise ValueError(f"{name} phi must be None, got {self.phi!r}")
+        qubits = _sequence(self.qubits, f"{name} qubits", self.gate.n_qubits)
+        qubits = tuple(_integer(q, f"{name} qubit index") for q in qubits)
+        object.__setattr__(self, "qubits", qubits)
         if len(set(self.qubits)) != len(self.qubits):
-            raise ValueError(f"{self.name} qubits must be distinct, got {self.qubits}")
+            raise ValueError(f"{name} qubits must be distinct, got {self.qubits}")
 
     @property
     def gate(self) -> Gate:
@@ -109,14 +104,10 @@ class Circuit:
     def __post_init__(self):
         n = _integer(self.n_qubits, "n_qubits", MIN_QUBITS, MAX_QUBITS)
         object.__setattr__(self, "n_qubits", n)
-        try:
-            gates = tuple(self.gates)
-        except TypeError:
-            raise ValueError(f"circuit gates must be a sequence, got {self.gates!r}") from None
-        object.__setattr__(self, "gates", gates)
-        for g in self.gates:
+        object.__setattr__(self, "gates", _sequence(self.gates, "gates"))
+        for i, g in enumerate(self.gates):
             if not isinstance(g, PlacedGate):
-                raise ValueError(f"circuit gates must be PlacedGate, got {g!r}")
+                raise ValueError(f"gates[{i}] must be a PlacedGate, got {g!r}")
             for q in g.qubits:
                 _integer(q, f"{g.name} qubit index", 1, n)
         # run_circuit's plan: per gate (unitary, axes, rows), axes bringing the gate's
@@ -198,7 +189,7 @@ def run_circuit(
     (finite, Hermitian, trace 1, positive), and one batched
     eigendecomposition of their partial transposes gives the negativities.
     """
-    tol = _real(tol, "tol", positive=True)
+    tol = _real(tol, "tol", lo=0)
     _instance(input_state, PureState, circuit.n_qubits, "input_state")
     shape = (2,) * circuit.n_qubits
     t = input_state.amplitudes.reshape(shape)
@@ -214,7 +205,7 @@ def run_circuit(
     records = ()
     if circuit._blocks:
         stack = factors @ factors.conj().swapaxes(-1, -2)
-        _check_density(stack)
+        _check_density(stack, "pair states")
         negs = _negativities(stack).tolist()
         records = tuple([
             AuditRecord(pos, g.name, g.qubits, neg_in, neg_out, neg_in <= tol, neg_out <= tol)

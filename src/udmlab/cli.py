@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from . import circuits, dynamics, gates, linalg, maps, states, tolerances
-from .tolerances import DEFAULT, Tolerances, _real
+from .tolerances import DEFAULT, Tolerances, _choice, _real
 
 ENV_TOL_OVERRIDE = "UDMLAB_TOL_OVERRIDE"
 
@@ -192,13 +192,8 @@ def _resolve_tolerances(scenario: dict, args) -> tuple[Tolerances, dict | None]:
 def _tolerance_values(mapping, where: str) -> dict:
     if not isinstance(mapping, dict):
         raise ValueError(f"{where} must be a JSON object of tolerance values, got {mapping!r}")
-    unknown = set(mapping) - _TOL_FIELDS
-    if unknown:
-        raise ValueError(
-            f"{where}: unknown tolerance name(s) {sorted(unknown)}; "
-            f"expected among {sorted(_TOL_FIELDS)}"
-        )
-    return {k: _real(v, f"{where}.{k}") for k, v in mapping.items()}
+    return {_choice(k, _TOL_FIELDS, f"{where} key"): _real(v, f"{where}.{k}")
+            for k, v in mapping.items()}
 
 
 def _flag_or(flag, entry, what: str, *bounds, check=_integer):
@@ -228,24 +223,22 @@ def _gate_from_scenario(scenario: dict, tol: Tolerances) -> gates.Gate:
         spec = scenario["gate"]
         if not isinstance(spec, dict) or "name" not in spec:
             raise ValueError("'gate' must be an object with a 'name'")
-        name = spec["name"]
-        duration = _real(spec.get("duration", 1.0), "gate.duration", positive=True)
+        duration = _real(spec.get("duration", 1.0), "gate.duration", lo=0)
+        name = _choice(spec["name"], _NAMED_GATES, "gate.name")
         if name == "cphase":
             return gates.c_phase(_real(spec.get("phi"), "gate.phi"), duration)
         if name == "local-phase":
             return gates.local_phase(_real(spec.get("phi"), "gate.phi"), duration)
         if name == "swap":
             return gates.swap_gate(duration)
-        if name == "identity":
-            return gates.identity_gate(2, duration)
-        raise ValueError(f"unknown 2-qubit gate name {name!r}; expected one of {_NAMED_GATES}")
+        return gates.identity_gate(2, duration)
     if "generator" in scenario:
         spec = scenario["generator"]
         if not isinstance(spec, dict) or "matrix" not in spec:
             raise ValueError("'generator' must be an object with a 'matrix'")
         k = _parse_matrix(spec["matrix"], "generator.matrix")
         w = np.linalg.eigvalsh(linalg._hermitian(k, "generator.matrix", 4))
-        duration = _real(spec.get("duration", 1.0), "generator.duration", positive=True)
+        duration = _real(spec.get("duration", 1.0), "generator.duration", lo=0)
         linalg._check_phase(w, duration, "generator.duration", tol.reconstruction)
         return gates.gate_from_generator(k, duration)
     raise ValueError("scenario must specify a 'gate' or a 'generator'")
@@ -255,8 +248,9 @@ def _input_from_scenario(scenario: dict, n_qubits: int | None = None) -> states.
     if "input" not in scenario:
         raise ValueError("scenario must specify an 'input' state")
     spec = scenario["input"]
-    if isinstance(spec, list) and all(isinstance(s, str) for s in spec):
-        psi = states.product_state(spec)
+    if isinstance(spec, list):
+        names = states.NAMED_AMPLITUDES
+        psi = states.product_state([_choice(s, names, f"input[{i}]") for i, s in enumerate(spec)])
     elif isinstance(spec, dict) and "amplitudes" in spec:
         if not isinstance(spec["amplitudes"], list):
             raise ValueError("input.amplitudes must be a list of numbers or [re, im] pairs")
@@ -350,9 +344,9 @@ def _map_report(m: maps.DynamicalMap, tol: Tolerances, rng) -> dict:
     a = normals[:, 0] + 1j * normals[:, 1]
     probes = a @ a.conj().swapaxes(-1, -2)
     probes = probes / np.trace(probes, axis1=-2, axis2=-1).real[:, None, None]
-    states._check_density(probes)
+    states._check_density(probes, "probes")
     direct = maps._images(m, probes)
-    states._check_density(direct)
+    states._check_density(direct, "map images")
     rebuilt = sum(op @ probes @ op.conj().T for op in kraus.operators)
     completeness = sum(op.conj().T @ op for op in kraus.operators)
     return {
@@ -395,12 +389,7 @@ def _cmd_divisibility(scenario: dict, args, tol: Tolerances, seed: int) -> tuple
     grid = _grid_from_scenario(scenario, gate, tol)
     if "t1" not in scenario:
         raise ValueError("divisibility needs a 't1' intermediate time in the scenario")
-    t1 = _real(scenario["t1"], "t1")
-    if not grid.t_start < t1 < grid.t_end:
-        raise ValueError(
-            f"t1={t1} must lie strictly inside ({grid.t_start}, {grid.t_end}); "
-            "the sub-interval must be non-empty"
-        )
+    t1 = _real(scenario["t1"], "t1", lo=grid.t_start, hi=grid.t_end)
 
     k = gate.generator
     e_short = maps.induced_map(k, env, t1 - grid.t_start, which=which)

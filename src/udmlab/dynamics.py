@@ -46,9 +46,7 @@ class TimeGrid:
 
     def __post_init__(self):
         object.__setattr__(self, "t_start", _real(self.t_start, "grid t_start"))
-        object.__setattr__(self, "t_end", _real(self.t_end, "grid t_end"))
-        if self.t_end <= self.t_start:
-            raise ValueError("t_end must exceed t_start")
+        object.__setattr__(self, "t_end", _real(self.t_end, "grid t_end", lo=self.t_start))
         object.__setattr__(self, "steps", _integer(self.steps, "grid steps", 1, MAX_STEPS))
 
     @property
@@ -104,7 +102,7 @@ def evolve_trajectory(k, rho_in: DensityMatrix, grid: TimeGrid) -> Trajectory:
     rho0 = v.conj().T @ rho_in.matrix @ v  # eigenbasis once
     phase = np.exp(-1j * w * (grid.times() - grid.t_start)[:, None])
     states = v @ (phase[:, :, None] * phase.conj()[:, None, :] * rho0) @ v.conj().T
-    _check_density(states)
+    _check_density(states, "joint_states")
     purities = _purities(states)
     drift = np.abs(purities - purities[0]).max()
     if drift > DEFAULT.positivity:
@@ -138,7 +136,7 @@ def find_entangled_instant(
     A hit certifies that the joint state there is not the product of its
     marginals; absence means no grid point crossed the threshold.
     """
-    tol = _real(tol, "tol", positive=True)
+    tol = _real(tol, "tol", lo=0)
     negs = _negativities(_instance(traj, Trajectory, None, "traj").joint_states)
     hits = np.flatnonzero(negs > tol)
     return (float(traj.grid.times()[hits[0]]), float(negs[hits[0]])) if hits.size else None

@@ -54,7 +54,7 @@ class Gate:
         k = linalg._matrix(self.generator, "generator")
         if len(k) not in (2, 4):
             raise ValueError(f"generator must be 2x2 or 4x4, got {k.shape}")
-        object.__setattr__(self, "duration", _real(self.duration, "gate duration", positive=True))
+        object.__setattr__(self, "duration", _real(self.duration, "gate duration", lo=0))
         u = rebuilt = linalg.matexp_hermitian(k, self.duration)
         if self.unitary is not None:
             u = linalg._unitary(self.unitary, "unitary", len(k))
@@ -82,7 +82,7 @@ def generator_from_unitary(u, t_star: float) -> np.ndarray:
     folded to +pi so that e.g. controlled-Z yields K = pi |11><11|.
     Round-trips through gate_from_generator by construction.
     """
-    t_star = _real(t_star, "duration", positive=True)
+    t_star = _real(t_star, "duration", lo=0)
     if not np.isfinite(np.pi / t_star):  # a float quotient: no warning
         raise ValueError(f"duration must keep the phases / t* of K finite, got {t_star!r}")
     u = linalg._unitary(u, "u")
@@ -159,7 +159,7 @@ def is_entangling(g: Gate, tol: float = DEFAULT.separability) -> tuple[bool, int
     tensor product of single-qubit unitaries, anything higher certifies
     that no such factorization exists.
     """
-    tol = _real(tol, "tol", positive=True)
+    tol = _real(tol, "tol", lo=0)
     if _instance(g, Gate, None, "g").n_qubits != 2:
         raise ValueError(f"g must be a 2-qubit gate, got {g.n_qubits} qubit")
     s = operator_schmidt_values(g.unitary)
@@ -172,7 +172,7 @@ def equal_up_to_phase(a, b, tol: float = DEFAULT.reconstruction) -> bool:
 
     c is estimated from the largest-magnitude entry of b.
     """
-    tol = _real(tol, "tol", positive=True)
+    tol = _real(tol, "tol", lo=0)
     a = linalg._matrix(a, "a", square=False)
     b = linalg._matrix(b, "b", square=False)
     if a.shape != b.shape:

@@ -14,18 +14,12 @@ import numpy as np
 from .tolerances import DEFAULT, _real, _which
 
 __all__ = [
-    "as_matrix",
     "partial_trace",
     "matexp_hermitian",
     "pseudo_inverse",
     "hermiticity_defect",
     "unitarity_defect",
 ]
-
-
-def as_matrix(m) -> np.ndarray:
-    """Coerce to a complex 2-D array and reject non-finite entries."""
-    return _matrix(m, "m", square=False)
 
 
 def _matrix(m, what: str, dim: int | None = None, *, square: bool = True) -> np.ndarray:
@@ -128,7 +122,7 @@ def pseudo_inverse(m, cutoff: float = DEFAULT.pinv_cutoff) -> tuple[np.ndarray, 
     the inverse together with the numerical rank; rank deficiency is
     reported, never fatal.
     """
-    cutoff = _real(cutoff, "cutoff", positive=True)
+    cutoff = _real(cutoff, "cutoff", lo=0)
     m = _matrix(m, "m", square=False)
     u, s, vh = np.linalg.svd(m)
     if s.size == 0 or s[0] == 0.0:

@@ -44,7 +44,7 @@ import numpy as np
 
 from . import linalg
 from .states import DensityMatrix, _instance, _product, trace_distance
-from .tolerances import DEFAULT, _real, _which
+from .tolerances import DEFAULT, _real, _sequence, _which
 
 __all__ = [
     "DynamicalMap",
@@ -105,10 +105,7 @@ class DynamicalMap:
         if self.environment_state is not None:
             _instance(self.environment_state, DensityMatrix, 1, "environment_state")
         s = np.array(linalg._matrix(self.superoperator, "superoperator", 4))
-        try:
-            t_a, t_b = self.interval
-        except (TypeError, ValueError):
-            raise ValueError(f"interval must be a pair (t_a, t_b), got {self.interval!r}") from None
+        t_a, t_b = _sequence(self.interval, "interval", 2)
         interval = (_real(t_a, "interval start"), _real(t_b, "interval end"))
         s.flags.writeable = False
         object.__setattr__(self, "superoperator", s)
@@ -168,7 +165,7 @@ def induced_map(k, env: DensityMatrix, t: float, which: int = 1) -> DynamicalMap
     under U = e^{-i k t}, and the environment is traced out. The output is
     checked to be CPTP, which maps induced this way always are.
     """
-    t = _real(t, "t", positive=True)
+    t = _real(t, "t", lo=0)
     which = _which(which, "which")
     k = linalg._hermitian(k, "generator", 4)
     _instance(env, DensityMatrix, 1, "env")
@@ -230,7 +227,7 @@ def is_cptp(m: DynamicalMap, tol: float = DEFAULT.cp) -> tuple[bool, bool, float
     cp iff the Choi matrix is positive semidefinite within tol; tp iff the
     dual map preserves the identity within tol.
     """
-    tol = _real(tol, "tol", positive=True)
+    tol = _real(tol, "tol", lo=0)
     min_eig = float(choi(m).eigenvalues[-1])  # choi checks m
     cp = min_eig >= -tol
     ident = vec(np.eye(2, dtype=complex))
@@ -246,13 +243,15 @@ def kraus_decompose(c: ChoiMatrix) -> KrausSet:
     Kraus operators are unique only up to unitary mixing, so nothing
     beyond the eigenvalue ordering is canonicalized.
     """
-    w = np.asarray(_instance(c, ChoiMatrix, None, "c").eigenvalues, dtype=float)
+    m = linalg._matrix(_instance(c, ChoiMatrix, None, "c").matrix, "c.matrix", 4)
+    eigenvalues = _sequence(c.eigenvalues, "c.eigenvalues", 4)
+    w = [_real(x, f"c.eigenvalues[{i}]") for i, x in enumerate(eigenvalues)]
     if w[-1] < -DEFAULT.cp:
         raise ValueError(
             f"Choi matrix has negative eigenvalue {w[-1]}: the map is not "
             "completely positive and admits no Kraus form"
         )
-    evals, evecs = np.linalg.eigh(c.matrix)
+    evals, evecs = np.linalg.eigh(m)
     ops, weights = [], []
     for i in range(evals.size - 1, -1, -1):  # descending
         lam = float(evals[i])
@@ -289,10 +288,7 @@ def intermediate_map(
     t0l, t_star = e_long.interval
     if abs(t0s - t0l) > 1e-12:
         raise ValueError(f"e_long must start at t0 = {t0s}, got {t0l}")
-    if not t0s < t1 < t_star:
-        raise ValueError(
-            f"e_short and e_long must span t0 < t1 < t*, got t0={t0s}, t1={t1}, t*={t_star}"
-        )
+    _real(t1, "e_short interval end", lo=t0s, hi=t_star)
     if e_short.environment_state is not None and e_long.environment_state is not None:
         dev = np.max(np.abs(e_short.environment_state.matrix - e_long.environment_state.matrix))
         if dev > DEFAULT.reconstruction:
@@ -323,12 +319,10 @@ def udm_witness_subinterval(
     stretch, so a positive distance is the operational content of "no such
     map exists".
     """
-    t1 = _real(t1, "t1", positive=True)
-    t_star = _real(t_star, "t_star", positive=True)
-    if not t1 < t_star:
-        raise ValueError(f"t1 must be less than t_star, got t1={t1}, t_star={t_star}")
+    t1 = _real(t1, "t1", lo=0)
+    t_star = _real(t_star, "t_star", lo=t1)
     which = _which(which, "which")
-    tol = _real(tol, "tol", positive=True)
+    tol = _real(tol, "tol", lo=0)
     k = linalg._hermitian(k, "generator", 4)
     _instance(rho_in, DensityMatrix, 2, "rho_in")
     _product(rho_in.matrix, tol, "rho_in")

@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .linalg import _marginals, _matrix
-from .tolerances import DEFAULT
+from .tolerances import DEFAULT, _choice, _sequence
 
 __all__ = [
     "PureState",
@@ -68,7 +68,7 @@ class DensityMatrix:
     def __init__(self, matrix):
         m = _matrix(matrix, "matrix")
         n = _qubit_count(len(m), "matrix")
-        _check_density(m)
+        _check_density(m, "matrix")
         self.matrix = m
         self.n_qubits = n
 
@@ -101,18 +101,17 @@ def _instance(value, kind, n_qubits: int | None, what: str):
 
 def named_state(name: str) -> PureState:
     """One of the six single-qubit stabilizer states: 0 1 + - +i -i."""
-    try:
-        return PureState(NAMED_AMPLITUDES[name])
-    except KeyError:
-        raise ValueError(f"name must be one of {sorted(NAMED_AMPLITUDES)}, got {name!r}") from None
+    return PureState(NAMED_AMPLITUDES[_choice(name, NAMED_AMPLITUDES, "name")])
 
 
 def product_state(factors) -> PureState:
     """Tensor product of single-qubit states given as names or PureStates."""
     amps = np.array([1.0], dtype=complex)
-    for i, f in enumerate(factors):
-        psi = named_state(f) if isinstance(f, str) else _instance(f, PureState, None, f"factors[{i}]")
-        amps = np.kron(amps, psi.amplitudes)
+    for i, f in enumerate(_sequence(factors, "factors")):
+        what = f"factors[{i}]"
+        if isinstance(f, str):
+            f = PureState(NAMED_AMPLITUDES[_choice(f, NAMED_AMPLITUDES, what)])
+        amps = np.kron(amps, _instance(f, PureState, None, what).amplitudes)
     return PureState(amps)
 
 
@@ -155,13 +154,13 @@ def _product(m: np.ndarray, tol: float, what: str) -> tuple[np.ndarray, np.ndarr
     return marg1, marg2
 
 
-def _check_density(m: np.ndarray) -> None:
+def _check_density(m: np.ndarray, what: str) -> None:
     """Validate a (..., d, d) stack of density matrices, a single one included.
 
     Each check runs over the whole stack at once: finite entries first (a
     NaN would pass every check below, since each comparison with it is
     False), then Hermiticity, unit trace and positivity. A failing check
-    quotes the value of the first matrix that fails it.
+    starts with what and quotes the value of the first matrix that fails it.
 
     One batched Cholesky of m + positivity * 1 decides positivity: the
     factor exists exactly when every eigenvalue is above -positivity. Only
@@ -170,20 +169,25 @@ def _check_density(m: np.ndarray) -> None:
     Both read the lower triangle only.
     """
     if not np.isfinite(m).all():
-        raise ValueError("matrix has non-finite entries")
-    if (np.abs(m - m.conj().swapaxes(-1, -2)) > DEFAULT.hermiticity).any():
-        raise ValueError("density matrix is not Hermitian")
+        raise ValueError(f"{what} has non-finite entries")
+    defects = np.abs(m - m.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+    bad = defects > DEFAULT.hermiticity
+    if bad.any():
+        defect = _first(defects, bad)
+        raise ValueError(f"{what} must be Hermitian, got max|m - m^dag| = {defect:.3g}")
     tr = np.trace(m, axis1=-2, axis2=-1)
     bad = np.abs(tr - 1.0) > DEFAULT.hermiticity
     if bad.any():
-        raise ValueError(f"density matrix trace {complex(_first(tr, bad))} is not 1")
+        raise ValueError(f"{what} must have trace 1, got {complex(_first(tr, bad))}")
     try:
         np.linalg.cholesky(m + DEFAULT.positivity * np.eye(m.shape[-1]))
     except np.linalg.LinAlgError:
         w0 = np.linalg.eigvalsh(m)[..., 0]
         bad = w0 < -DEFAULT.positivity
         if bad.any():
-            raise ValueError(f"density matrix has negative eigenvalue {_first(w0, bad)}") from None
+            raise ValueError(
+                f"{what} must be positive semidefinite, got eigenvalue {_first(w0, bad)}"
+            ) from None
 
 
 def _first(values, bad):

@@ -1,11 +1,13 @@
-"""Numerical tolerances used across the toolkit, and the one rule for scalar arguments.
+"""Numerical tolerances, and the rules for scalar, name and sequence arguments.
 
 Everything runs in double precision on dense matrices of dimension <= 256,
 which leaves large headroom; the defaults below are fixed globally rather
 than tuned per call site. The CP tolerance is looser than the state
 tolerances because pseudo-inverse composition amplifies noise. Each
-scalar argument of a public entry point passes once through ``_real``,
-``_integer`` (with the bounds of a count that has a range) or ``_which``,
+scalar argument of a public entry point passes once through ``_real``
+(with the open bounds of a time that must follow another), ``_integer``
+(with the bounds of a count that has a range) or ``_which``, each name
+from a table through ``_choice`` and each sequence through ``_sequence``,
 and the caller keeps the value returned. None takes a boolean: True would
 read as a time, tolerance or qubit of 1.
 """
@@ -15,18 +17,21 @@ import sys
 from dataclasses import dataclass, replace
 
 
-def _real(value, what: str, positive: bool = False) -> float:
-    """value as a float: a finite real number, > 0 when positive; what names it in the message.
+def _real(value, what: str, lo: float | None = None, hi: float | None = None) -> float:
+    """value as a float: a finite real number, in the open interval (lo, hi) where bounds
+    are given; what names it in the message.
 
     numpy booleans are not numbers.Real. The bound is False for nan and inf and
     exact for integers of any size, where math.isfinite(10**400) overflows.
     """
     if isinstance(value, numbers.Real) and not isinstance(value, bool):
-        if abs(value) <= sys.float_info.max and (value > 0 or not positive):
+        finite = abs(value) <= sys.float_info.max
+        if finite and (lo is None or value > lo) and (hi is None or value < hi):
             return float(value)
-    if positive:
-        raise ValueError(f"{what} must be finite and > 0, got {value!r}")
-    raise ValueError(f"{what} must be a finite number, got {value!r}")
+    if lo is None and hi is None:
+        raise ValueError(f"{what} must be a finite number, got {value!r}")
+    bound = f"< {hi}" if lo is None else f"> {lo}" if hi is None else f"in ({lo}, {hi})"
+    raise ValueError(f"{what} must be finite and {bound}, got {value!r}")
 
 
 def _integer(value, what: str, lo: int | None = None, hi: int | None = None) -> int:
@@ -51,6 +56,26 @@ def _which(value, what: str) -> int:
     return which
 
 
+def _choice(value, options, what: str) -> str:
+    """value, a str that is one of options (a table's names); any other value,
+    an unhashable one included, is refused alike."""
+    if isinstance(value, str) and value in options:
+        return value
+    raise ValueError(f"{what} must be one of {sorted(options)}, got {value!r}")
+
+
+def _sequence(value, what: str, length: int | None = None) -> tuple:
+    """value as a tuple: anything tuple() takes, of the given length when one is given."""
+    try:
+        items = tuple(value)
+        if length is None or len(items) == length:
+            return items
+    except TypeError:
+        pass
+    size = "" if length is None else f" of length {length}"
+    raise ValueError(f"{what} must be a sequence{size}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Tolerances:
     hermiticity: float = 1e-10   # max-abs deviation of m - m^dag on inputs
@@ -64,7 +89,7 @@ class Tolerances:
 
     def __post_init__(self):
         for name, value in self.as_dict().items():
-            object.__setattr__(self, name, _real(value, f"tolerance {name}", positive=True))
+            object.__setattr__(self, name, _real(value, f"tolerance {name}", lo=0))
 
     def as_dict(self) -> dict:
         return self.__dict__.copy()  # the fields in order, each a float

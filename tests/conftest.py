@@ -198,7 +198,7 @@ def run_circuit_by_factor_list(circuit, psi, tol=1e-9):
     if factors:
         mm = np.array(factors)
         stack = mm @ mm.conj().swapaxes(-1, -2)
-        _check_density(stack)
+        _check_density(stack, "pair states")
         negs = _negativities(stack).tolist()
         records = tuple(
             AuditRecord(pos, g.name, g.qubits, neg_in, neg_out, neg_in <= tol, neg_out <= tol)

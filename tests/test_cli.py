@@ -38,6 +38,9 @@ def scenario_file(tmp_path):
 
 
 CPI = {"name": "cphase", "phi": np.pi}
+# the tables the CLI's gate.name and input[i] refusals quote
+GATE_NAMES = "['cphase', 'identity', 'local-phase', 'swap']"
+STATE_NAMES = "['+', '+i', '-', '-i', '0', '1']"
 
 
 def run(capsys, *argv):
@@ -71,7 +74,7 @@ def test_analyze_gate_rejects_one_qubit(scenario_file, capsys):
     path = scenario_file({"gate": {"name": "x"}})
     code, _, err = run(capsys, "analyze-gate", "--scenario", path)
     assert code == 2
-    assert "2-qubit" in err
+    assert err == f"error: gate.name must be one of {GATE_NAMES}, got 'x'\n"
 
 
 def test_trajectory_csv_and_summary(scenario_file, capsys, tmp_path):
@@ -234,7 +237,7 @@ def test_divisibility_rejects_boundary_t1(scenario_file, capsys):
     path = scenario_file({"gate": CPI, "input": ["+", "+"], "t1": 1.0})
     code, _, err = run(capsys, "divisibility", "--scenario", path)
     assert code == 2
-    assert "non-empty" in err
+    assert err == "error: t1 must be finite and in (0.0, 1.0), got 1.0\n"
 
 
 def test_divisibility_indeterminate_on_singular_short_map(scenario_file, capsys):
@@ -300,7 +303,9 @@ def test_unknown_tolerance_name_exits_2(scenario_file, capsys):
     path = scenario_file({"gate": CPI, "input": ["+", "+"], "tolerances": {"bogus": 1}})
     code, _, err = run(capsys, "map", "--scenario", path)
     assert code == 2
-    assert "bogus" in err
+    names = "['cp', 'entanglement', 'hermiticity', 'pinv_cutoff', 'positivity', " \
+        "'reconstruction', 'separability', 'unitarity']"
+    assert err == f"error: tolerances key must be one of {names}, got 'bogus'\n"
 
 
 def test_env_tolerance_override_is_echoed(scenario_file, capsys, monkeypatch):
@@ -483,6 +488,15 @@ GEN_Z = {"matrix": [[1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, -1]]}
         pytest.param("trajectory", {"gate": CPI, **PLUS_PLUS, "grid": {"steps": 0}},
                      ["--steps", "10"], None, "error: grid.steps must be in [1, 100000], got 0\n",
                      id="trajectory-steps-0-under-flag"),
+        # a state name names its entry of the input list, whatever its type
+        pytest.param("map", {"gate": CPI, "input": ["z", "0"]}, [], None,
+                     f"error: input[0] must be one of {STATE_NAMES}, got 'z'\n", id="map-input-z"),
+        pytest.param("trajectory", {"gate": CPI, "input": ["+", 1]}, [], None,
+                     f"error: input[1] must be one of {STATE_NAMES}, got 1\n",
+                     id="trajectory-input-int"),
+        pytest.param("analyze-gate", {"gate": {"name": ["swap"]}}, [], None,
+                     f"error: gate.name must be one of {GATE_NAMES}, got ['swap']\n",
+                     id="analyze-gate-list-name"),
     ],
 )
 def test_malformed_input_exits_2_naming_the_field(

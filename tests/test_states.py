@@ -46,12 +46,13 @@ def test_purestate_normalizes_and_validates():
 
 def test_densitymatrix_invariants():
     DensityMatrix(np.eye(2) / 2)
-    with pytest.raises(ValueError):
-        DensityMatrix(np.eye(2))  # trace 2
-    with pytest.raises(ValueError):
-        DensityMatrix(np.array([[1, 1], [0, 0]]))  # not Hermitian
-    with pytest.raises(ValueError):
-        DensityMatrix(np.diag([1.5, -0.5]))  # negative eigenvalue
+    with pytest.raises(ValueError, match=r"^matrix must have trace 1, got \(2\+0j\)$"):
+        DensityMatrix(np.eye(2))
+    with pytest.raises(ValueError, match=r"^matrix must be Hermitian, got max\|m - m\^dag\| = 1$"):
+        DensityMatrix(np.array([[1, 1], [0, 0]]))
+    negative = "^matrix must be positive semidefinite, got eigenvalue -0.5$"
+    with pytest.raises(ValueError, match=negative):
+        DensityMatrix(np.diag([1.5, -0.5]))
     with pytest.raises(ValueError, match="dimension 0"):
         DensityMatrix(np.zeros((0, 0)))
 
@@ -146,13 +147,15 @@ def bad_densities(rng):
     }
 
 
-def test_densitymatrix_messages_as_before(rng):
+def test_densitymatrix_messages_name_the_matrix(rng):
     bad = bad_densities(rng)
+    skew = bad["not Hermitian"]
     messages = {
         "nan entry": "matrix has non-finite entries",
-        "not Hermitian": "density matrix is not Hermitian",
-        "trace 1.1": f"density matrix trace {complex(np.trace(bad['trace 1.1']))} is not 1",
-        "negative eigenvalue": "density matrix has negative eigenvalue "
+        "not Hermitian": "matrix must be Hermitian, got max|m - m^dag| = "
+        f"{np.abs(skew - skew.conj().T).max():.3g}",
+        "trace 1.1": f"matrix must have trace 1, got {complex(np.trace(bad['trace 1.1']))}",
+        "negative eigenvalue": "matrix must be positive semidefinite, got eigenvalue "
         f"{np.linalg.eigvalsh(bad['negative eigenvalue'])[0]}",
     }
     for kind, m in bad.items():
@@ -163,8 +166,8 @@ def test_densitymatrix_messages_as_before(rng):
 
 def test_check_density_rejects_one_bad_matrix_anywhere_in_a_stack(rng):
     good = np.array([random_density(rng, 4) for _ in range(5)])
-    _check_density(good)
-    _check_density(good.reshape(5, 1, 4, 4))
+    _check_density(good, "stack")
+    _check_density(good.reshape(5, 1, 4, 4), "stack")
     for kind, m in bad_densities(rng).items():
         with pytest.raises(ValueError) as single:
             DensityMatrix(m)
@@ -172,7 +175,7 @@ def test_check_density_rejects_one_bad_matrix_anywhere_in_a_stack(rng):
             stack = good.copy()
             stack[position] = m
             with pytest.raises(ValueError) as stacked:
-                _check_density(stack)
+                _check_density(stack, "matrix")
             assert str(stacked.value) == str(single.value), (kind, position)
 
 
@@ -188,10 +191,10 @@ def test_positivity_verdict_at_the_boundary_in_mid_stack(rng, scale, rejected):
     stack[2] = np.diag([1.0 - lam, lam, 0.0, 0.0])
     if rejected:
         with pytest.raises(ValueError) as exc:
-            _check_density(stack)
-        assert str(exc.value) == f"density matrix has negative eigenvalue {lam}"
+            _check_density(stack, "stack")
+        assert str(exc.value) == f"stack must be positive semidefinite, got eigenvalue {lam}"
     else:
-        _check_density(stack)
+        _check_density(stack, "stack")
 
 
 def test_positivity_verdict_agrees_with_eigvalsh_near_the_boundary():
@@ -211,11 +214,11 @@ def test_positivity_verdict_agrees_with_eigvalsh_near_the_boundary():
             continue
         verdicts[rejected] += 1
         if not rejected:
-            _check_density(m)
+            _check_density(m, "m")
         else:
             with pytest.raises(ValueError) as exc:
-                _check_density(m)
-            assert str(exc.value) == f"density matrix has negative eigenvalue {w0}"
+                _check_density(m, "m")
+            assert str(exc.value) == f"m must be positive semidefinite, got eigenvalue {w0}"
     assert min(verdicts.values()) > 500, verdicts
 
 

@@ -17,17 +17,23 @@ gate or state that is a plain array or tuple. Each passes through one of
 ``linalg._matrix``, which quotes a refused shape; a unitary one through
 ``linalg._unitary``, which quotes the unitarity defect; a state's dimension
 through ``states._qubit_count``; a bounded count or index through
-``tolerances._integer``. A hand-built ``Trajectory`` whose arrays do not
-fit its grid, two maps that do not compose and a gate that is no 2-qubit
-gate are refused as well. Every message starts with the argument's name,
-and each row pins it from its start, most to its end.
+``tolerances._integer``; a name from a table through ``tolerances._choice``;
+a sequence through ``tolerances._sequence``; and a time that must follow
+another through ``tolerances._real`` with open bounds. A hand-built
+``Trajectory`` whose arrays do not fit its grid, two maps that do not
+compose and a gate that is no 2-qubit gate are refused as well. Every
+message starts with the argument's name, and each row pins it from its
+start, most to its end. A property drives the name, sequence and bounded
+real rules with arbitrary JSON-like values.
 """
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from udmlab import (
+    ChoiMatrix,
     Circuit,
     DensityMatrix,
     DynamicalMap,
@@ -38,7 +44,6 @@ from udmlab import (
     Trajectory,
     apply,
     apply_map,
-    as_matrix,
     build_qft,
     c_phase,
     choi,
@@ -70,6 +75,8 @@ from udmlab import (
     udm_witness_subinterval,
     unitary_superoperator,
 )
+from udmlab.states import NAMED_AMPLITUDES
+from udmlab.tolerances import _choice, _real, _sequence
 from conftest import X
 
 K = np.diag([0.0, 0.0, 0.0, np.pi]).astype(complex)
@@ -88,6 +95,9 @@ GRID = TimeGrid(0.0, 1.0, 4)
 # a 4x4 generator that is not Hermitian: i (X (x) 1)
 SKEW = 1j * np.kron(X, np.eye(2))
 NOT_UNITARY = np.diag([1.0, 2.0]).astype(complex)
+# the phase refusal at |t| = 1e15 under a generator of largest |eigenvalue| pi
+PHASE_1E15 = (r" must keep the phase max\|eig K\| \* \|t\| within reconstruction / eps = "
+              r"4\.5e\+06 rad, got 3\.14e\+15 rad at \|t\| = 1e\+15$")
 
 # (entry point, argument name as the message gives it, kind, call with the value)
 ENTRY_POINTS = [
@@ -155,44 +165,50 @@ STRUCTURED = [
     ("induced_map-pure-env", lambda: induced_map(K, PSI1, 1.0),
      "^env must be a DensityMatrix, got PureState$"),
     ("local_pair_maps-pure-rho1", lambda: local_pair_maps(K, PSI1, ENV, 1.0),
-     "^rho1 must be a DensityMatrix"),
+     "^rho1 must be a DensityMatrix, got PureState$"),
     ("local_pair_maps-pure-rho2", lambda: local_pair_maps(K, ENV, PSI1, 1.0),
-     "^rho2 must be a DensityMatrix"),
-    ("apply_map-pure", lambda: apply_map(MAP, PSI1), "^rho must be a DensityMatrix"),
+     "^rho2 must be a DensityMatrix, got PureState$"),
+    ("apply_map-pure", lambda: apply_map(MAP, PSI1),
+     "^rho must be a DensityMatrix, got PureState$"),
     ("witness-pure", lambda: udm_witness_subinterval(K, PSI2, 0.5, 1.0),
-     "^rho_in must be a DensityMatrix"),
+     "^rho_in must be a DensityMatrix, got PureState$"),
     ("evolve_trajectory-pure", lambda: evolve_trajectory(K, PSI2, GRID),
-     "^rho_in must be a DensityMatrix"),
-    ("negativity-pure", lambda: negativity(PSI2), "^rho must be a DensityMatrix"),
-    ("trace_distance-pure-a", lambda: trace_distance(PSI1, ENV), "^a must be a DensityMatrix"),
-    ("trace_distance-pure-b", lambda: trace_distance(ENV, PSI1), "^b must be a DensityMatrix"),
+     "^rho_in must be a DensityMatrix, got PureState$"),
+    ("negativity-pure", lambda: negativity(PSI2), "^rho must be a DensityMatrix, got PureState$"),
+    ("trace_distance-pure-a", lambda: trace_distance(PSI1, ENV),
+     "^a must be a DensityMatrix, got PureState$"),
+    ("trace_distance-pure-b", lambda: trace_distance(ENV, PSI1),
+     "^b must be a DensityMatrix, got PureState$"),
     # the reverse: a DensityMatrix where a PureState is meant
     ("run_circuit-density", lambda: run_circuit(QFT2, RHO),
      "^input_state must be a PureState, got DensityMatrix$"),
-    ("densify-density", lambda: densify(ENV), "^psi must be a PureState"),
-    ("pure_entanglement-density", lambda: pure_entanglement(RHO), "^psi must be a PureState"),
+    ("densify-density", lambda: densify(ENV), "^psi must be a PureState, got DensityMatrix$"),
+    ("pure_entanglement-density", lambda: pure_entanglement(RHO),
+     "^psi must be a PureState, got DensityMatrix$"),
     ("product_state-density-factor", lambda: product_state(["0", ENV]),
-     r"^factors\[1\] must be a PureState"),
+     r"^factors\[1\] must be a PureState, got DensityMatrix$"),
     # accepted silently before: no check of the environment state at all
     ("DynamicalMap-pure-env", lambda: DynamicalMap(np.eye(4), PSI1, (0.0, 1.0), 1),
-     "^environment_state must be a DensityMatrix"),
+     "^environment_state must be a DensityMatrix, got PureState$"),
     # a wrong qubit count
     ("induced_map-2-qubit-env", lambda: induced_map(K, RHO, 1.0),
      "^env must be a 1-qubit state, got 2 qubits$"),
     ("DynamicalMap-2-qubit-env", lambda: DynamicalMap(np.eye(4), RHO, (0.0, 1.0), 1),
-     "^environment_state must be a 1-qubit state"),
-    ("apply_map-2-qubit", lambda: apply_map(MAP, RHO), "^rho must be a 1-qubit state"),
+     "^environment_state must be a 1-qubit state, got 2 qubits$"),
+    ("apply_map-2-qubit", lambda: apply_map(MAP, RHO),
+     "^rho must be a 1-qubit state, got 2 qubits$"),
     ("witness-1-qubit", lambda: udm_witness_subinterval(K, ENV, 0.5, 1.0),
-     "^rho_in must be a 2-qubit state"),
+     "^rho_in must be a 2-qubit state, got 1 qubits$"),
     ("evolve_trajectory-1-qubit", lambda: evolve_trajectory(K, ENV, GRID),
-     "^rho_in must be a 2-qubit state"),
-    ("negativity-1-qubit", lambda: negativity(ENV), "^rho must be a 2-qubit state"),
+     "^rho_in must be a 2-qubit state, got 1 qubits$"),
+    ("negativity-1-qubit", lambda: negativity(ENV), "^rho must be a 2-qubit state, got 1 qubits$"),
     ("trace_distance-mixed-sizes", lambda: trace_distance(ENV, RHO),
      "^b must be a 1-qubit state, got 2 qubits$"),
     ("run_circuit-3-qubit", lambda: run_circuit(QFT2, product_state("000")),
      "^input_state must be a 2-qubit state, got 3 qubits$"),
-    ("pure_entanglement-1-qubit", lambda: pure_entanglement(PSI1), "^psi must be a 2-qubit state"),
-    ("apply-1-qubit", lambda: apply(GATE, PSI1), "^state must be a 2-qubit state"),
+    ("pure_entanglement-1-qubit", lambda: pure_entanglement(PSI1),
+     "^psi must be a 2-qubit state, got 1 qubits$"),
+    ("apply-1-qubit", lambda: apply(GATE, PSI1), "^state must be a 2-qubit state, got 1 qubits$"),
     # a generator that is 2x2, or 4x4 and not Hermitian
     # numpy's matmul raised on the core dimension of the 2x2 generator
     ("witness-2x2-generator", lambda: udm_witness_subinterval(np.eye(2), RHO, 0.5, 1.0),
@@ -202,18 +218,19 @@ STRUCTURED = [
     ("evolve_trajectory-2x2-generator", lambda: evolve_trajectory(np.eye(2), RHO, GRID),
      r"^generator must be 4x4, got \(2, 2\)$"),
     ("induced_map-skew-generator", lambda: induced_map(SKEW, ENV, 1.0),
-     "^generator must be Hermitian"),
+     r"^generator must be Hermitian, got max\|m - m\^dag\| = 2$"),
     ("witness-skew-generator", lambda: udm_witness_subinterval(SKEW, RHO, 0.5, 1.0),
-     "^generator must be Hermitian"),
+     r"^generator must be Hermitian, got max\|m - m\^dag\| = 2$"),
     ("evolve_trajectory-skew-generator", lambda: evolve_trajectory(SKEW, RHO, GRID),
-     "^generator must be Hermitian"),
+     r"^generator must be Hermitian, got max\|m - m\^dag\| = 2$"),
     ("matexp_hermitian-skew-generator", lambda: matexp_hermitian(SKEW, 1.0),
-     "^generator must be Hermitian"),
+     r"^generator must be Hermitian, got max\|m - m\^dag\| = 2$"),
     ("matexp_hermitian-vector", lambda: matexp_hermitian(np.ones(4), 1.0),
      r"^generator must be a square matrix, got \(4,\)$"),
     ("partial_trace-2x2", lambda: partial_trace(np.eye(2) / 2, 1),
      r"^rho must be 4x4, got \(2, 2\)$"),
-    ("partial_trace-skew", lambda: partial_trace(SKEW, 1), "^rho must be Hermitian"),
+    ("partial_trace-skew", lambda: partial_trace(SKEW, 1),
+     r"^rho must be Hermitian, got max\|m - m\^dag\| = 2$"),
     # a qubit that is no 1 or 2
     ("induced_map-which-3", lambda: induced_map(K, ENV, 1.0, which=3),
      "^which must be 1 or 2, got 3$"),
@@ -224,16 +241,16 @@ STRUCTURED = [
     ("partial_trace-keep-3", lambda: partial_trace(RHO.matrix, 3), "^keep must be 1 or 2, got 3$"),
     # a phase beyond max|eig K| |t| <= reconstruction / eps: an imprecise map or trajectory before
     ("induced_map-t-1e15", lambda: induced_map(c_phase(np.pi).generator, ENV, 1e15 + 1),
-     "^t must keep the phase"),
+     "^t" + PHASE_1E15),
     ("evolve_trajectory-1e15", lambda: evolve_trajectory(K, RHO, TimeGrid(0, 1e15 + 1, 1)),
-     "^grid must keep the phase"),
+     "^grid" + PHASE_1E15),
     # accepted, and intermediate_map then raised a TypeError subtracting the ends
     ("map-interval-a-none", lambda: DynamicalMap(np.eye(4), None, ("a", None), 1),
      "^interval start must be a finite number, got 'a'$"),
     ("map-interval-float", lambda: DynamicalMap(np.eye(4), None, 1.0, 1),
-     "^interval must be a pair"),
+     "^interval must be a sequence of length 2, got 1.0$"),
     ("map-interval-triple", lambda: DynamicalMap(np.eye(4), None, (0.0, 0.5, 1.0), 1),
-     "^interval must be a pair"),
+     r"^interval must be a sequence of length 2, got \(0.0, 0.5, 1.0\)$"),
     # a plain array or tuple where a grid, trajectory, map, Choi matrix or gate
     # is meant: AttributeError on .t_start, .joint_states, .superoperator,
     # .which_qubit, .eigenvalues or .n_qubits before
@@ -295,9 +312,9 @@ STRUCTURED = [
      lambda: intermediate_map(DynamicalMap(MAP.superoperator, ENV, (0.5, 1.0), 1), MAP_2),
      "^e_long must start at t0 = 0.5, got 0.0$"),
     ("intermediate_map-t1-outside", lambda: intermediate_map(MAP_2, MAP),
-     r"^e_short and e_long must span t0 < t1 < t\*, got t0=0.0, t1=2.0, t\*=1.0$"),
+     r"^e_short interval end must be finite and in \(0.0, 1.0\), got 2.0$"),
     ("witness-t1-after-t_star", lambda: udm_witness_subinterval(K, RHO, 1.0, 0.5),
-     "^t1 must be less than t_star, got t1=1.0, t_star=0.5$"),
+     "^t_star must be finite and > 1.0, got 0.5$"),
     ("intermediate_map-environments", lambda: intermediate_map(MAP, MAP_2_ENV_0),
      "^e_long must share e_short's environment state, got max deviation 0.5$"),
     ("DensityMatrix-1-d", lambda: DensityMatrix(np.ones(4)),
@@ -322,7 +339,6 @@ STRUCTURED = [
      r"^u must be a square matrix, got \(2, 3\)$"),
     ("gate_from_generator-vector", lambda: gate_from_generator(np.ones(4), 1.0),
      r"^generator must be a square matrix, got \(4,\)$"),
-    ("as_matrix-vector", lambda: as_matrix(np.ones(4)), r"^m must be a matrix, got \(4,\)$"),
     ("pseudo_inverse-vector", lambda: pseudo_inverse(np.ones(4)),
      r"^m must be a matrix, got \(4,\)$"),
     ("equal_up_to_phase-vector", lambda: equal_up_to_phase(np.ones(4), X),
@@ -342,6 +358,42 @@ STRUCTURED = [
     ("build_qft-9", lambda: build_qft(9), r"^n must be in \[2, 8\], got 9$"),
     ("TimeGrid-steps-0", lambda: TimeGrid(0.0, 1.0, 0),
      r"^grid steps must be in \[1, 100000\], got 0$"),
+    # the name rule, tolerances._choice: an unhashable name is refused like any
+    # other (a TypeError from the table lookup before)
+    ("named_state-list", lambda: named_state(["0"]),
+     r"^name must be one of \['\+', '\+i', '-', '-i', '0', '1'\], got \['0'\]$"),
+    ("product_state-z", lambda: product_state(["0", "z"]),
+     r"^factors\[1\] must be one of \['\+', '\+i', '-', '-i', '0', '1'\], got 'z'$"),
+    ("PlacedGate-list-name", lambda: PlacedGate(["H"], (1,)),
+     r"^name must be one of \['CPHASE', 'H', 'SWAP', 'X'\], got \['H'\]$"),
+    ("PlacedGate-T", lambda: PlacedGate("T", (1,)),
+     r"^name must be one of \['CPHASE', 'H', 'SWAP', 'X'\], got 'T'$"),
+    ("PlacedGate-phi-missing", lambda: PlacedGate("CPHASE", (1, 2)), "^CPHASE phi must be given$"),
+    ("PlacedGate-phi-on-H", lambda: PlacedGate("H", (1,), phi=0.5),
+     "^H phi must be None, got 0.5$"),
+    # the sequence rule, tolerances._sequence; an int of factors was a TypeError before
+    ("product_state-int", lambda: product_state(5), "^factors must be a sequence, got 5$"),
+    ("PlacedGate-arity", lambda: PlacedGate("H", (1, 2)),
+     r"^H qubits must be a sequence of length 1, got \(1, 2\)$"),
+    ("Circuit-gates-int", lambda: Circuit(2, 5), "^gates must be a sequence, got 5$"),
+    ("Circuit-gates-entry", lambda: Circuit(2, [PlacedGate("H", (1,)), "H"]),
+     r"^gates\[1\] must be a PlacedGate, got 'H'$"),
+    # the order of two times, tolerances._real with open bounds
+    ("TimeGrid-t_end-before", lambda: TimeGrid(1.0, 0.5, 4),
+     "^grid t_end must be finite and > 1.0, got 0.5$"),
+    ("TimeGrid-t_end-equal", lambda: TimeGrid(1.0, 1.0, 4),
+     "^grid t_end must be finite and > 1.0, got 1.0$"),
+    ("witness-t1-equal", lambda: udm_witness_subinterval(K, RHO, 0.5, 0.5),
+     "^t_star must be finite and > 0.5, got 0.5$"),
+    # a hand-built ChoiMatrix: numpy's reshape error, or a silent Kraus set, before
+    ("kraus_decompose-2x2", lambda: kraus_decompose(ChoiMatrix(np.eye(2), np.ones(4))),
+     r"^c\.matrix must be 4x4, got \(2, 2\)$"),
+    ("kraus_decompose-3-eigenvalues",
+     lambda: kraus_decompose(ChoiMatrix(np.eye(4) / 2, np.ones(3))),
+     r"^c\.eigenvalues must be a sequence of length 4, got array\(\[1\., 1\., 1\.\]\)$"),
+    ("kraus_decompose-complex-eigenvalue",
+     lambda: kraus_decompose(ChoiMatrix(np.eye(4) / 2, [0.5, 0.5, 0.5, 0.5j])),
+     r"^c\.eigenvalues\[3\] must be a finite number, got 0.5j$"),
 ]
 
 
@@ -371,3 +423,33 @@ def test_overflowing_values_are_refused_without_a_warning(call, message):
     # filterwarnings = error: a RuntimeWarning on the way would fail the test
     with pytest.raises(ValueError, match=message):
         call()
+
+
+# JSON-like values: scalars of every kind, with nan, +-inf and integers past
+# the float range, nested in lists and string-keyed dicts
+JSON_LIKE = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.sampled_from([10**400, -(10**400)])
+    | st.floats() | st.text(max_size=3) | st.sampled_from(sorted(NAMED_AMPLITUDES)),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=2), inner, max_size=3),
+    max_leaves=8,
+)
+
+RULES = {
+    "choice": lambda v: _choice(v, NAMED_AMPLITUDES, "x"),
+    "sequence": lambda v: _sequence(v, "x"),
+    "pair": lambda v: _sequence(v, "x", 2),
+    "real": lambda v: _real(v, "x"),
+    "real-above": lambda v: _real(v, "x", lo=0),
+    "real-between": lambda v: _real(v, "x", lo=-1.5, hi=1e300),
+}
+
+
+@pytest.mark.parametrize("rule", sorted(RULES))
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(value=JSON_LIKE)
+def test_each_rule_returns_or_refuses_naming_the_argument(rule, value):
+    try:
+        RULES[rule](value)
+    except ValueError as exc:
+        assert str(exc).startswith("x must be "), str(exc)
