@@ -196,20 +196,11 @@ def _tolerance_values(mapping, where: str) -> dict:
             for k, v in mapping.items()}
 
 
-def _flag_or(flag, entry, what: str, *bounds, check=_integer):
-    """check(flag) if the flag is given, else check(entry); the entry is checked either way.
-
-    bounds, an inclusive (lo, hi) when given, go to check with each value.
-    """
-    entry = check(entry, what, *bounds)
-    return entry if flag is None else check(flag, what, *bounds)
-
-
-def _seed(value, what: str) -> int:
-    seed = _integer(value, what)
-    if seed < 0:
-        raise ValueError(f"{what} must be a non-negative integer, got {seed}")
-    return seed
+def _flag_or(flag, entry, what: str, *bounds) -> int:
+    """The integer flag if it is given, else the entry, which is checked either way;
+    bounds, an inclusive lo or (lo, hi) when given, go to _integer with each value."""
+    entry = _integer(entry, what, *bounds)
+    return entry if flag is None else _integer(flag, what, *bounds)
 
 
 _NAMED_GATES = ("cphase", "local-phase", "swap", "identity")
@@ -248,15 +239,19 @@ def _input_from_scenario(scenario: dict, n_qubits: int | None = None) -> states.
     if "input" not in scenario:
         raise ValueError("scenario must specify an 'input' state")
     spec = scenario["input"]
+    # the 2^n rule of a state's dimension, under the field's name
     if isinstance(spec, list):
         names = states.NAMED_AMPLITUDES
+        states._qubit_count(2 ** len(spec), "input")
         psi = states.product_state([_choice(s, names, f"input[{i}]") for i, s in enumerate(spec)])
     elif isinstance(spec, dict) and "amplitudes" in spec:
         if not isinstance(spec["amplitudes"], list):
             raise ValueError("input.amplitudes must be a list of numbers or [re, im] pairs")
-        psi = states.PureState(
-            [_parse_complex(v, f"input.amplitudes[{i}]") for i, v in enumerate(spec["amplitudes"])]
-        )
+        amplitudes = [
+            _parse_complex(v, f"input.amplitudes[{i}]") for i, v in enumerate(spec["amplitudes"])
+        ]
+        states._qubit_count(len(amplitudes), "input.amplitudes")
+        psi = states.PureState(amplitudes)
     else:
         raise ValueError(
             "'input' must be a list of per-qubit state names "
@@ -274,7 +269,7 @@ def _grid_from_scenario(
     w = np.linalg.eigvalsh(gate.generator)
     t_start = _real(spec.get("t_start", 0.0), "grid.t_start")
     linalg._check_phase(w, t_start, "grid.t_start", tol.reconstruction)
-    t_end = _real(spec.get("t_end", t_start + gate.duration), "grid.t_end")
+    t_end = _real(spec.get("t_end", t_start + gate.duration), "grid.t_end", lo=t_start)
     # the grid is evolved over t - t_start, so the span is bounded as well
     linalg._check_phase(w, max(abs(t_end), t_end - t_start), "grid.t_end", tol.reconstruction)
     count = _flag_or(
@@ -288,8 +283,7 @@ def _product_input(scenario: dict, tol: Tolerances):
     rho = states.densify(_input_from_scenario(scenario, n_qubits=2))
     product = states._product(rho.matrix, tol.separability, "input")
     marginals = tuple(map(states.DensityMatrix, product))
-    which = _integer(scenario.get("which_qubit", 1), "which_qubit")
-    which = tolerances._which(which, "which_qubit")
+    which = _integer(scenario.get("which_qubit", 1), "which_qubit", 1, 2)
     return rho, which, marginals[2 - which], marginals
 
 
@@ -506,7 +500,7 @@ def main(argv=None) -> int:
     try:
         scenario = _load_scenario(args.scenario)
         tol, env_echo = _resolve_tolerances(scenario, args)
-        seed = _flag_or(args.seed, scenario.get("seed", 0), "seed", check=_seed)
+        seed = _flag_or(args.seed, scenario.get("seed", 0), "seed", 0)
         body, csv_text = _COMMANDS[args.command](scenario, args, tol, seed)
         report = {"command": args.command, "seed": seed, "tolerances": tol.as_dict()}
         if env_echo is not None:

@@ -47,6 +47,7 @@ class TimeGrid:
     def __post_init__(self):
         object.__setattr__(self, "t_start", _real(self.t_start, "grid t_start"))
         object.__setattr__(self, "t_end", _real(self.t_end, "grid t_end", lo=self.t_start))
+        _real(self.t_end - self.t_start, "grid t_end - t_start")  # a span that overflows is inf
         object.__setattr__(self, "steps", _integer(self.steps, "grid steps", 1, MAX_STEPS))
 
     @property

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import linalg
 from .states import DensityMatrix, PureState, _instance
-from .tolerances import DEFAULT, _real, _which
+from .tolerances import DEFAULT, _integer, _real
 
 __all__ = [
     "Gate",
@@ -129,7 +129,7 @@ def swap_gate(t_star: float = 1.0) -> Gate:
 
 
 def identity_gate(n_qubits: int = 2, t_star: float = 1.0) -> Gate:
-    n_qubits = _which(n_qubits, "identity_gate qubit count")
+    n_qubits = _integer(n_qubits, "identity_gate qubit count", 1, 2)
     dim = 2**n_qubits
     return Gate(np.zeros((dim, dim), dtype=complex), t_star, np.eye(dim, dtype=complex))
 

@@ -11,7 +11,7 @@ import sys
 
 import numpy as np
 
-from .tolerances import DEFAULT, _real, _which
+from .tolerances import DEFAULT, _integer, _real
 
 __all__ = [
     "partial_trace",
@@ -59,7 +59,7 @@ def partial_trace(rho, keep: int) -> np.ndarray:
     the subsystem that survives; the other is summed out. The trace is
     preserved exactly.
     """
-    keep = _which(keep, "keep")
+    keep = _integer(keep, "keep", 1, 2)
     return _marginals(_hermitian(rho, "rho", 4))[keep - 1]
 
 
@@ -70,12 +70,32 @@ def _marginals(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _hermitian(k, what: str, dim: int | None = None) -> np.ndarray:
-    """k by _matrix, square, and Hermitian to DEFAULT.hermiticity: the one Hermitian rule."""
+    """k by _matrix, square, and by _check_hermitian."""
     k = _matrix(k, what, dim)
-    defect = hermiticity_defect(k)
-    if defect > DEFAULT.hermiticity:
-        raise ValueError(f"{what} must be Hermitian, got max|m - m^dag| = {defect:.3g}")
+    _check_hermitian(k, what)
     return k
+
+
+def _check_hermitian(m: np.ndarray, what: str) -> None:
+    """Refuse a (..., d, d) stack m, a single matrix included, unless every matrix is
+    finite and Hermitian to DEFAULT.hermiticity: the one Hermitian rule.
+
+    Finite entries are checked first: a NaN would pass the defect bound, since
+    each comparison with it is False. A refusal starts with what and quotes
+    the first matrix that fails.
+    """
+    if not np.isfinite(m).all():
+        raise ValueError(f"{what} has non-finite entries")
+    defects = np.abs(m - m.conj().swapaxes(-1, -2)).max(axis=(-2, -1), initial=0.0)
+    bad = defects > DEFAULT.hermiticity
+    if bad.any():
+        defect = _first(defects, bad)
+        raise ValueError(f"{what} must be Hermitian, got max|m - m^dag| = {defect:.3g}")
+
+
+def _first(values, bad):
+    """The entry of values at the first True of the same-shaped mask bad."""
+    return np.ravel(values)[np.argmax(bad)]
 
 
 def _unitary(u, what: str, dim: int | None = None) -> np.ndarray:
@@ -92,11 +112,12 @@ def _check_phase(w, t: float, what: str, reconstruction: float = DEFAULT.reconst
 
     A phase p = max|eig K| |t| carries p * eps of round-off, so the bound is
     p <= reconstruction / eps (about 4.5e6 rad at the default). Both are
-    float products and quotients: an overflow reads inf, with no warning.
+    float products and quotients, with no warning: an overflow reads inf, and
+    a zero spectrum at an infinite |t| reads nan, which is refused as well.
     """
     phase = float(np.abs(w).max(initial=0.0)) * abs(t)
     limit = reconstruction / sys.float_info.epsilon
-    if phase > limit:
+    if not phase <= limit:
         raise ValueError(
             f"{what} must keep the phase max|eig K| * |t| within reconstruction / eps = "
             f"{limit:.3g} rad, got {phase:.3g} rad at |t| = {abs(t):.3g}"

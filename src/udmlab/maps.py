@@ -44,7 +44,7 @@ import numpy as np
 
 from . import linalg
 from .states import DensityMatrix, _instance, _product, trace_distance
-from .tolerances import DEFAULT, _real, _sequence, _which
+from .tolerances import DEFAULT, _integer, _real, _sequence
 
 __all__ = [
     "DynamicalMap",
@@ -101,7 +101,7 @@ class DynamicalMap:
     which_qubit: int
 
     def __post_init__(self):
-        which = _which(self.which_qubit, "which_qubit")
+        which = _integer(self.which_qubit, "which_qubit", 1, 2)
         if self.environment_state is not None:
             _instance(self.environment_state, DensityMatrix, 1, "environment_state")
         s = np.array(linalg._matrix(self.superoperator, "superoperator", 4))
@@ -166,7 +166,7 @@ def induced_map(k, env: DensityMatrix, t: float, which: int = 1) -> DynamicalMap
     checked to be CPTP, which maps induced this way always are.
     """
     t = _real(t, "t", lo=0)
-    which = _which(which, "which")
+    which = _integer(which, "which", 1, 2)
     k = linalg._hermitian(k, "generator", 4)
     _instance(env, DensityMatrix, 1, "env")
     # axes (out-sys, out-env, in-sys, in-env); qubit 2 as the system swaps the factors
@@ -321,7 +321,7 @@ def udm_witness_subinterval(
     """
     t1 = _real(t1, "t1", lo=0)
     t_star = _real(t_star, "t_star", lo=t1)
-    which = _which(which, "which")
+    which = _integer(which, "which", 1, 2)
     tol = _real(tol, "tol", lo=0)
     k = linalg._hermitian(k, "generator", 4)
     _instance(rho_in, DensityMatrix, 2, "rho_in")

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import _marginals, _matrix
+from .linalg import _check_hermitian, _first, _marginals, _matrix
 from .tolerances import DEFAULT, _choice, _sequence
 
 __all__ = [
@@ -157,10 +157,10 @@ def _product(m: np.ndarray, tol: float, what: str) -> tuple[np.ndarray, np.ndarr
 def _check_density(m: np.ndarray, what: str) -> None:
     """Validate a (..., d, d) stack of density matrices, a single one included.
 
-    Each check runs over the whole stack at once: finite entries first (a
-    NaN would pass every check below, since each comparison with it is
-    False), then Hermiticity, unit trace and positivity. A failing check
-    starts with what and quotes the value of the first matrix that fails it.
+    Each check runs over the whole stack at once: ``linalg._check_hermitian``
+    (finite entries, then Hermiticity), then unit trace and positivity. A
+    failing check starts with what and quotes the value of the first matrix
+    that fails it.
 
     One batched Cholesky of m + positivity * 1 decides positivity: the
     factor exists exactly when every eigenvalue is above -positivity. Only
@@ -168,13 +168,7 @@ def _check_density(m: np.ndarray, what: str) -> None:
     of exactly -positivity passes) and quote the first failing value.
     Both read the lower triangle only.
     """
-    if not np.isfinite(m).all():
-        raise ValueError(f"{what} has non-finite entries")
-    defects = np.abs(m - m.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
-    bad = defects > DEFAULT.hermiticity
-    if bad.any():
-        defect = _first(defects, bad)
-        raise ValueError(f"{what} must be Hermitian, got max|m - m^dag| = {defect:.3g}")
+    _check_hermitian(m, what)
     tr = np.trace(m, axis1=-2, axis2=-1)
     bad = np.abs(tr - 1.0) > DEFAULT.hermiticity
     if bad.any():
@@ -188,11 +182,6 @@ def _check_density(m: np.ndarray, what: str) -> None:
             raise ValueError(
                 f"{what} must be positive semidefinite, got eigenvalue {_first(w0, bad)}"
             ) from None
-
-
-def _first(values, bad):
-    """The entry of values at the first True of the same-shaped mask bad."""
-    return np.ravel(values)[np.argmax(bad)]
 
 
 def _negativities(m: np.ndarray) -> np.ndarray:

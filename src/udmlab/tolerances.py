@@ -5,15 +5,16 @@ which leaves large headroom; the defaults below are fixed globally rather
 than tuned per call site. The CP tolerance is looser than the state
 tolerances because pseudo-inverse composition amplifies noise. Each
 scalar argument of a public entry point passes once through ``_real``
-(with the open bounds of a time that must follow another), ``_integer``
-(with the bounds of a count that has a range) or ``_which``, each name
-from a table through ``_choice`` and each sequence through ``_sequence``,
-and the caller keeps the value returned. None takes a boolean: True would
-read as a time, tolerance or qubit of 1.
+(with the open bounds of a time that must follow another) or ``_integer``
+(with the closed bounds of a count, an index or a qubit of a pair), each
+name from a table through ``_choice`` and each sequence through
+``_sequence``, and the caller keeps the value returned. None takes a
+boolean: True would read as a time, tolerance or qubit of 1.
 """
 import numbers
 import operator
 import sys
+from collections.abc import Mapping, Set
 from dataclasses import dataclass, replace
 
 
@@ -35,25 +36,19 @@ def _real(value, what: str, lo: float | None = None, hi: float | None = None) ->
 
 
 def _integer(value, what: str, lo: int | None = None, hi: int | None = None) -> int:
-    """value as a Python int, in [lo, hi] when bounds are given; numpy integers pass,
-    booleans and floats do not. The one rule for a count or an index."""
+    """value as a Python int, at least lo when it is given and at most hi when both are;
+    numpy integers pass, booleans and floats do not. The one rule for a count, an index
+    or a qubit of a pair (1 the left tensor factor), whose bounds are (1, 2)."""
     try:
         if isinstance(value, bool):
             raise TypeError
         count = operator.index(value)
     except TypeError:
         raise ValueError(f"{what} must be an integer, got {value!r}") from None
-    if lo is not None and not lo <= count <= hi:
-        raise ValueError(f"{what} must be in [{lo}, {hi}], got {count}")
+    if lo is not None and (count < lo or hi is not None and count > hi):
+        bound = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
+        raise ValueError(f"{what} must be {bound}, got {count}")
     return count
-
-
-def _which(value, what: str) -> int:
-    """value as 1 or 2: a qubit of a pair (1 the left tensor factor) or a count of qubits."""
-    which = _integer(value, what)
-    if which not in (1, 2):
-        raise ValueError(f"{what} must be 1 or 2, got {which}")
-    return which
 
 
 def _choice(value, options, what: str) -> str:
@@ -65,8 +60,11 @@ def _choice(value, options, what: str) -> str:
 
 
 def _sequence(value, what: str, length: int | None = None) -> tuple:
-    """value as a tuple: anything tuple() takes, of the given length when one is given."""
+    """value as a tuple: anything tuple() takes but a set or a mapping, whose order the
+    caller did not write; of the given length when one is given."""
     try:
+        if isinstance(value, (Set, Mapping)):
+            raise TypeError
         items = tuple(value)
         if length is None or len(items) == length:
             return items

@@ -396,6 +396,8 @@ def test_reports_are_byte_identical_across_runs(scenario_file, capsys):
 PLUS_PLUS = {"input": ["+", "+"]}
 DEEP = "[" * 100_000 + "]" * 100_000
 GEN_Z = {"matrix": [[1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, -1]]}
+OVERFLOWING_GRID = {"gate": {"name": "identity"}, "input": ["0", "+"],
+                    "grid": {"t_start": -1e308, "t_end": 1e308, "steps": 2}}
 
 
 @pytest.mark.parametrize(
@@ -497,6 +499,29 @@ GEN_Z = {"matrix": [[1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, -1]]}
         pytest.param("analyze-gate", {"gate": {"name": ["swap"]}}, [], None,
                      f"error: gate.name must be one of {GATE_NAMES}, got ['swap']\n",
                      id="analyze-gate-list-name"),
+        # a grid whose span t_end - t_start overflows: its phase under the identity's
+        # zero spectrum, 0 * inf, read nan and passed the bound, and the evolution
+        # then warned of the overflow (exit 3 with every warning an error)
+        pytest.param("trajectory", OVERFLOWING_GRID, [], None, "error: grid.t_end must keep",
+                     id="trajectory-span-overflow"),
+        pytest.param("map", OVERFLOWING_GRID, [], None, "error: grid.t_end must keep",
+                     id="map-span-overflow"),
+        pytest.param("divisibility", {**OVERFLOWING_GRID, "t1": 0.0}, [], None,
+                     "error: grid.t_end must keep", id="divisibility-span-overflow"),
+        # refusals that named the library's argument, not the scenario field
+        pytest.param("trajectory", {"gate": CPI, **PLUS_PLUS,
+                                    "grid": {"t_start": 0.5, "t_end": 0.2}}, [], None,
+                     "error: grid.t_end must be finite and > 0.5, got 0.2\n",
+                     id="trajectory-t_end-before-t_start"),
+        pytest.param("trajectory", {"gate": CPI, "input": []}, [], None,
+                     "error: input must be 2^n-dimensional for n >= 1, got dimension 1\n",
+                     id="trajectory-input-empty"),
+        pytest.param("qft", {"n_qubits": 2, "input": {"amplitudes": [1, 0, 0]}}, [], None,
+                     "error: input.amplitudes must be 2^n-dimensional for n >= 1, "
+                     "got dimension 3\n", id="qft-amplitudes-3"),
+        # a seed's lower bound, from the count rule
+        pytest.param("map", {"gate": CPI, **PLUS_PLUS, "seed": -5}, ["--seed", "3"], None,
+                     "error: seed must be >= 0, got -5\n", id="map-seed-minus-5-under-flag"),
     ],
 )
 def test_malformed_input_exits_2_naming_the_field(

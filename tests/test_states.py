@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from udmlab import (
     DensityMatrix,
@@ -11,6 +12,7 @@ from udmlab import (
     pure_entanglement,
     trace_distance,
 )
+from udmlab.linalg import _hermitian
 from udmlab.states import _check_density, _product
 from udmlab.tolerances import DEFAULT
 from conftest import (
@@ -177,6 +179,41 @@ def test_check_density_rejects_one_bad_matrix_anywhere_in_a_stack(rng):
             with pytest.raises(ValueError) as stacked:
                 _check_density(stack, "matrix")
             assert str(stacked.value) == str(single.value), (kind, position)
+
+
+BREAKS = {"nan": np.nan, "inf": np.inf, "-inf": -np.inf, "skew": 1j}
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    k=st.integers(1, 6),
+    entries=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 3), st.integers(0, 3)),
+                     min_size=1, max_size=3),
+    kind=st.sampled_from(sorted(BREAKS)),
+    exponent=st.floats(-12.0, 3.0),
+)
+def test_stack_refusal_is_the_single_matrix_refusal_of_its_first_bad_matrix(
+    seed, k, entries, kind, exponent
+):
+    # a few densities of a (k, 4, 4) stack get a non-finite entry, or an imaginary
+    # part of 1e-12..1e3 that may stay within the Hermiticity tolerance; one kind
+    # per stack, since the stack rule looks for non-finite entries first
+    rng = np.random.default_rng(seed)
+    stack = np.array([random_density(rng, 4) for _ in range(k)])
+    for position, i, j in entries:
+        stack[position % k, i, j] += BREAKS[kind] * 10**exponent
+    single = []
+    for m in stack:
+        try:
+            _hermitian(m, "matrix")
+        except ValueError as exc:
+            single.append(str(exc))
+    assume(single)
+    for shape in (stack.shape, (k, 1, 4, 4)):
+        with pytest.raises(ValueError) as stacked:
+            _check_density(stack.reshape(shape), "matrix")
+        assert str(stacked.value) == single[0]
 
 
 @pytest.mark.parametrize(

@@ -12,19 +12,20 @@ wrong type or qubit count, a generator that is not a Hermitian 4x4 matrix,
 a qubit that is not 1 or 2, a time beyond the phase bound and an interval
 that is no pair of finite times, and a grid, trajectory, map, Choi matrix,
 gate or state that is a plain array or tuple. Each passes through one of
-``states._instance``, ``linalg._hermitian``, ``tolerances._which`` and
-``linalg._check_phase``. Every matrix argument passes through
-``linalg._matrix``, which quotes a refused shape; a unitary one through
-``linalg._unitary``, which quotes the unitarity defect; a state's dimension
-through ``states._qubit_count``; a bounded count or index through
-``tolerances._integer``; a name from a table through ``tolerances._choice``;
-a sequence through ``tolerances._sequence``; and a time that must follow
-another through ``tolerances._real`` with open bounds. A hand-built
-``Trajectory`` whose arrays do not fit its grid, two maps that do not
-compose and a gate that is no 2-qubit gate are refused as well. Every
+``states._instance``, ``linalg._hermitian``, ``tolerances._integer`` with
+the bounds (1, 2) and ``linalg._check_phase``. Every matrix argument
+passes through ``linalg._matrix``, which quotes a refused shape; a unitary
+one through ``linalg._unitary``, which quotes the unitarity defect; a
+state's dimension through ``states._qubit_count``; a bounded count or
+index through ``tolerances._integer``; a name from a table through
+``tolerances._choice``; a sequence, and no set or mapping, through
+``tolerances._sequence``; and a time that must follow another through
+``tolerances._real`` with open bounds. A grid whose span overflows, a
+hand-built ``Trajectory`` whose arrays do not fit its grid, two maps that
+do not compose and a gate that is no 2-qubit gate are refused as well. Every
 message starts with the argument's name, and each row pins it from its
-start, most to its end. A property drives the name, sequence and bounded
-real rules with arbitrary JSON-like values.
+start, most to its end. A property drives the name, sequence, bounded
+real and bounded integer rules with arbitrary JSON-like values.
 """
 import re
 
@@ -76,7 +77,7 @@ from udmlab import (
     unitary_superoperator,
 )
 from udmlab.states import NAMED_AMPLITUDES
-from udmlab.tolerances import _choice, _real, _sequence
+from udmlab.tolerances import _choice, _integer, _real, _sequence
 from conftest import X
 
 K = np.diag([0.0, 0.0, 0.0, np.pi]).astype(complex)
@@ -231,14 +232,15 @@ STRUCTURED = [
      r"^rho must be 4x4, got \(2, 2\)$"),
     ("partial_trace-skew", lambda: partial_trace(SKEW, 1),
      r"^rho must be Hermitian, got max\|m - m\^dag\| = 2$"),
-    # a qubit that is no 1 or 2
+    # a qubit that is no 1 or 2: the count rule with the bounds (1, 2)
     ("induced_map-which-3", lambda: induced_map(K, ENV, 1.0, which=3),
-     "^which must be 1 or 2, got 3$"),
+     r"^which must be in \[1, 2\], got 3$"),
     ("witness-which-3", lambda: udm_witness_subinterval(K, RHO, 0.5, 1.0, which=3),
-     "^which must be 1 or 2, got 3$"),
+     r"^which must be in \[1, 2\], got 3$"),
     ("DynamicalMap-which-3", lambda: DynamicalMap(np.eye(4), None, (0.0, 1.0), 3),
-     "^which_qubit must be 1 or 2, got 3$"),
-    ("partial_trace-keep-3", lambda: partial_trace(RHO.matrix, 3), "^keep must be 1 or 2, got 3$"),
+     r"^which_qubit must be in \[1, 2\], got 3$"),
+    ("partial_trace-keep-3", lambda: partial_trace(RHO.matrix, 3),
+     r"^keep must be in \[1, 2\], got 3$"),
     # a phase beyond max|eig K| |t| <= reconstruction / eps: an imprecise map or trajectory before
     ("induced_map-t-1e15", lambda: induced_map(c_phase(np.pi).generator, ENV, 1e15 + 1),
      "^t" + PHASE_1E15),
@@ -378,11 +380,20 @@ STRUCTURED = [
     ("Circuit-gates-int", lambda: Circuit(2, 5), "^gates must be a sequence, got 5$"),
     ("Circuit-gates-entry", lambda: Circuit(2, [PlacedGate("H", (1,)), "H"]),
      r"^gates\[1\] must be a PlacedGate, got 'H'$"),
+    # a set or a mapping has no order the caller wrote: the gates were built in
+    # hash order, and a dict's keys were taken as the interval
+    ("Circuit-gates-set", lambda: Circuit(2, {PlacedGate("H", (1,)), PlacedGate("X", (2,))}),
+     r"^gates must be a sequence, got \{PlacedGate\("),
+    ("map-interval-dict", lambda: DynamicalMap(np.eye(4), None, {0.0: "a", 1.0: "b"}, 1),
+     r"^interval must be a sequence of length 2, got \{0\.0: 'a', 1\.0: 'b'\}$"),
     # the order of two times, tolerances._real with open bounds
     ("TimeGrid-t_end-before", lambda: TimeGrid(1.0, 0.5, 4),
      "^grid t_end must be finite and > 1.0, got 0.5$"),
     ("TimeGrid-t_end-equal", lambda: TimeGrid(1.0, 1.0, 4),
      "^grid t_end must be finite and > 1.0, got 1.0$"),
+    # a span that overflows: the grid was built with an epsilon of inf
+    ("TimeGrid-span-overflow", lambda: TimeGrid(-1e308, 1e308, 2),
+     "^grid t_end - t_start must be a finite number, got inf$"),
     ("witness-t1-equal", lambda: udm_witness_subinterval(K, RHO, 0.5, 0.5),
      "^t_star must be finite and > 0.5, got 0.5$"),
     # a hand-built ChoiMatrix: numpy's reshape error, or a silent Kraus set, before
@@ -426,10 +437,14 @@ def test_overflowing_values_are_refused_without_a_warning(call, message):
 
 
 # JSON-like values: scalars of every kind, with nan, +-inf and integers past
-# the float range, nested in lists and string-keyed dicts
-JSON_LIKE = st.recursive(
+# the float range, alone or nested in lists and string-keyed dicts (nested
+# values alone would draw a bare scalar in about 5% of the examples)
+SCALARS = (
     st.none() | st.booleans() | st.integers() | st.sampled_from([10**400, -(10**400)])
-    | st.floats() | st.text(max_size=3) | st.sampled_from(sorted(NAMED_AMPLITUDES)),
+    | st.floats() | st.text(max_size=3) | st.sampled_from(sorted(NAMED_AMPLITUDES))
+)
+JSON_LIKE = SCALARS | st.recursive(
+    SCALARS,
     lambda inner: st.lists(inner, max_size=4)
     | st.dictionaries(st.text(max_size=2), inner, max_size=3),
     max_leaves=8,
@@ -442,6 +457,9 @@ RULES = {
     "real": lambda v: _real(v, "x"),
     "real-above": lambda v: _real(v, "x", lo=0),
     "real-between": lambda v: _real(v, "x", lo=-1.5, hi=1e300),
+    "integer": lambda v: _integer(v, "x"),
+    "integer-above": lambda v: _integer(v, "x", 0),
+    "integer-between": lambda v: _integer(v, "x", 1, 2),
 }
 
 
