@@ -236,28 +236,32 @@ def _gate_from_scenario(scenario: dict, tol: Tolerances) -> gates.Gate:
 
 
 def _input_from_scenario(scenario: dict, n_qubits: int | None = None) -> states.PureState:
+    """The scenario's input state, of n_qubits qubits when given. The count is checked
+    before the state is built: a list of names takes 2^len(input) amplitudes."""
     if "input" not in scenario:
         raise ValueError("scenario must specify an 'input' state")
     spec = scenario["input"]
     # the 2^n rule of a state's dimension, under the field's name
     if isinstance(spec, list):
-        names = states.NAMED_AMPLITUDES
-        states._qubit_count(2 ** len(spec), "input")
-        psi = states.product_state([_choice(s, names, f"input[{i}]") for i, s in enumerate(spec)])
+        n = states._qubit_count(2 ** len(spec), "input")
+        factors = [_choice(s, states.NAMED_AMPLITUDES, f"input[{i}]") for i, s in enumerate(spec)]
+        build = states.product_state
     elif isinstance(spec, dict) and "amplitudes" in spec:
         if not isinstance(spec["amplitudes"], list):
             raise ValueError("input.amplitudes must be a list of numbers or [re, im] pairs")
-        amplitudes = [
+        factors = [
             _parse_complex(v, f"input.amplitudes[{i}]") for i, v in enumerate(spec["amplitudes"])
         ]
-        states._qubit_count(len(amplitudes), "input.amplitudes")
-        psi = states.PureState(amplitudes)
+        n = states._qubit_count(len(factors), "input.amplitudes")
+        build = states.PureState
     else:
         raise ValueError(
             "'input' must be a list of per-qubit state names "
             f"({sorted(states.NAMED_AMPLITUDES)}) or an object with 'amplitudes'"
         )
-    return states._instance(psi, states.PureState, n_qubits, "input")
+    if n_qubits is not None and n != n_qubits:
+        raise ValueError(f"input must be a {n_qubits}-qubit state, got {n} qubits")
+    return build(factors)
 
 
 def _grid_from_scenario(
@@ -312,7 +316,7 @@ def _cmd_trajectory(scenario: dict, args, tol: Tolerances, seed: int) -> tuple[d
     grid = _grid_from_scenario(scenario, gate, tol, args.steps)
     traj = dynamics.evolve_trajectory(gate.generator, states.densify(psi), grid)
     profile = dynamics.entanglement_profile(traj)
-    hit = next((p for p in profile if p.negativity > tol.entanglement), None)
+    t1, t1_negativity = dynamics.find_entangled_instant(traj, tol.entanglement) or (None, None)
     body = {
         "grid": {
             "t_start": grid.t_start,
@@ -320,8 +324,8 @@ def _cmd_trajectory(scenario: dict, args, tol: Tolerances, seed: int) -> tuple[d
             "steps": grid.steps,
             "epsilon": grid.epsilon,
         },
-        "t1": None if hit is None else hit.t,  # find_entangled_instant's, from the profile
-        "t1_negativity": None if hit is None else hit.negativity,
+        "t1": t1,
+        "t1_negativity": t1_negativity,
         "max_negativity": max(p.negativity for p in profile),
         "endpoint_purity": profile[-1].purity,
     }

@@ -6,10 +6,10 @@ its own time, never by chaining small steps, so refining the grid changes
 what is observed but not the numbers at shared points. The composite is
 isolated, hence global purity stays constant along every trajectory. All
 points form one (steps + 1, 4, 4) stack, evolved and audited as a whole:
-the purities are computed once, for the drift check, and the profile reads
-them from the trajectory; tau is read off the density stack with the
-determinant that ``states.pure_entanglement`` uses, with no
-eigendecomposition.
+the purities of the drift check and the negativities are computed once,
+and the profile and ``find_entangled_instant`` read them from the
+trajectory; tau is read off the density stack with the determinant that
+``states.pure_entanglement`` uses, with no eigendecomposition.
 """
 from __future__ import annotations
 
@@ -61,20 +61,22 @@ class TimeGrid:
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Joint states and their purities, row i at times()[i].
+    """Joint states, their purities and their negativities, row i at times()[i].
 
-    ``evolve_trajectory`` hands over the validated (steps + 1, 4, 4) stack and
-    the (steps + 1,) purities of its drift check, both read-only. The shapes
-    are checked against the grid on construction.
+    ``evolve_trajectory`` hands over the validated (steps + 1, 4, 4) stack,
+    the (steps + 1,) purities of its drift check and the (steps + 1,)
+    negativities, all read-only. The shapes are checked against the grid on
+    construction.
     """
 
     grid: TimeGrid
     joint_states: np.ndarray
     purities: np.ndarray
+    negativities: np.ndarray
 
     def __post_init__(self):
         n = _instance(self.grid, TimeGrid, None, "grid").steps + 1
-        for name, shape in (("joint_states", (n, 4, 4)), ("purities", (n,))):
+        for name, shape in (("joint_states", (n, 4, 4)), ("purities", (n,)), ("negativities", (n,))):
             value = getattr(self, name)
             got = value.shape if isinstance(value, np.ndarray) else type(value).__name__
             if got != shape:
@@ -108,9 +110,10 @@ def evolve_trajectory(k, rho_in: DensityMatrix, grid: TimeGrid) -> Trajectory:
     drift = np.abs(purities - purities[0]).max()
     if drift > DEFAULT.positivity:
         raise RuntimeError(f"global purity drifted by {drift} along the trajectory")
-    states.flags.writeable = False
-    purities.flags.writeable = False
-    return Trajectory(grid, states, purities)
+    negativities = _negativities(states)
+    for a in (states, purities, negativities):
+        a.flags.writeable = False
+    return Trajectory(grid, states, purities, negativities)
 
 
 def entanglement_profile(traj: Trajectory) -> list[ProfilePoint]:
@@ -125,7 +128,7 @@ def entanglement_profile(traj: Trajectory) -> list[ProfilePoint]:
     j = np.diagonal(m, axis1=-2, axis2=-1).real.argmax(axis=-1)
     pure = traj.purities >= 1.0 - DEFAULT.positivity
     taus = np.where(pure, _taus(m[rows, :, j]) / m[rows, j, j].real, None).tolist()
-    negs = _negativities(m).tolist()
+    negs = traj.negativities.tolist()
     return list(map(ProfilePoint, traj.grid.times().tolist(), negs, taus, traj.purities.tolist()))
 
 
@@ -138,6 +141,6 @@ def find_entangled_instant(
     marginals; absence means no grid point crossed the threshold.
     """
     tol = _real(tol, "tol", lo=0)
-    negs = _negativities(_instance(traj, Trajectory, None, "traj").joint_states)
+    negs = _instance(traj, Trajectory, None, "traj").negativities
     hits = np.flatnonzero(negs > tol)
     return (float(traj.grid.times()[hits[0]]), float(negs[hits[0]])) if hits.size else None

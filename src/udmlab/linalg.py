@@ -81,12 +81,14 @@ def _check_hermitian(m: np.ndarray, what: str) -> None:
     finite and Hermitian to DEFAULT.hermiticity: the one Hermitian rule.
 
     Finite entries are checked first: a NaN would pass the defect bound, since
-    each comparison with it is False. A refusal starts with what and quotes
-    the first matrix that fails.
+    each comparison with it is False. A defect of finite entries near the float
+    maximum overflows without a warning to inf, which the bound refuses. A
+    refusal starts with what and quotes the first matrix that fails.
     """
     if not np.isfinite(m).all():
         raise ValueError(f"{what} has non-finite entries")
-    defects = np.abs(m - m.conj().swapaxes(-1, -2)).max(axis=(-2, -1), initial=0.0)
+    with np.errstate(over="ignore"):
+        defects = np.abs(m - m.conj().swapaxes(-1, -2)).max(axis=(-2, -1), initial=0.0)
     bad = defects > DEFAULT.hermiticity
     if bad.any():
         defect = _first(defects, bad)

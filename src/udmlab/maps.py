@@ -92,7 +92,9 @@ class DynamicalMap:
     ``interval`` is the (t_a, t_b) stretch of the evolution it describes,
     a pair of finite times; ``which_qubit`` says whether the described
     qubit is the left (1) or right (2) tensor factor. The superoperator is
-    a read-only copy.
+    a read-only copy. The map's ``ChoiMatrix``, which ``choi`` returns, is
+    derived from it once, with read-only arrays, and held as ``_choi``: no
+    field, so repr and fields() see only the four above.
     """
 
     superoperator: np.ndarray
@@ -107,10 +109,18 @@ class DynamicalMap:
         s = np.array(linalg._matrix(self.superoperator, "superoperator", 4))
         t_a, t_b = _sequence(self.interval, "interval", 2)
         interval = (_real(t_a, "interval start"), _real(t_b, "interval end"))
-        s.flags.writeable = False
+        # the superoperator as a 4-tensor carries axes (out-col, out-row, in-col,
+        # in-row) under column-stacking vec; the Choi index order is
+        # ((out-row, in-row), (out-col, in-col))
+        c = s.reshape(2, 2, 2, 2).transpose(1, 3, 0, 2).reshape(4, 4)
+        c = (c + c.conj().T) / 2.0  # Hermitian up to roundoff for any map
+        w = np.linalg.eigvalsh(c)[::-1]
+        for a in (s, c, w):
+            a.flags.writeable = False
         object.__setattr__(self, "superoperator", s)
         object.__setattr__(self, "interval", interval)
         object.__setattr__(self, "which_qubit", which)
+        object.__setattr__(self, "_choi", ChoiMatrix(c, w))
 
 
 @dataclass(frozen=True, eq=False)
@@ -208,17 +218,12 @@ def _images(m: DynamicalMap, rhos: np.ndarray) -> np.ndarray:
 
 
 def choi(m: DynamicalMap) -> ChoiMatrix:
-    """Choi matrix sum_ij E(|i><j|) (x) |i><j|, by index reshuffle.
+    """Choi matrix sum_ij E(|i><j|) (x) |i><j|, by index reshuffle of the superoperator.
 
-    With column-stacking vec, the superoperator as a 4-tensor carries axes
-    (out-col, out-row, in-col, in-row); the Choi index order is
-    ((out-row, in-row), (out-col, in-col)).
+    The map derives it, with its eigenvalues, once on construction; every
+    caller reads that one spectrum.
     """
-    s = _instance(m, DynamicalMap, None, "m").superoperator
-    c = np.reshape(s, (2, 2, 2, 2)).transpose(1, 3, 0, 2).reshape(4, 4)
-    c = (c + c.conj().T) / 2.0  # Hermitian up to roundoff for any map
-    w = np.linalg.eigvalsh(c)[::-1]
-    return ChoiMatrix(c, w)
+    return _instance(m, DynamicalMap, None, "m")._choi
 
 
 def is_cptp(m: DynamicalMap, tol: float = DEFAULT.cp) -> tuple[bool, bool, float]:

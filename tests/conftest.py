@@ -6,6 +6,7 @@ the full joint state, and series expansions are summed term by term.
 Frozen expected values in the tests were computed with these.
 """
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,11 @@ import pytest
 from udmlab import linalg
 from udmlab.circuits import AuditRecord
 from udmlab.states import PureState, _check_density, _negativities
+
+
+# a generator whose Hermitian defect m - m^dag overflows, as a CLI scenario with an input
+OVERFLOWING_GENERATOR = {"generator": {"matrix": [[[0.5, 1e308], 0, 0, 0], [0, 0, 0, 0],
+                                                [0, 0, 0, 0], [0, 0, 0, 0]]}, "input": ["0", "+"]}
 
 
 @pytest.fixture
@@ -236,3 +242,19 @@ def report_json(value):
     """json.dumps(plain(value), indent=2): the standard library's report text,
     the reference for the CLI's one-pass writer."""
     return json.dumps(plain(value), indent=2)
+
+
+def traced_peak(call):
+    """Bytes tracemalloc sees allocated at the peak of call(), beyond those held before."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        result = call()  # held until the peak is read
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    return peak

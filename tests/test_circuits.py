@@ -1,7 +1,6 @@
 import dataclasses
 import json
 import re
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,7 +27,9 @@ from udmlab import (
 from udmlab import circuits as circuits_mod
 from udmlab.circuits import AuditRecord
 from udmlab.tolerances import DEFAULT, Tolerances
-from conftest import H, SINGLET_PROJECTOR, SWAP, X, random_pure, run_circuit_by_factor_list
+from conftest import (
+    H, SINGLET_PROJECTOR, SWAP, X, random_pure, run_circuit_by_factor_list, traced_peak,
+)
 
 try:
     import resource
@@ -438,22 +439,6 @@ def test_run_circuit_equals_the_factor_list_reference_bytewise(rng):
             negs = [(r.negativity_in, r.negativity_out) for r in audit.records]
             want_negs = [(r.negativity_in, r.negativity_out) for r in want_records]
             assert np.array(negs).tobytes() == np.array(want_negs).tobytes()
-
-
-def traced_peak(call):
-    """Bytes tracemalloc sees allocated at the peak of call(), beyond those held before."""
-    tracing = tracemalloc.is_tracing()
-    if not tracing:
-        tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        before = tracemalloc.get_traced_memory()[0]
-        result = call()  # held until the peak is read
-        peak = tracemalloc.get_traced_memory()[1] - before
-    finally:
-        if not tracing:
-            tracemalloc.stop()
-    return peak
 
 
 @pytest.mark.parametrize("n", [7, 8])

@@ -18,12 +18,14 @@ from udmlab.cli import main
 from udmlab.dynamics import ProfilePoint
 from udmlab.tolerances import DEFAULT
 from conftest import (
+    OVERFLOWING_GENERATOR,
     correlated_pair,
     plain,
     product_correlation,
     random_hermitian,
     random_pure,
     report_json,
+    traced_peak,
 )
 
 
@@ -522,6 +524,12 @@ OVERFLOWING_GRID = {"gate": {"name": "identity"}, "input": ["0", "+"],
         # a seed's lower bound, from the count rule
         pytest.param("map", {"gate": CPI, **PLUS_PLUS, "seed": -5}, ["--seed", "3"], None,
                      "error: seed must be >= 0, got -5\n", id="map-seed-minus-5-under-flag"),
+        # a Hermitian defect of finite entries that overflows: m - m^dag warned of
+        # the overflow (exit 3 with every warning an error)
+        *[pytest.param(command, {**OVERFLOWING_GENERATOR, "t1": 0.5}, [], None,
+                       "error: generator.matrix must be Hermitian, got max|m - m^dag| = inf\n",
+                       id=f"{command}-hermitian-defect-overflow")
+          for command in ("analyze-gate", "map", "trajectory", "divisibility")],
     ],
 )
 def test_malformed_input_exits_2_naming_the_field(
@@ -825,6 +833,32 @@ def test_trajectory_takes_every_negativity_once(scenario_file, capsys, monkeypat
     code, _, _ = run(capsys, "trajectory", "--scenario", path)
     assert code == 0
     assert calls == [101]
+
+
+def test_map_report_takes_each_choi_spectrum_once(scenario_file, capsys, monkeypatch):
+    # the map, is_cptp through induced_map's self-check and the report each took
+    # their own spectrum of the same Choi matrix: six for the two maps
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(a, *args, **kwargs):
+        if sys._getframe(1).f_globals["__name__"] == maps.__name__:
+            calls.append(a.shape)
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    path = scenario_file({"gate": CPI, "input": ["+", "1"]})
+    code, _, _ = run(capsys, "map", "--both-qubits", "--scenario", path)
+    assert code == 0
+    assert calls == [(4, 4)] * 2
+
+
+def test_input_qubit_count_is_checked_before_the_state_is_built(scenario_file, capsys):
+    # 20 names built a 2^20-amplitude state (16 MiB) before its qubit count was refused
+    path = scenario_file({"n_qubits": 2, "input": ["+"] * 20})
+    want = (2, "", "error: input must be a 2-qubit state, got 20 qubits\n")
+    assert run(capsys, "qft", "--scenario", path) == want
+    assert traced_peak(lambda: main(["qft", "--scenario", path])) < 2**20
 
 
 @pytest.mark.parametrize("tol", [1e-6, 0.1, 0.35, 0.49, 0.6])

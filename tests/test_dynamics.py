@@ -153,6 +153,11 @@ def test_trajectory_functions_build_no_per_point_states(monkeypatch):
         raise AssertionError("the profile reads tau off the density stack")
 
     monkeypatch.setattr(np.linalg, "eigh", eigendecomposition)
+
+    def spectrum(*args, **kwargs):
+        raise AssertionError("the profile and the instant read the trajectory's negativities")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spectrum)
     assert len(entanglement_profile(traj)) == 101
     assert find_entangled_instant(traj) is not None
     assert len(purity_passes) == 1  # the drift check's purities serve the profile

@@ -138,6 +138,17 @@ def test_dynamical_map_holds_a_read_only_complex_copy():
     assert given.flags.writeable and m.superoperator[0, 0] == 1
 
 
+def test_a_map_holds_one_read_only_choi_matrix():
+    # choi built and decomposed the Choi matrix anew for every caller
+    m = induced_map(K_CPI, ENV_PLUS, 1.0)
+    c = choi(m)
+    assert choi(m) is c
+    for a in (c.matrix, c.eigenvalues):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0
+    assert is_cptp(m)[2] == c.eigenvalues[-1]
+
+
 def test_is_cptp_flags_transpose_map():
     # transpose swaps the middle vec components; its Choi is the SWAP matrix
     transpose = np.eye(4)[[0, 2, 1, 3]].astype(complex)

@@ -33,3 +33,31 @@ def test_udmlab_imports_numpy_and_no_other_third_party_module():
     loaded = set(proc.stdout.split())
     assert {"numpy", "udmlab"} <= loaded
     assert loaded - sys.stdlib_module_names == {"numpy", "udmlab"}
+
+
+FAILING_PROPERTY = """
+from hypothesis import given, strategies as st
+
+
+@given(st.integers())
+def test_fails(x):
+    assert x < 0
+
+
+def test_runs_after_it():
+    pass
+"""
+
+
+def test_a_failing_property_is_reported_and_the_session_goes_on(tmp_path):
+    # under this repo's ini settings: on a failure Hypothesis imports libcst, whose
+    # import warning, made an error, ended pytest with an INTERNALERROR (exit 3)
+    (tmp_path / "test_property.py").write_text(FAILING_PROPERTY)
+    ini = Path(__file__).parents[1] / "pyproject.toml"
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-c", str(ini), "--rootdir", str(tmp_path),
+         "-p", "no:cacheprovider", str(tmp_path / "test_property.py")],
+        capture_output=True, text=True, cwd=tmp_path, timeout=120,
+    )
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert "1 failed, 1 passed" in proc.stdout

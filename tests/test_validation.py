@@ -21,8 +21,9 @@ index through ``tolerances._integer``; a name from a table through
 ``tolerances._choice``; a sequence, and no set or mapping, through
 ``tolerances._sequence``; and a time that must follow another through
 ``tolerances._real`` with open bounds. A grid whose span overflows, a
-hand-built ``Trajectory`` whose arrays do not fit its grid, two maps that
-do not compose and a gate that is no 2-qubit gate are refused as well. Every
+Hermitian defect that overflows, a hand-built ``Trajectory`` whose arrays
+do not fit its grid, two maps that do not compose and a gate that is no
+2-qubit gate are refused as well. Every
 message starts with the argument's name, and each row pins it from its
 start, most to its end. A property drives the name, sequence, bounded
 real and bounded integer rules with arbitrary JSON-like values.
@@ -276,20 +277,27 @@ STRUCTURED = [
     ("apply-array", lambda: apply(GATE.unitary, PSI2), "^g must be a Gate, got ndarray$"),
     # a Trajectory that does not fit its grid: a silently truncated profile, or
     # AttributeError on .times before
-    ("Trajectory-none-grid", lambda: Trajectory(None, TRAJ.joint_states, TRAJ.purities),
+    ("Trajectory-none-grid",
+     lambda: Trajectory(None, TRAJ.joint_states, TRAJ.purities, TRAJ.negativities),
      "^grid must be a TimeGrid, got NoneType$"),
-    ("Trajectory-short-states", lambda: Trajectory(GRID, TRAJ.joint_states[:3], TRAJ.purities),
+    ("Trajectory-short-states",
+     lambda: Trajectory(GRID, TRAJ.joint_states[:3], TRAJ.purities, TRAJ.negativities),
      r"^joint_states must be an array of shape \(5, 4, 4\), got \(3, 4, 4\)$"),
     ("Trajectory-longer-grid",
-     lambda: Trajectory(TimeGrid(0, 1, 10), TRAJ.joint_states, TRAJ.purities),
+     lambda: Trajectory(TimeGrid(0, 1, 10), TRAJ.joint_states, TRAJ.purities, TRAJ.negativities),
      r"^joint_states must be an array of shape \(11, 4, 4\), got \(5, 4, 4\)$"),
     ("Trajectory-list-states",
-     lambda: Trajectory(GRID, TRAJ.joint_states.tolist(), TRAJ.purities),
+     lambda: Trajectory(GRID, TRAJ.joint_states.tolist(), TRAJ.purities, TRAJ.negativities),
      r"^joint_states must be an array of shape \(5, 4, 4\), got list$"),
-    ("Trajectory-short-purities", lambda: Trajectory(GRID, TRAJ.joint_states, TRAJ.purities[:3]),
+    ("Trajectory-short-purities",
+     lambda: Trajectory(GRID, TRAJ.joint_states, TRAJ.purities[:3], TRAJ.negativities),
      r"^purities must be an array of shape \(5,\), got \(3,\)$"),
-    ("Trajectory-matrix-purities", lambda: Trajectory(GRID, TRAJ.joint_states, TRAJ.joint_states),
+    ("Trajectory-matrix-purities",
+     lambda: Trajectory(GRID, TRAJ.joint_states, TRAJ.joint_states, TRAJ.negativities),
      r"^purities must be an array of shape \(5,\), got \(5, 4, 4\)$"),
+    ("Trajectory-short-negativities",
+     lambda: Trajectory(GRID, TRAJ.joint_states, TRAJ.purities, TRAJ.negativities[:3]),
+     r"^negativities must be an array of shape \(5,\), got \(3,\)$"),
     # a malformed object, refused by a message that names the argument that
     # holds the defect and quotes its shape or value
     ("Circuit-9-qubits", lambda: Circuit(9, ()), r"^n_qubits must be in \[2, 8\], got 9$"),
@@ -391,6 +399,13 @@ STRUCTURED = [
      "^grid t_end must be finite and > 1.0, got 0.5$"),
     ("TimeGrid-t_end-equal", lambda: TimeGrid(1.0, 1.0, 4),
      "^grid t_end must be finite and > 1.0, got 1.0$"),
+    # a Hermitian defect of finite entries that overflows: m - m^dag warned of
+    # the overflow, an error under -W error
+    ("DensityMatrix-defect-overflow", lambda: DensityMatrix([[0.5, 1e308], [-1e308, 0.5]]),
+     r"^matrix must be Hermitian, got max\|m - m\^dag\| = inf$"),
+    ("gate_from_generator-defect-overflow",
+     lambda: gate_from_generator(np.diag([0.5 + 1e308j, 0, 0, 0]), 1.0),
+     r"^generator must be Hermitian, got max\|m - m\^dag\| = inf$"),
     # a span that overflows: the grid was built with an epsilon of inf
     ("TimeGrid-span-overflow", lambda: TimeGrid(-1e308, 1e308, 2),
      "^grid t_end - t_start must be a finite number, got inf$"),
