@@ -6,9 +6,10 @@ its own time, never by chaining small steps, so refining the grid changes
 what is observed but not the numbers at shared points. The composite is
 isolated, hence global purity stays constant along every trajectory. All
 points form one (steps + 1, 4, 4) stack, evolved and audited as a whole:
-the purities of the drift check and the negativities are computed once,
-and the profile and ``find_entangled_instant`` read them from the
-trajectory; tau is read off the density stack with the determinant that
+a ``Trajectory`` takes only the grid and the stack, and derives the
+purities and negativities from its states once, on construction; the
+drift check, the profile and ``find_entangled_instant`` read them from
+it. Tau is read off the density stack with the determinant that
 ``states.pure_entanglement`` uses, with no eigendecomposition.
 """
 from __future__ import annotations
@@ -61,26 +62,32 @@ class TimeGrid:
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Joint states, their purities and their negativities, row i at times()[i].
+    """Joint states, row i at times()[i], with their purities and negativities.
 
-    ``evolve_trajectory`` hands over the validated (steps + 1, 4, 4) stack,
-    the (steps + 1,) purities of its drift check and the (steps + 1,)
-    negativities, all read-only. The shapes are checked against the grid on
-    construction.
+    The (steps + 1, 4, 4) stack is checked against the grid and as density
+    matrices on construction, and its (steps + 1,) purities and negativities
+    are derived from it once. All three are read-only, the states a view of
+    the array given, so that array must not be written afterwards (the
+    derived arrays would not follow); ``evolve_trajectory`` hands over a
+    stack nothing else holds. ``purities`` and ``negativities`` are no
+    fields, so repr and fields() see only the grid and the states.
     """
 
     grid: TimeGrid
     joint_states: np.ndarray
-    purities: np.ndarray
-    negativities: np.ndarray
 
     def __post_init__(self):
-        n = _instance(self.grid, TimeGrid, None, "grid").steps + 1
-        for name, shape in (("joint_states", (n, 4, 4)), ("purities", (n,)), ("negativities", (n,))):
-            value = getattr(self, name)
-            got = value.shape if isinstance(value, np.ndarray) else type(value).__name__
-            if got != shape:
-                raise ValueError(f"{name} must be an array of shape {shape}, got {got}")
+        shape = (_instance(self.grid, TimeGrid, None, "grid").steps + 1, 4, 4)
+        states = self.joint_states
+        got = states.shape if isinstance(states, np.ndarray) else type(states).__name__
+        if got != shape:
+            raise ValueError(f"joint_states must be an array of shape {shape}, got {got}")
+        _check_density(states, "joint_states")
+        states = states.view()  # a copy would double a MAX_STEPS stack
+        for name, a in (("joint_states", states), ("purities", _purities(states)),
+                        ("negativities", _negativities(states))):
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
 
 
 class ProfilePoint(NamedTuple):
@@ -105,15 +112,11 @@ def evolve_trajectory(k, rho_in: DensityMatrix, grid: TimeGrid) -> Trajectory:
     rho0 = v.conj().T @ rho_in.matrix @ v  # eigenbasis once
     phase = np.exp(-1j * w * (grid.times() - grid.t_start)[:, None])
     states = v @ (phase[:, :, None] * phase.conj()[:, None, :] * rho0) @ v.conj().T
-    _check_density(states, "joint_states")
-    purities = _purities(states)
-    drift = np.abs(purities - purities[0]).max()
+    traj = Trajectory(grid, states)
+    drift = np.abs(traj.purities - traj.purities[0]).max()
     if drift > DEFAULT.positivity:
         raise RuntimeError(f"global purity drifted by {drift} along the trajectory")
-    negativities = _negativities(states)
-    for a in (states, purities, negativities):
-        a.flags.writeable = False
-    return Trajectory(grid, states, purities, negativities)
+    return traj
 
 
 def entanglement_profile(traj: Trajectory) -> list[ProfilePoint]:

@@ -113,22 +113,32 @@ class DynamicalMap:
         # in-row) under column-stacking vec; the Choi index order is
         # ((out-row, in-row), (out-col, in-col))
         c = s.reshape(2, 2, 2, 2).transpose(1, 3, 0, 2).reshape(4, 4)
-        c = (c + c.conj().T) / 2.0  # Hermitian up to roundoff for any map
-        w = np.linalg.eigvalsh(c)[::-1]
-        for a in (s, c, w):
-            a.flags.writeable = False
+        # Hermitian up to roundoff for any map; an overflow is inf or nan, refused by ChoiMatrix
+        with np.errstate(over="ignore", invalid="ignore"):
+            c = (c + c.conj().T) / 2.0
+        s.flags.writeable = False
         object.__setattr__(self, "superoperator", s)
         object.__setattr__(self, "interval", interval)
         object.__setattr__(self, "which_qubit", which)
-        object.__setattr__(self, "_choi", ChoiMatrix(c, w))
+        object.__setattr__(self, "_choi", ChoiMatrix(c))
 
 
 @dataclass(frozen=True, eq=False)
 class ChoiMatrix:
-    """Choi matrix of a map together with its (descending) eigenvalues."""
+    """Choi matrix of a map, a 4x4 Hermitian matrix, with its descending eigenvalues.
+
+    The matrix is checked by the Hermitian rule and held as a read-only
+    copy; its ``eigenvalues`` are derived from it once, read-only, and are
+    no field, so repr and fields() see only the matrix.
+    """
 
     matrix: np.ndarray
-    eigenvalues: np.ndarray
+
+    def __post_init__(self):
+        m = np.array(linalg._hermitian(self.matrix, "matrix", 4))
+        for name, a in (("matrix", m), ("eigenvalues", np.linalg.eigvalsh(m)[::-1])):
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
 
 
 @dataclass(frozen=True, eq=False)
@@ -244,19 +254,18 @@ def kraus_decompose(c: ChoiMatrix) -> KrausSet:
     """Kraus operators from the Choi eigendecomposition.
 
     Only defined for completely positive maps; a negative Choi eigenvalue
-    beyond tolerance means no Kraus form exists and is an error here.
-    Kraus operators are unique only up to unitary mixing, so nothing
+    beyond tolerance means no Kraus form exists and is an error here. The
+    ``ChoiMatrix`` checked its matrix and derived that spectrum when it was
+    built, so both are read as they are. Kraus operators are unique only up to unitary mixing, so nothing
     beyond the eigenvalue ordering is canonicalized.
     """
-    m = linalg._matrix(_instance(c, ChoiMatrix, None, "c").matrix, "c.matrix", 4)
-    eigenvalues = _sequence(c.eigenvalues, "c.eigenvalues", 4)
-    w = [_real(x, f"c.eigenvalues[{i}]") for i, x in enumerate(eigenvalues)]
-    if w[-1] < -DEFAULT.cp:
+    min_eig = float(_instance(c, ChoiMatrix, None, "c").eigenvalues[-1])
+    if min_eig < -DEFAULT.cp:
         raise ValueError(
-            f"Choi matrix has negative eigenvalue {w[-1]}: the map is not "
+            f"Choi matrix has negative eigenvalue {min_eig}: the map is not "
             "completely positive and admits no Kraus form"
         )
-    evals, evecs = np.linalg.eigh(m)
+    evals, evecs = np.linalg.eigh(c.matrix)
     ops, weights = [], []
     for i in range(evals.size - 1, -1, -1):  # descending
         lam = float(evals[i])

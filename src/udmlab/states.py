@@ -169,8 +169,10 @@ def _check_density(m: np.ndarray, what: str) -> None:
     Both read the lower triangle only.
     """
     _check_hermitian(m, what)
-    tr = np.trace(m, axis1=-2, axis2=-1)
-    bad = np.abs(tr - 1.0) > DEFAULT.hermiticity
+    # a trace that overflows is inf, or nan where a pairwise sum meets +inf and -inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        tr = np.trace(m, axis1=-2, axis2=-1)
+    bad = ~(np.abs(tr - 1.0) <= DEFAULT.hermiticity)  # nan fails too
     if bad.any():
         raise ValueError(f"{what} must have trace 1, got {complex(_first(tr, bad))}")
     try:

@@ -1,4 +1,5 @@
 import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from udmlab import (
     product_state,
 )
 from udmlab import dynamics as dynamics_mod, states as states_mod
-from udmlab.dynamics import MAX_STEPS
+from udmlab.dynamics import MAX_STEPS, Trajectory
 from conftest import X, random_density, random_hermitian, random_pure
 
 Z = np.diag([1.0, -1.0]).astype(complex)
@@ -218,6 +219,27 @@ def test_joint_states_are_read_only():
         traj.joint_states[0, 0, 0] = 0.0
     with pytest.raises(ValueError):
         traj.purities[0] = 0.0
+
+
+def test_a_trajectory_derives_its_purities_and_negativities():
+    # both were constructor inputs: zero negativities made find_entangled_instant
+    # return None for CZ on |++>, whose true answer is (0.25, 0.191)
+    grid = TimeGrid(0.0, 1.0, 4)
+    states = evolve_trajectory(K_CPI, densify(product_state(["+", "+"])), grid).joint_states
+    traj = Trajectory(grid, states)
+    assert [f.name for f in fields(Trajectory)] == ["grid", "joint_states"]
+    assert np.shares_memory(traj.joint_states, states)  # a view: no second MAX_STEPS stack
+    derived = (
+        (traj.joint_states, states),
+        (traj.purities, states_mod._purities(states)),
+        (traj.negativities, states_mod._negativities(states)),
+    )
+    for held, recomputed in derived:
+        assert held.tobytes() == recomputed.tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            held[0] = 0
+    t, neg = find_entangled_instant(traj)
+    assert t == 0.25 and abs(neg - 0.191) < 1e-3
 
 
 def test_profile_tau_matches_evolved_state_vector(rng):

@@ -1,4 +1,5 @@
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -149,6 +150,32 @@ def test_a_map_holds_one_read_only_choi_matrix():
     assert is_cptp(m)[2] == c.eigenvalues[-1]
 
 
+def test_a_choi_matrix_derives_its_eigenvalues(monkeypatch):
+    # the eigenvalues were a constructor input that kraus_decompose checked one
+    # by one and trusted: with the SWAP's listed in ascending order, the
+    # transpose map passed the CP test and failed the completeness sum
+    assert [f.name for f in fields(ChoiMatrix)] == ["matrix"]
+    swap = np.eye(4)[[0, 2, 1, 3]]
+    c = ChoiMatrix(swap)
+    assert c.matrix.dtype == complex and not np.shares_memory(c.matrix, swap)
+    assert c.eigenvalues.tobytes() == np.linalg.eigvalsh(c.matrix)[::-1].tobytes()
+    for a in (c.matrix, c.eigenvalues):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0
+
+    depolarizing = ChoiMatrix(np.eye(4) / 2)
+
+    def unexpected(*args, **kwargs):
+        raise AssertionError("kraus_decompose trusts its ChoiMatrix")
+
+    monkeypatch.setattr(maps_mod.linalg, "_matrix", unexpected)
+    for name in ("_sequence", "_real"):
+        monkeypatch.setattr(maps_mod, name, unexpected)
+    with pytest.raises(ValueError, match=r"^Choi matrix has negative eigenvalue -1\.0: "):
+        kraus_decompose(c)
+    assert len(kraus_decompose(depolarizing).operators) == 4
+
+
 def test_is_cptp_flags_transpose_map():
     # transpose swaps the middle vec components; its Choi is the SWAP matrix
     transpose = np.eye(4)[[0, 2, 1, 3]].astype(complex)
@@ -205,11 +232,11 @@ def test_kraus_refuses_non_cp_choi():
 
 
 def test_kraus_refuses_an_incomplete_set():
-    # twice a valid Choi matrix with its eigenvalues kept: the operators are
-    # sqrt(2) times a complete set, so their completeness sum is 2 * identity
+    # twice a valid Choi matrix: the operators are sqrt(2) times a complete
+    # set, so their completeness sum is 2 * identity
     c = choi(induced_map(K_CPI, ENV_PLUS, 1.0))
     with pytest.raises(RuntimeError, match="^Kraus completeness sum deviates from identity$"):
-        kraus_decompose(ChoiMatrix(2 * c.matrix, c.eigenvalues))
+        kraus_decompose(ChoiMatrix(2 * c.matrix))
 
 
 def test_induced_map_refuses_a_map_that_fails_the_cptp_check(monkeypatch):

@@ -277,27 +277,17 @@ STRUCTURED = [
     ("apply-array", lambda: apply(GATE.unitary, PSI2), "^g must be a Gate, got ndarray$"),
     # a Trajectory that does not fit its grid: a silently truncated profile, or
     # AttributeError on .times before
-    ("Trajectory-none-grid",
-     lambda: Trajectory(None, TRAJ.joint_states, TRAJ.purities, TRAJ.negativities),
+    ("Trajectory-none-grid", lambda: Trajectory(None, TRAJ.joint_states),
      "^grid must be a TimeGrid, got NoneType$"),
-    ("Trajectory-short-states",
-     lambda: Trajectory(GRID, TRAJ.joint_states[:3], TRAJ.purities, TRAJ.negativities),
+    ("Trajectory-short-states", lambda: Trajectory(GRID, TRAJ.joint_states[:3]),
      r"^joint_states must be an array of shape \(5, 4, 4\), got \(3, 4, 4\)$"),
-    ("Trajectory-longer-grid",
-     lambda: Trajectory(TimeGrid(0, 1, 10), TRAJ.joint_states, TRAJ.purities, TRAJ.negativities),
+    ("Trajectory-longer-grid", lambda: Trajectory(TimeGrid(0, 1, 10), TRAJ.joint_states),
      r"^joint_states must be an array of shape \(11, 4, 4\), got \(5, 4, 4\)$"),
-    ("Trajectory-list-states",
-     lambda: Trajectory(GRID, TRAJ.joint_states.tolist(), TRAJ.purities, TRAJ.negativities),
+    ("Trajectory-list-states", lambda: Trajectory(GRID, TRAJ.joint_states.tolist()),
      r"^joint_states must be an array of shape \(5, 4, 4\), got list$"),
-    ("Trajectory-short-purities",
-     lambda: Trajectory(GRID, TRAJ.joint_states, TRAJ.purities[:3], TRAJ.negativities),
-     r"^purities must be an array of shape \(5,\), got \(3,\)$"),
-    ("Trajectory-matrix-purities",
-     lambda: Trajectory(GRID, TRAJ.joint_states, TRAJ.joint_states, TRAJ.negativities),
-     r"^purities must be an array of shape \(5,\), got \(5, 4, 4\)$"),
-    ("Trajectory-short-negativities",
-     lambda: Trajectory(GRID, TRAJ.joint_states, TRAJ.purities, TRAJ.negativities[:3]),
-     r"^negativities must be an array of shape \(5,\), got \(3,\)$"),
+    # states that are no density matrices: accepted, and the profile read tau 0
+    ("Trajectory-not-densities", lambda: Trajectory(GRID, np.ones((5, 4, 4))),
+     r"^joint_states must have trace 1, got \(4\+0j\)$"),
     # a malformed object, refused by a message that names the argument that
     # holds the defect and quotes its shape or value
     ("Circuit-9-qubits", lambda: Circuit(9, ()), r"^n_qubits must be in \[2, 8\], got 9$"),
@@ -406,20 +396,32 @@ STRUCTURED = [
     ("gate_from_generator-defect-overflow",
      lambda: gate_from_generator(np.diag([0.5 + 1e308j, 0, 0, 0]), 1.0),
      r"^generator must be Hermitian, got max\|m - m\^dag\| = inf$"),
+    # a trace or a symmetrised Choi matrix that overflows: a RuntimeWarning,
+    # an error under -W error, or LinAlgError from eigvalsh without it
+    ("DensityMatrix-trace-overflow", lambda: DensityMatrix([[1e308, 0], [0, 1e308]]),
+     r"^matrix must have trace 1, got \(inf\+0j\)$"),
+    ("DensityMatrix-trace-overflow-nan",
+     lambda: DensityMatrix(np.diag([1e308] * 64 + [-1e308] * 64)),
+     r"^matrix must have trace 1, got \(nan\+0j\)$"),
+    ("DynamicalMap-choi-overflow", lambda: DynamicalMap(np.full((4, 4), 1e308), None, (0, 1), 1),
+     "^matrix has non-finite entries$"),
+    ("DynamicalMap-complex-choi-overflow",
+     lambda: DynamicalMap(np.full((4, 4), 1e308 + 1e308j), None, (0, 1), 1),
+     "^matrix has non-finite entries$"),
+    ("DynamicalMap-negative-choi-overflow",
+     lambda: DynamicalMap(np.full((4, 4), -1.7e308), None, (0, 1), 1),
+     "^matrix has non-finite entries$"),
     # a span that overflows: the grid was built with an epsilon of inf
     ("TimeGrid-span-overflow", lambda: TimeGrid(-1e308, 1e308, 2),
      "^grid t_end - t_start must be a finite number, got inf$"),
     ("witness-t1-equal", lambda: udm_witness_subinterval(K, RHO, 0.5, 0.5),
      "^t_star must be finite and > 0.5, got 0.5$"),
     # a hand-built ChoiMatrix: numpy's reshape error, or a silent Kraus set, before
-    ("kraus_decompose-2x2", lambda: kraus_decompose(ChoiMatrix(np.eye(2), np.ones(4))),
-     r"^c\.matrix must be 4x4, got \(2, 2\)$"),
-    ("kraus_decompose-3-eigenvalues",
-     lambda: kraus_decompose(ChoiMatrix(np.eye(4) / 2, np.ones(3))),
-     r"^c\.eigenvalues must be a sequence of length 4, got array\(\[1\., 1\., 1\.\]\)$"),
-    ("kraus_decompose-complex-eigenvalue",
-     lambda: kraus_decompose(ChoiMatrix(np.eye(4) / 2, [0.5, 0.5, 0.5, 0.5j])),
-     r"^c\.eigenvalues\[3\] must be a finite number, got 0.5j$"),
+    ("kraus_decompose-2x2", lambda: kraus_decompose(ChoiMatrix(np.eye(2))),
+     r"^matrix must be 4x4, got \(2, 2\)$"),
+    # an upper triangle that eigh never read: the Kraus set of another matrix
+    ("ChoiMatrix-not-hermitian", lambda: ChoiMatrix(np.eye(4) / 2 + 5 * np.eye(4, k=1)),
+     r"^matrix must be Hermitian, got max\|m - m\^dag\| = 5$"),
 ]
 
 
