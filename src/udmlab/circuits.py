@@ -42,7 +42,7 @@ import numpy as np
 
 from .gates import Gate, c_phase, hadamard, swap_gate, x_gate
 from .states import PureState, _check_density, _instance, _negativities
-from .tolerances import DEFAULT, _choice, _integer, _real, _sequence
+from .tolerances import DEFAULT, _choice, _hold, _integer, _real, _sequence
 
 __all__ = [
     "PlacedGate",
@@ -75,18 +75,18 @@ class PlacedGate:
     phi: float | None = None
 
     def __post_init__(self):
-        name = _choice(self.name, _NAMED, "name")
+        name, phi = _choice(self.name, _NAMED, "name"), self.phi
         if name == "CPHASE":
-            if self.phi is None:
+            if phi is None:
                 raise ValueError("CPHASE phi must be given")
-            object.__setattr__(self, "phi", _real(self.phi, "CPHASE phi"))
-        elif self.phi is not None:
-            raise ValueError(f"{name} phi must be None, got {self.phi!r}")
-        qubits = _sequence(self.qubits, f"{name} qubits", self.gate.n_qubits)
+            phi = _real(phi, "CPHASE phi")
+        elif phi is not None:
+            raise ValueError(f"{name} phi must be None, got {phi!r}")
+        qubits = _sequence(self.qubits, f"{name} qubits", _named_gate(name, phi).n_qubits)
         qubits = tuple(_integer(q, f"{name} qubit index") for q in qubits)
-        object.__setattr__(self, "qubits", qubits)
-        if len(set(self.qubits)) != len(self.qubits):
-            raise ValueError(f"{name} qubits must be distinct, got {self.qubits}")
+        if len(set(qubits)) != len(qubits):
+            raise ValueError(f"{name} qubits must be distinct, got {qubits}")
+        _hold(self, phi=phi, qubits=qubits)
 
     @property
     def gate(self) -> Gate:
@@ -103,9 +103,8 @@ class Circuit:
 
     def __post_init__(self):
         n = _integer(self.n_qubits, "n_qubits", MIN_QUBITS, MAX_QUBITS)
-        object.__setattr__(self, "n_qubits", n)
-        object.__setattr__(self, "gates", _sequence(self.gates, "gates"))
-        for i, g in enumerate(self.gates):
+        gates = _sequence(self.gates, "gates")
+        for i, g in enumerate(gates):
             if not isinstance(g, PlacedGate):
                 raise ValueError(f"gates[{i}] must be a PlacedGate, got {g!r}")
             for q in g.qubits:
@@ -117,7 +116,7 @@ class Circuit:
         # (0-based). Not fields, so eq, hash, repr and fields() see only n_qubits and gates
         plan, held = [], list(range(n))  # held[a]: the qubit at axis a
         swapped = list(range(n))
-        for g in self.gates:
+        for g in gates:
             perm = [q - 1 for q in g.qubits]
             perm += [a for a in range(n) if a not in perm]
             plan.append((g.gate.unitary, tuple(held.index(a) for a in perm), 2 ** len(g.qubits)))
@@ -125,11 +124,9 @@ class Circuit:
             if g.name == "SWAP":
                 i, j = perm[:2]
                 swapped[i], swapped[j] = swapped[j], swapped[i]
-        object.__setattr__(self, "_plan", tuple(plan))
-        object.__setattr__(self, "_swapped", tuple(swapped))
-        object.__setattr__(self, "_final", tuple(held.index(a) for a in range(n)))
-        blocks = tuple((pos, g) for pos, g in enumerate(self.gates, start=1) if len(g.qubits) == 2)
-        object.__setattr__(self, "_blocks", blocks)
+        blocks = tuple((pos, g) for pos, g in enumerate(gates, start=1) if len(g.qubits) == 2)
+        _hold(self, n_qubits=n, gates=gates, _plan=tuple(plan), _swapped=tuple(swapped),
+              _final=tuple(held.index(a) for a in range(n)), _blocks=blocks)
 
 
 class AuditRecord(NamedTuple):

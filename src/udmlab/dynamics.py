@@ -21,7 +21,7 @@ import numpy as np
 
 from . import linalg
 from .states import DensityMatrix, _check_density, _instance, _negativities, _purities, _taus
-from .tolerances import DEFAULT, _integer, _real
+from .tolerances import DEFAULT, _hold, _integer, _real
 
 __all__ = [
     "TimeGrid",
@@ -46,10 +46,11 @@ class TimeGrid:
     steps: int = DEFAULT_STEPS
 
     def __post_init__(self):
-        object.__setattr__(self, "t_start", _real(self.t_start, "grid t_start"))
-        object.__setattr__(self, "t_end", _real(self.t_end, "grid t_end", lo=self.t_start))
-        _real(self.t_end - self.t_start, "grid t_end - t_start")  # a span that overflows is inf
-        object.__setattr__(self, "steps", _integer(self.steps, "grid steps", 1, MAX_STEPS))
+        t_start = _real(self.t_start, "grid t_start")
+        t_end = _real(self.t_end, "grid t_end", lo=t_start)
+        _real(t_end - t_start, "grid t_end - t_start")  # a span that overflows is inf
+        _hold(self, t_start=t_start, t_end=t_end,
+              steps=_integer(self.steps, "grid steps", 1, MAX_STEPS))
 
     @property
     def epsilon(self) -> float:
@@ -83,11 +84,8 @@ class Trajectory:
         if got != shape:
             raise ValueError(f"joint_states must be an array of shape {shape}, got {got}")
         _check_density(states, "joint_states")
-        states = states.view()  # a copy would double a MAX_STEPS stack
-        for name, a in (("joint_states", states), ("purities", _purities(states)),
-                        ("negativities", _negativities(states))):
-            a.flags.writeable = False
-            object.__setattr__(self, name, a)
+        s = states.view()  # a copy would double a MAX_STEPS stack
+        _hold(self, joint_states=s, purities=_purities(s), negativities=_negativities(s))
 
 
 class ProfilePoint(NamedTuple):

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import linalg
 from .states import DensityMatrix, PureState, _instance
-from .tolerances import DEFAULT, _integer, _real
+from .tolerances import DEFAULT, _hold, _integer, _real
 
 __all__ = [
     "Gate",
@@ -54,16 +54,13 @@ class Gate:
         k = linalg._matrix(self.generator, "generator")
         if len(k) not in (2, 4):
             raise ValueError(f"generator must be 2x2 or 4x4, got {k.shape}")
-        object.__setattr__(self, "duration", _real(self.duration, "gate duration", lo=0))
-        u = rebuilt = linalg.matexp_hermitian(k, self.duration)
+        duration = _real(self.duration, "gate duration", lo=0)
+        u = rebuilt = linalg.matexp_hermitian(k, duration)
         if self.unitary is not None:
             u = linalg._unitary(self.unitary, "unitary", len(k))
             if (dev := float(np.max(np.abs(rebuilt - u)))) > DEFAULT.reconstruction:
                 raise ValueError(f"unitary must match exp(-i K t*), got max deviation {dev:.3g}")
-        for field, value in (("generator", k), ("unitary", u)):
-            frozen = np.array(value)
-            frozen.flags.writeable = False
-            object.__setattr__(self, field, frozen)
+        _hold(self, generator=np.array(k), duration=duration, unitary=np.array(u))
 
     @property
     def n_qubits(self) -> int:

@@ -22,16 +22,22 @@ __all__ = [
 ]
 
 
+def _array(x, what: str) -> np.ndarray:
+    """x as a complex array; a value numpy cannot convert (a ragged list, a set, a
+    string, an int past the float range) is refused with numpy's words after what."""
+    try:
+        return np.asarray(x, dtype=complex)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"{what}: {exc}") from None
+
+
 def _matrix(m, what: str, dim: int | None = None, *, square: bool = True) -> np.ndarray:
     """m as a finite complex 2-D array, square unless square is False, dim x dim when given.
 
     The one check of a matrix argument; each message starts with what, and
     a refused shape is quoted.
     """
-    try:
-        a = np.asarray(m, dtype=complex)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{what}: {exc}") from None
+    a = _array(m, what)
     if dim is not None and a.shape != (dim, dim):
         raise ValueError(f"{what} must be {dim}x{dim}, got {a.shape}")
     if a.ndim != 2 or (square and a.shape[0] != a.shape[1]):
@@ -47,9 +53,10 @@ def hermiticity_defect(m: np.ndarray) -> float:
     return float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
 
 def unitarity_defect(u: np.ndarray) -> float:
-    """Max-abs deviation of u u^dag from the identity."""
+    """Max-abs deviation of u u^dag from the identity; inf or nan where u u^dag overflows."""
     u = np.asarray(u)
-    return float(np.max(np.abs(u @ u.conj().T - np.eye(u.shape[0]))))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.max(np.abs(u @ u.conj().T - np.eye(u.shape[0]))))
 
 
 def partial_trace(rho, keep: int) -> np.ndarray:
@@ -80,11 +87,14 @@ def _check_hermitian(m: np.ndarray, what: str) -> None:
     """Refuse a (..., d, d) stack m, a single matrix included, unless every matrix is
     finite and Hermitian to DEFAULT.hermiticity: the one Hermitian rule.
 
-    Finite entries are checked first: a NaN would pass the defect bound, since
-    each comparison with it is False. A defect of finite entries near the float
+    A non-numeric dtype (strings, objects, booleans) is refused first, then
+    non-finite entries: a NaN would pass the defect bound, since each
+    comparison with it is False. A defect of finite entries near the float
     maximum overflows without a warning to inf, which the bound refuses. A
     refusal starts with what and quotes the first matrix that fails.
     """
+    if m.dtype.kind not in "iufc":  # integer, float or complex; 10x cheaper than issubdtype
+        raise ValueError(f"{what} must be numeric, got dtype {m.dtype}")
     if not np.isfinite(m).all():
         raise ValueError(f"{what} has non-finite entries")
     with np.errstate(over="ignore"):
@@ -101,10 +111,11 @@ def _first(values, bad):
 
 
 def _unitary(u, what: str, dim: int | None = None) -> np.ndarray:
-    """u by _matrix, square, and unitary to DEFAULT.unitarity: the one unitary rule."""
+    """u by _matrix, square, and unitary to DEFAULT.unitarity: the one unitary rule
+    (an inf or nan defect is refused too)."""
     u = _matrix(u, what, dim)
     defect = unitarity_defect(u)
-    if defect > DEFAULT.unitarity:
+    if not defect <= DEFAULT.unitarity:
         raise ValueError(f"{what} must be a unitary matrix, got unitarity defect {defect:.3g}")
     return u
 
@@ -139,18 +150,17 @@ def matexp_hermitian(k, t: float) -> np.ndarray:
 
 
 def pseudo_inverse(m, cutoff: float = DEFAULT.pinv_cutoff) -> tuple[np.ndarray, int]:
-    """Moore-Penrose inverse with a relative singular-value cutoff.
+    """Moore-Penrose inverse of an r x c matrix with a relative singular-value cutoff.
 
-    Singular values below cutoff * sigma_max are treated as zero. Returns
+    Singular values below cutoff * sigma_max are treated as zero (all of a
+    zero matrix's, whose inverse is the c x r zero matrix). Returns
     the inverse together with the numerical rank; rank deficiency is
     reported, never fatal.
     """
     cutoff = _real(cutoff, "cutoff", lo=0)
     m = _matrix(m, "m", square=False)
-    u, s, vh = np.linalg.svd(m)
-    if s.size == 0 or s[0] == 0.0:
-        return np.zeros((m.shape[1], m.shape[0]), dtype=complex), 0
-    keep = s > cutoff * s[0]
+    u, s, vh = np.linalg.svd(m, full_matrices=False)
+    keep = s > cutoff * s.max(initial=0.0)
     rank = int(np.count_nonzero(keep))
     inv_s = np.zeros_like(s)
     inv_s[keep] = 1.0 / s[keep]

@@ -44,7 +44,7 @@ import numpy as np
 
 from . import linalg
 from .states import DensityMatrix, _instance, _product, trace_distance
-from .tolerances import DEFAULT, _integer, _real, _sequence
+from .tolerances import DEFAULT, _hold, _integer, _real, _sequence
 
 __all__ = [
     "DynamicalMap",
@@ -116,11 +116,7 @@ class DynamicalMap:
         # Hermitian up to roundoff for any map; an overflow is inf or nan, refused by ChoiMatrix
         with np.errstate(over="ignore", invalid="ignore"):
             c = (c + c.conj().T) / 2.0
-        s.flags.writeable = False
-        object.__setattr__(self, "superoperator", s)
-        object.__setattr__(self, "interval", interval)
-        object.__setattr__(self, "which_qubit", which)
-        object.__setattr__(self, "_choi", ChoiMatrix(c))
+        _hold(self, superoperator=s, interval=interval, which_qubit=which, _choi=ChoiMatrix(c))
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,16 +125,18 @@ class ChoiMatrix:
 
     The matrix is checked by the Hermitian rule and held as a read-only
     copy; its ``eigenvalues`` are derived from it once, read-only, and are
-    no field, so repr and fields() see only the matrix.
+    no field, so repr and fields() see only the matrix. Finite entries near
+    the float maximum can still give an infinite eigenvalue, which is refused.
     """
 
     matrix: np.ndarray
 
     def __post_init__(self):
         m = np.array(linalg._hermitian(self.matrix, "matrix", 4))
-        for name, a in (("matrix", m), ("eigenvalues", np.linalg.eigvalsh(m)[::-1])):
-            a.flags.writeable = False
-            object.__setattr__(self, name, a)
+        w = np.linalg.eigvalsh(m)[::-1]
+        if not (top := np.abs(w).max()) < np.inf:  # nan if one is nan
+            raise ValueError(f"matrix must have a finite spectrum, got max|eigenvalue| {top}")
+        _hold(self, matrix=m, eigenvalues=w)
 
 
 @dataclass(frozen=True, eq=False)

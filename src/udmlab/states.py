@@ -4,19 +4,22 @@ Convention used throughout the package: qubit 1 is the left (most
 significant) tensor factor, so the amplitude vector of a two-qubit state
 is ordered (g00, g01, g10, g11).
 
-States are normalized on construction. Separability of a pure two-qubit
-state is decided through the determinant |g00*g11 - g01*g10| of the
-coefficient matrix, which is the ratio condition g00/g01 = g10/g11 made
-total (no division by vanishing coefficients). For mixed states the
-partial-transpose criterion is exact at this dimension. ``_product``
-alone decides the product state rho_1 (x) rho_2 a state-independent map needs.
+States are frozen values, normalized on construction, that hold read-only
+arrays of their own. Separability of a pure two-qubit state is decided
+through the determinant |g00*g11 - g01*g10| of the coefficient matrix,
+which is the ratio condition g00/g01 = g10/g11 made total (no division by
+vanishing coefficients). For mixed states the partial-transpose criterion
+is exact at this dimension. ``_product`` alone decides the product state
+rho_1 (x) rho_2 a state-independent map needs.
 """
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
-from .linalg import _check_hermitian, _first, _marginals, _matrix
-from .tolerances import DEFAULT, _choice, _sequence
+from .linalg import _array, _check_hermitian, _first, _marginals, _matrix
+from .tolerances import DEFAULT, _choice, _hold, _sequence
 
 __all__ = [
     "PureState",
@@ -39,44 +42,47 @@ NAMED_AMPLITUDES = {
 }
 
 
+@dataclass(frozen=True, eq=False)
 class PureState:
-    """Pure state of n qubits; amplitudes are normalized on construction."""
+    """Pure state of n qubits; amplitudes are normalized on construction and held read-only."""
 
-    __slots__ = ("amplitudes", "n_qubits")
+    amplitudes: np.ndarray
 
-    def __init__(self, amplitudes):
-        a = np.asarray(amplitudes, dtype=complex).reshape(-1)
+    def __post_init__(self):
+        a = _array(self.amplitudes, "amplitudes").reshape(-1)
         if not np.isfinite(a).all():
             raise ValueError("amplitudes contain non-finite entries")
-        n = _qubit_count(a.size, "amplitudes")
+        _qubit_count(a.size, "amplitudes")
         with np.errstate(over="ignore"):  # a norm that overflows is inf, refused below
             norm = float(np.linalg.norm(a))
         if not 1e-12 <= norm < np.inf:
             raise ValueError(f"cannot normalize amplitudes of norm {norm:.3g}")
-        self.amplitudes = a / norm
-        self.n_qubits = n
+        _hold(self, amplitudes=a / norm)
 
-    def __repr__(self):
-        return f"PureState(n_qubits={self.n_qubits}, amplitudes={self.amplitudes!r})"
+    @property
+    def n_qubits(self) -> int:
+        return self.amplitudes.size.bit_length() - 1
 
 
+@dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """Density matrix of n qubits; validates Hermiticity, trace and positivity."""
+    """Density matrix of n qubits; validates Hermiticity, trace and positivity, and holds
+    a read-only copy of the matrix."""
 
-    __slots__ = ("matrix", "n_qubits")
+    matrix: np.ndarray
 
-    def __init__(self, matrix):
-        m = _matrix(matrix, "matrix")
-        n = _qubit_count(len(m), "matrix")
+    def __post_init__(self):
+        m = _matrix(self.matrix, "matrix")
+        _qubit_count(len(m), "matrix")
         _check_density(m, "matrix")
-        self.matrix = m
-        self.n_qubits = n
+        _hold(self, matrix=np.array(m))
+
+    @property
+    def n_qubits(self) -> int:
+        return len(self.matrix).bit_length() - 1
 
     def purity(self) -> float:
         return float(_purities(self.matrix))
-
-    def __repr__(self):
-        return f"DensityMatrix(n_qubits={self.n_qubits})"
 
 
 def _qubit_count(size: int, what: str) -> int:

@@ -9,13 +9,16 @@ scalar argument of a public entry point passes once through ``_real``
 (with the closed bounds of a count, an index or a qubit of a pair), each
 name from a table through ``_choice`` and each sequence through
 ``_sequence``, and the caller keeps the value returned. None takes a
-boolean: True would read as a time, tolerance or qubit of 1.
+boolean: True would read as a time, tolerance or qubit of 1. Every frozen
+value sets what it checked or derived through ``_hold``.
 """
 import numbers
 import operator
 import sys
 from collections.abc import Mapping, Set
 from dataclasses import dataclass, replace
+
+import numpy as np
 
 
 def _real(value, what: str, lo: float | None = None, hi: float | None = None) -> float:
@@ -74,6 +77,16 @@ def _sequence(value, what: str, length: int | None = None) -> tuple:
     raise ValueError(f"{what} must be a sequence{size}, got {value!r}")
 
 
+def _hold(value, **attrs) -> None:
+    """Set each attribute of the frozen value, each ndarray among them made read-only:
+    the one way a value holds what it checked or derived. It never copies, so a caller
+    passes a copy of any array its own caller may still hold."""
+    for name, attr in attrs.items():
+        if isinstance(attr, np.ndarray):
+            attr.flags.writeable = False
+        object.__setattr__(value, name, attr)
+
+
 @dataclass(frozen=True)
 class Tolerances:
     hermiticity: float = 1e-10   # max-abs deviation of m - m^dag on inputs
@@ -86,8 +99,7 @@ class Tolerances:
     pinv_cutoff: float = 1e-10   # relative singular-value cutoff
 
     def __post_init__(self):
-        for name, value in self.as_dict().items():
-            object.__setattr__(self, name, _real(value, f"tolerance {name}", lo=0))
+        _hold(self, **{k: _real(v, f"tolerance {k}", lo=0) for k, v in self.as_dict().items()})
 
     def as_dict(self) -> dict:
         return self.__dict__.copy()  # the fields in order, each a float

@@ -295,7 +295,8 @@ def test_evolve_rejects_bad_inputs():
         evolve_trajectory(np.kron(X, np.eye(2)) * 1j, rho, TimeGrid(0, 1, 2))  # not Hermitian
     with pytest.raises(ValueError):
         evolve_trajectory(np.zeros((2, 2)), rho, TimeGrid(0, 1, 2))  # wrong size
-    rho.matrix = 2 * rho.matrix  # changed after its own validation; the stack is checked again
+    # changed after its own validation, past the frozen value; the stack is checked again
+    object.__setattr__(rho, "matrix", 2 * rho.matrix)
     with pytest.raises(ValueError, match="trace"):
         evolve_trajectory(K_CPI, rho, TimeGrid(0, 1, 2))
 

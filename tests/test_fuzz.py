@@ -1,6 +1,7 @@
-"""Malformed scenarios exit 2, never 3, with bounded memory: a fuzz property.
+"""Malformed input is refused by name, never by a stray exception: two fuzz properties.
 
-Each example takes one case of the golden corpus (``tests/golden/``) and
+Malformed scenarios exit 2, never 3, with bounded memory. Each example
+takes one case of the golden corpus (``tests/golden/``) and
 mutates one field of its scenario, or the whole scenario where it has no
 field: the field is replaced, deleted or wrapped in a list. A replacement
 is a JSON value that probes a refusal: null, +-1e308, 10^400, nested
@@ -8,17 +9,30 @@ lists, strings, or an ``input`` list of up to 20 state names. The mutated case r
 ``cli.main`` in process with every warning an error. It must exit 0 with
 nothing on stderr, or 2 with exactly one ``error:`` line, and the memory
 tracemalloc sees at its peak must stay under ``PEAK_BOUND``.
+
+A malformed argument of a value type's constructor is a ``ValueError``.
+Each example takes a valid call of ``PureState``, ``DensityMatrix``,
+``Gate``, ``DynamicalMap``, ``ChoiMatrix``, ``Trajectory`` or ``TimeGrid``
+and replaces one argument: by a value of the scenario vocabulary, a ragged
+list, a set or a mapping, or, for an array, one of its shape filled with
+5e307, 1e308, nan, strings or objects. Under every warning an error, the
+call must raise a ``ValueError`` or build a value whose arrays, its own and
+those of the values it holds, are read-only and finite.
 """
 import contextlib
 import copy
 import io
 import json
 import warnings
+from dataclasses import is_dataclass
 from pathlib import Path
 
+import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
-from udmlab import cli
+from udmlab import (
+    ChoiMatrix, DensityMatrix, DynamicalMap, Gate, PureState, TimeGrid, Trajectory, cli,
+)
 from udmlab.states import NAMED_AMPLITUDES
 from conftest import OVERFLOWING_GENERATOR, traced_peak
 
@@ -97,3 +111,72 @@ def test_mutated_golden_scenarios_exit_0_or_2_in_bounded_memory(case, tmp_path_f
     else:
         assert err == ""
     assert peak < PEAK_BOUND
+
+
+# one valid call per value type; each example replaces one of its arguments
+CALLS = [
+    (PureState, ([1, 0, 0, 1j],)),
+    (DensityMatrix, (np.eye(2) / 2,)),
+    (Gate, (np.diag([0, 0, 0, np.pi]), 1.0, np.diag([1, 1, 1, -1]))),
+    (DynamicalMap, (np.eye(4), DensityMatrix(np.eye(2) / 2), (0.0, 1.0), 1)),
+    (ChoiMatrix, (np.eye(4) / 2,)),
+    (Trajectory, (TimeGrid(0, 1, 4), np.stack([np.eye(4) / 4] * 5))),
+    (TimeGrid, (0.0, 1.0, 4)),
+]
+ARGUMENTS = VALUES | st.sampled_from([[[1, 0], [0]], {1, 2}, {"a": 1}, ["a", "b"], [object(), 1]])
+
+
+def _filled(a: np.ndarray) -> list:
+    """Arrays of a's shape that probe a refusal: huge, nan, string and object entries."""
+    with np.errstate(over="ignore"):
+        scaled = a * 5e307
+    return [np.full(a.shape, v) for v in (5e307, 1e308, -1e308, np.nan, "a", None)] + [
+        scaled, a.astype(object)]
+
+
+@st.composite
+def mutated_calls(draw):
+    make, args = draw(st.sampled_from(CALLS))
+    i = draw(st.integers(0, len(args) - 1))
+    values = ARGUMENTS
+    if isinstance(args[i], np.ndarray):
+        values |= st.sampled_from(_filled(args[i]))
+    return make, args[:i] + (draw(values),) + args[i + 1:]
+
+
+def _held_arrays(value):
+    """The ndarrays a value holds, and those of the values it holds in turn."""
+    for attr in vars(value).values():
+        if isinstance(attr, np.ndarray):
+            yield attr
+        elif is_dataclass(attr):
+            yield from _held_arrays(attr)
+
+
+@settings(max_examples=1000, derandomize=True, database=None, deadline=None)
+@given(call=mutated_calls())
+# finite entries whose Choi spectrum overflows: a map with an infinite eigenvalue
+@example(call=(DynamicalMap, (np.full((4, 4), 5e307), None, (0, 1), 1)))
+# a stack of strings or objects: numpy's TypeError from isfinite
+@example(call=(Trajectory, (TimeGrid(0, 1, 4), np.full((5, 4, 4), "a"))))
+@example(call=(Trajectory, (TimeGrid(0, 1, 4), np.full((5, 4, 4), None))))
+# amplitudes numpy cannot convert: a TypeError, or a ValueError naming nothing
+@example(call=(PureState, ([object(), 1],)))
+@example(call=(PureState, ({1, 2},)))
+@example(call=(PureState, ({"a": 1},)))
+@example(call=(PureState, ([[1, 0], [0]],)))
+@example(call=(PureState, (["a", "b"],)))
+# u u^dag overflowed with a RuntimeWarning
+@example(call=(Gate, (np.zeros((2, 2)), 1.0, np.full((2, 2), 1e308))))
+# an int past the float range: numpy's OverflowError
+@example(call=(DensityMatrix, ([[10**400, 0], [0, 0]],)))
+def test_mutated_value_calls_raise_value_error_or_hold_read_only_finite_arrays(call):
+    make, args = call
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            value = make(*args)
+        except ValueError:
+            return
+    for a in _held_arrays(value):
+        assert not a.flags.writeable and np.isfinite(a).all(), (make.__name__, a)

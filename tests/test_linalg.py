@@ -114,3 +114,15 @@ def test_pseudo_inverse_zero_matrix():
     pinv, rank = linalg.pseudo_inverse(np.zeros((3, 3)))
     assert rank == 0
     np.testing.assert_array_equal(pinv, np.zeros((3, 3)))
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (3, 2), (1, 4), (4, 1)])
+def test_pseudo_inverse_of_a_non_square_matrix_is_numpys(rng, shape):
+    # the full SVD's square u and vh did not broadcast against the short spectrum
+    m = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    pinv, rank = linalg.pseudo_inverse(m)
+    assert pinv.shape == shape[::-1] and rank == min(shape)
+    np.testing.assert_allclose(pinv, np.linalg.pinv(m), atol=1e-14)
+    pinv, rank = linalg.pseudo_inverse(np.zeros(shape))
+    assert rank == 0
+    np.testing.assert_array_equal(pinv, np.zeros(shape[::-1]))

@@ -21,9 +21,10 @@ index through ``tolerances._integer``; a name from a table through
 ``tolerances._choice``; a sequence, and no set or mapping, through
 ``tolerances._sequence``; and a time that must follow another through
 ``tolerances._real`` with open bounds. A grid whose span overflows, a
-Hermitian defect that overflows, a hand-built ``Trajectory`` whose arrays
-do not fit its grid, two maps that do not compose and a gate that is no
-2-qubit gate are refused as well. Every
+Hermitian or unitarity defect that overflows, a Choi spectrum that
+overflows, a hand-built ``Trajectory`` whose arrays do not fit its grid or
+are no numbers, amplitudes numpy cannot convert, two maps that do not
+compose and a gate that is no 2-qubit gate are refused as well. Every
 message starts with the argument's name, and each row pins it from its
 start, most to its end. A property drives the name, sequence, bounded
 real and bounded integer rules with arbitrary JSON-like values.
@@ -422,6 +423,28 @@ STRUCTURED = [
     # an upper triangle that eigh never read: the Kraus set of another matrix
     ("ChoiMatrix-not-hermitian", lambda: ChoiMatrix(np.eye(4) / 2 + 5 * np.eye(4, k=1)),
      r"^matrix must be Hermitian, got max\|m - m\^dag\| = 5$"),
+    # finite entries whose Choi spectrum overflows: the map was built, and is_cptp
+    # read (False, False, -2.83e292)
+    ("ChoiMatrix-infinite-spectrum",
+     lambda: DynamicalMap(np.full((4, 4), 5e307), None, (0, 1), 1),
+     r"^matrix must have a finite spectrum, got max\|eigenvalue\| inf$"),
+    # a stack of strings or objects: numpy's TypeError from isfinite
+    ("Trajectory-string-states", lambda: Trajectory(GRID, np.full((5, 4, 4), "a")),
+     "^joint_states must be numeric, got dtype <U1$"),
+    ("Trajectory-object-states", lambda: Trajectory(GRID, TRAJ.joint_states.astype(object)),
+     "^joint_states must be numeric, got dtype object$"),
+    # amplitudes numpy cannot convert: a TypeError, or a ValueError naming nothing;
+    # numpy's or Python's words follow the name
+    ("PureState-object", lambda: PureState([object(), 1]), "^amplitudes: "),
+    ("PureState-set", lambda: PureState({1, 2}), "^amplitudes: "),
+    ("PureState-dict", lambda: PureState({"a": 1}), "^amplitudes: "),
+    ("PureState-ragged", lambda: PureState([[1, 0], [0]]), "^amplitudes: "),
+    ("PureState-strings", lambda: PureState(["a", "b"]), "^amplitudes: "),
+    # an int past the float range: numpy's OverflowError
+    ("DensityMatrix-int-overflow", lambda: DensityMatrix([[10**400, 0], [0, 0]]), "^matrix: "),
+    # u u^dag overflowed with a RuntimeWarning, an error under -W error
+    ("Gate-unitary-defect-overflow", lambda: Gate(np.zeros((2, 2)), 1.0, np.full((2, 2), 1e308)),
+     "^unitary must be a unitary matrix, got unitarity defect inf$"),
 ]
 
 
