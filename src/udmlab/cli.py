@@ -235,9 +235,9 @@ def _gate_from_scenario(scenario: dict, tol: Tolerances) -> gates.Gate:
     raise ValueError("scenario must specify a 'gate' or a 'generator'")
 
 
-def _input_from_scenario(scenario: dict, n_qubits: int | None = None) -> states.PureState:
-    """The scenario's input state, of n_qubits qubits when given. The count is checked
-    before the state is built: a list of names takes 2^len(input) amplitudes."""
+def _input_from_scenario(scenario: dict, n_qubits: int) -> states.PureState:
+    """The scenario's input state, of n_qubits qubits. The count is checked before the
+    state is built: a list of names takes 2^len(input) amplitudes."""
     if "input" not in scenario:
         raise ValueError("scenario must specify an 'input' state")
     spec = scenario["input"]
@@ -259,7 +259,7 @@ def _input_from_scenario(scenario: dict, n_qubits: int | None = None) -> states.
             "'input' must be a list of per-qubit state names "
             f"({sorted(states.NAMED_AMPLITUDES)}) or an object with 'amplitudes'"
         )
-    if n_qubits is not None and n != n_qubits:
+    if n != n_qubits:
         raise ValueError(f"input must be a {n_qubits}-qubit state, got {n} qubits")
     return build(factors)
 

@@ -9,8 +9,11 @@ points form one (steps + 1, 4, 4) stack, evolved and audited as a whole:
 a ``Trajectory`` takes only the grid and the stack, and derives the
 purities and negativities from its states once, on construction; the
 drift check, the profile and ``find_entangled_instant`` read them from
-it. Tau is read off the density stack with the determinant that
-``states.pure_entanglement`` uses, with no eigendecomposition.
+it. It holds a stack no one else can write, so its states and verdicts
+always agree: ``evolve_trajectory`` hands over its fresh stack read-only,
+which is kept as it is, and any other stack is copied. Tau is read off
+the density stack with the determinant that ``states.pure_entanglement``
+uses, with no eigendecomposition.
 """
 from __future__ import annotations
 
@@ -67,11 +70,11 @@ class Trajectory:
 
     The (steps + 1, 4, 4) stack is checked against the grid and as density
     matrices on construction, and its (steps + 1,) purities and negativities
-    are derived from it once. All three are read-only, the states a view of
-    the array given, so that array must not be written afterwards (the
-    derived arrays would not follow); ``evolve_trajectory`` hands over a
-    stack nothing else holds. ``purities`` and ``negativities`` are no
-    fields, so repr and fields() see only the grid and the states.
+    are derived from it once. All three are read-only and nobody else can
+    write them: the stack given is kept only when it is read-only and owns
+    its memory, as the one ``evolve_trajectory`` hands over does, and is
+    copied otherwise. ``purities`` and ``negativities`` are no fields, so
+    repr and fields() see only the grid and the states.
     """
 
     grid: TimeGrid
@@ -83,8 +86,9 @@ class Trajectory:
         got = states.shape if isinstance(states, np.ndarray) else type(states).__name__
         if got != shape:
             raise ValueError(f"joint_states must be an array of shape {shape}, got {got}")
-        _check_density(states, "joint_states")
-        s = states.view()  # a copy would double a MAX_STEPS stack
+        # a stack its caller can still write is copied; evolve_trajectory's is kept as it is
+        s = states if not states.flags.writeable and states.base is None else np.array(states)
+        _check_density(s, "joint_states")
         _hold(self, joint_states=s, purities=_purities(s), negativities=_negativities(s))
 
 
@@ -110,6 +114,7 @@ def evolve_trajectory(k, rho_in: DensityMatrix, grid: TimeGrid) -> Trajectory:
     rho0 = v.conj().T @ rho_in.matrix @ v  # eigenbasis once
     phase = np.exp(-1j * w * (grid.times() - grid.t_start)[:, None])
     states = v @ (phase[:, :, None] * phase.conj()[:, None, :] * rho0) @ v.conj().T
+    states.flags.writeable = False  # so Trajectory keeps it, with no copy
     traj = Trajectory(grid, states)
     drift = np.abs(traj.purities - traj.purities[0]).max()
     if drift > DEFAULT.positivity:

@@ -48,9 +48,17 @@ def _matrix(m, what: str, dim: int | None = None, *, square: bool = True) -> np.
 
 
 def hermiticity_defect(m: np.ndarray) -> float:
-    """Max-abs deviation of m from its conjugate transpose."""
-    m = np.asarray(m)
-    return float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
+    """Max-abs deviation of m from its conjugate transpose; inf where m - m^dag overflows,
+    nan where it meets inf - inf."""
+    return float(_defects(np.asarray(m)))
+
+
+def _defects(m: np.ndarray) -> np.ndarray:
+    """max|m - m^dag| of each matrix of a (..., d, d) stack, 0 for an empty one: the one
+    defect computation. An overflow reads inf and inf - inf nan, without a warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.abs(m - m.conj().swapaxes(-1, -2)).max(axis=(-2, -1), initial=0.0)
+
 
 def unitarity_defect(u: np.ndarray) -> float:
     """Max-abs deviation of u u^dag from the identity; inf or nan where u u^dag overflows."""
@@ -89,17 +97,15 @@ def _check_hermitian(m: np.ndarray, what: str) -> None:
 
     A non-numeric dtype (strings, objects, booleans) is refused first, then
     non-finite entries: a NaN would pass the defect bound, since each
-    comparison with it is False. A defect of finite entries near the float
-    maximum overflows without a warning to inf, which the bound refuses. A
-    refusal starts with what and quotes the first matrix that fails.
+    comparison with it is False. A defect that overflows reads inf, which the
+    bound refuses. A refusal starts with what and quotes the defect of the
+    first matrix that fails.
     """
     if m.dtype.kind not in "iufc":  # integer, float or complex; 10x cheaper than issubdtype
         raise ValueError(f"{what} must be numeric, got dtype {m.dtype}")
     if not np.isfinite(m).all():
         raise ValueError(f"{what} has non-finite entries")
-    with np.errstate(over="ignore"):
-        defects = np.abs(m - m.conj().swapaxes(-1, -2)).max(axis=(-2, -1), initial=0.0)
-    bad = defects > DEFAULT.hermiticity
+    bad = (defects := _defects(m)) > DEFAULT.hermiticity
     if bad.any():
         defect = _first(defects, bad)
         raise ValueError(f"{what} must be Hermitian, got max|m - m^dag| = {defect:.3g}")

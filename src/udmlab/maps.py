@@ -141,10 +141,17 @@ class ChoiMatrix:
 
 @dataclass(frozen=True, eq=False)
 class KrausSet:
-    """Kraus operators K_a with their Choi-eigenvalue weights."""
+    """Kraus operators K_a, an (r, 2, 2) stack, with their r Choi-eigenvalue weights.
 
-    operators: tuple[np.ndarray, ...]
+    Both are held as read-only copies; iterating, ``len`` and indexing the
+    stack give the operators one by one.
+    """
+
+    operators: np.ndarray
     weights: np.ndarray
+
+    def __post_init__(self):
+        _hold(self, operators=np.array(self.operators), weights=np.array(self.weights))
 
 
 @dataclass(frozen=True, eq=False)
@@ -254,8 +261,11 @@ def kraus_decompose(c: ChoiMatrix) -> KrausSet:
     Only defined for completely positive maps; a negative Choi eigenvalue
     beyond tolerance means no Kraus form exists and is an error here. The
     ``ChoiMatrix`` checked its matrix and derived that spectrum when it was
-    built, so both are read as they are. Kraus operators are unique only up to unitary mixing, so nothing
-    beyond the eigenvalue ordering is canonicalized.
+    built, so both are read as they are. Each eigenvalue above 1e-10, in
+    descending order, gives one operator, sqrt(lambda) times its eigenvector
+    as a 2x2 matrix, all in one (r, 2, 2) stack. Kraus operators are unique
+    only up to unitary mixing, so nothing beyond the eigenvalue ordering is
+    canonicalized.
     """
     min_eig = float(_instance(c, ChoiMatrix, None, "c").eigenvalues[-1])
     if min_eig < -DEFAULT.cp:
@@ -264,17 +274,14 @@ def kraus_decompose(c: ChoiMatrix) -> KrausSet:
             "completely positive and admits no Kraus form"
         )
     evals, evecs = np.linalg.eigh(c.matrix)
-    ops, weights = [], []
-    for i in range(evals.size - 1, -1, -1):  # descending
-        lam = float(evals[i])
-        if lam > 1e-10:
-            # Choi row index is (output, input), row-major over the pair
-            ops.append(np.sqrt(lam) * evecs[:, i].reshape(2, 2))
-            weights.append(lam)
-    completeness = sum(op.conj().T @ op for op in ops)
+    keep = evals > 1e-10
+    # descending; Choi row index is (output, input), row-major over the pair
+    ops = (evecs[:, keep] * np.sqrt(evals[keep])).T[::-1].reshape(-1, 2, 2)
+    kraus = KrausSet(ops, evals[keep][::-1])
+    completeness = sum(op.conj().T @ op for op in kraus.operators)
     if float(np.max(np.abs(completeness - np.eye(2)))) > 1e-8:
         raise RuntimeError("Kraus completeness sum deviates from identity")
-    return KrausSet(tuple(ops), np.array(weights))
+    return kraus
 
 
 def intermediate_map(

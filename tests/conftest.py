@@ -213,6 +213,21 @@ def run_circuit_by_factor_list(circuit, psi, tol=1e-9):
     return PureState(t.reshape(-1)), records
 
 
+def kraus_by_loop(c):
+    """(operators, weights) of kraus_decompose's per-eigenvalue loop over eigh of the
+    Choi matrix c: descending, each eigenvalue above 1e-10 gives sqrt(lam) times its
+    eigenvector as a 2x2 operator. The reference its one-expression stack must match
+    byte for byte."""
+    evals, evecs = np.linalg.eigh(c)
+    ops, weights = [], []
+    for i in range(evals.size - 1, -1, -1):
+        lam = float(evals[i])
+        if lam > 1e-10:
+            ops.append(np.sqrt(lam) * evecs[:, i].reshape(2, 2))
+            weights.append(lam)
+    return np.array(ops), np.array(weights)
+
+
 def sig15(x):
     """x rounded to 15 significant digits, the precision reports print."""
     return float(f"{float(x):.15g}")

@@ -242,6 +242,26 @@ def test_a_trajectory_derives_its_purities_and_negativities():
     assert t == 0.25 and abs(neg - 0.191) < 1e-3
 
 
+def test_a_later_write_to_the_given_stack_leaves_states_and_verdict_in_agreement():
+    # a Trajectory derived its negativities from a view of the caller's stack:
+    # after the write below it still reported (0.25, 0.191) while joint_states
+    # read the maximally mixed state
+    grid = TimeGrid(0.0, 1.0, 4)
+    evolved = evolve_trajectory(K_CPI, densify(product_state(["+", "+"])), grid).joint_states
+    s = evolved.copy()
+    read_only_view = s.view()
+    read_only_view.flags.writeable = False  # s can still write its memory
+    for given in (s, read_only_view):
+        traj = Trajectory(grid, given)
+        s[:] = np.eye(4) / 4
+        assert not np.shares_memory(traj.joint_states, s)
+        assert traj.joint_states.tobytes() == evolved.tobytes()
+        assert traj.negativities.tobytes() == states_mod._negativities(evolved).tobytes()
+        t, neg = find_entangled_instant(traj)
+        assert t == 0.25 and abs(neg - 0.191) < 1e-3
+        s[:] = evolved
+
+
 def test_profile_tau_matches_evolved_state_vector(rng):
     # psi(t) = v e^{-i w (t - t_start)} v^dag psi(t_start), evolved as a vector;
     # product inputs make tau ~ 1e-17 near t_start, where a square root of a

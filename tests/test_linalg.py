@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -91,6 +93,13 @@ def test_matexp_semigroup_and_unitarity(rng):
 def test_matexp_rejects_non_hermitian():
     with pytest.raises(ValueError):
         linalg.matexp_hermitian(np.array([[0, 1], [0, 0]]), 1.0)
+
+
+def test_hermiticity_defect_that_overflows_is_inf_without_a_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert linalg.hermiticity_defect(np.array([[0, 1e308], [-1e308, 0]])) == np.inf
+        assert np.isnan(linalg.hermiticity_defect(np.array([[0, np.inf], [np.inf, 0]])))
 
 
 def test_pseudo_inverse_identity_and_diagonal():

@@ -32,10 +32,12 @@ from conftest import (
     diagonal_coherence_factor,
     diagonal_intermediate_map,
     evolve_joint,
+    kraus_by_loop,
     partial_trace_by_sums,
     product_correlation,
     random_density,
     random_hermitian,
+    random_pure,
     reduced_evolution,
     witness_by_sums,
 )
@@ -223,6 +225,26 @@ def test_kraus_reconstruction_and_completeness(rng):
             rho = DensityMatrix(random_density(rng, 2))
             rebuilt = sum(op @ rho.matrix @ op.conj().T for op in ks.operators)
             np.testing.assert_allclose(rebuilt, apply_map(m, rho).matrix, atol=1e-8)
+
+
+def test_kraus_operators_are_the_per_eigenvalue_loops_byte_for_byte():
+    rng = np.random.default_rng(7)
+    depolarizing = np.outer(maps_mod.vec(np.eye(2) / 2), [1, 0, 0, 1]).astype(complex)
+    maps = [_dm(np.eye(4, dtype=complex)), _dm(depolarizing)]  # ranks 1 and 4
+    for i in range(2000):
+        # pure and mixed environments, for ranks up to 2 and up to 4, on both qubits
+        v = random_pure(rng, 2)
+        env = DensityMatrix(np.outer(v, v.conj()) if i % 2 else random_density(rng, 2))
+        k, t, which = random_hermitian(rng, 4), rng.uniform(0.1, 3.0), 1 + i // 2 % 2
+        maps.append(induced_map(k, env, t, which))
+    ranks = set()
+    for m in maps:
+        ks = kraus_decompose(choi(m))
+        ops, weights = kraus_by_loop(choi(m).matrix)
+        assert ks.operators.shape == ops.shape and ks.operators.tobytes() == ops.tobytes()
+        assert ks.weights.tobytes() == weights.tobytes()
+        ranks.add(len(ks.operators))
+    assert ranks == {1, 2, 4}
 
 
 def test_kraus_refuses_non_cp_choi():

@@ -3,9 +3,8 @@
 A verdict is read off values that were checked once on construction, so no
 write made afterwards may reach them: assigning any attribute raises
 ``FrozenInstanceError``, every ndarray a value holds is read-only, and no
-such array shares memory with the argument it came from. The one exception
-is ``Trajectory.joint_states``, a view of the stack it was given, since a
-copy would double a ``MAX_STEPS`` stack (``test_dynamics.py`` pins it).
+such array shares memory with a writeable argument it came from. No value
+type is an exception.
 """
 from dataclasses import FrozenInstanceError, fields
 
@@ -17,6 +16,7 @@ from udmlab import (
     DensityMatrix,
     DynamicalMap,
     Gate,
+    KrausSet,
     PureState,
     TimeGrid,
     Trajectory,
@@ -35,14 +35,16 @@ def _values():
     generator, unitary = K_CPI.astype(complex), np.diag([1, 1, 1, -1]).astype(complex)
     superoperator = np.eye(4, dtype=complex)
     choi = np.eye(4, dtype=complex) / 2
-    states = np.stack([np.eye(4, dtype=complex) / 4] * 5)
+    states = np.stack([np.eye(4, dtype=complex) / 4] * 5)  # writeable: it is copied
+    operators, weights = np.stack([np.eye(2, dtype=complex)] * 2) / np.sqrt(2), np.ones(2) / 2
     return [
         (PureState(amplitudes), {"amplitudes": amplitudes}),
         (DensityMatrix(matrix), {"matrix": matrix}),
         (Gate(generator, 1.0, unitary), {"generator": generator, "unitary": unitary}),
         (DynamicalMap(superoperator, ENV, (0.0, 1.0), 1), {"superoperator": superoperator}),
         (ChoiMatrix(choi), {"matrix": choi}),
-        (Trajectory(TimeGrid(0, 1, 4), states), {}),
+        (Trajectory(TimeGrid(0, 1, 4), states), {"joint_states": states}),
+        (KrausSet(operators, weights), {"operators": operators, "weights": weights}),
     ]
 
 
