@@ -14,6 +14,12 @@ records) are the only code that formats numbers, at 15 significant
 digits, so reruns of the same scenario and seed are byte-identical. A
 subcommand accepts only the flags its command reads.
 
+Each vocabulary is one table. ``_COMMANDS`` maps each command name to its
+``_cmd_*`` function: the parser is built from it, with each function's
+docstring as its subcommand's help, and ``main`` dispatches through it.
+``_NAMED_GATES`` maps each scenario gate name to the builder of its gate.
+A report value that a library value holds is read off that value.
+
 Exit codes: 0 success, 2 input/scenario error, 3 internal invariant
 violation. The UDMLAB_TOL_OVERRIDE environment variable may hold a JSON
 object of tolerance overrides; it is applied last and echoed in the
@@ -203,7 +209,14 @@ def _flag_or(flag, entry, what: str, *bounds) -> int:
     return entry if flag is None else _integer(flag, what, *bounds)
 
 
-_NAMED_GATES = ("cphase", "local-phase", "swap", "identity")
+# each scenario gate name and the builder of its gate from the scenario's gate object
+# and its duration, which is read first; only the two phase gates read gate.phi
+_NAMED_GATES = {
+    "cphase": lambda spec, t: gates.c_phase(_real(spec.get("phi"), "gate.phi"), t),
+    "local-phase": lambda spec, t: gates.local_phase(_real(spec.get("phi"), "gate.phi"), t),
+    "swap": lambda spec, t: gates.swap_gate(t),
+    "identity": lambda spec, t: gates.identity_gate(2, t),
+}
 
 
 def _gate_from_scenario(scenario: dict, tol: Tolerances) -> gates.Gate:
@@ -215,14 +228,7 @@ def _gate_from_scenario(scenario: dict, tol: Tolerances) -> gates.Gate:
         if not isinstance(spec, dict) or "name" not in spec:
             raise ValueError("'gate' must be an object with a 'name'")
         duration = _real(spec.get("duration", 1.0), "gate.duration", lo=0)
-        name = _choice(spec["name"], _NAMED_GATES, "gate.name")
-        if name == "cphase":
-            return gates.c_phase(_real(spec.get("phi"), "gate.phi"), duration)
-        if name == "local-phase":
-            return gates.local_phase(_real(spec.get("phi"), "gate.phi"), duration)
-        if name == "swap":
-            return gates.swap_gate(duration)
-        return gates.identity_gate(2, duration)
+        return _NAMED_GATES[_choice(spec["name"], _NAMED_GATES, "gate.name")](spec, duration)
     if "generator" in scenario:
         spec = scenario["generator"]
         if not isinstance(spec, dict) or "matrix" not in spec:
@@ -296,6 +302,7 @@ def _product_input(scenario: dict, tol: Tolerances):
 
 
 def _cmd_analyze_gate(scenario: dict, args, tol: Tolerances, seed: int) -> tuple[dict, None]:
+    """operator Schmidt analysis and entangling verdict of a 2-qubit gate"""
     gate = _gate_from_scenario(scenario, tol)
     entangling, rank = gates.is_entangling(gate, tol=tol.separability)
     body = {
@@ -311,6 +318,7 @@ def _cmd_analyze_gate(scenario: dict, args, tol: Tolerances, seed: int) -> tuple
 
 
 def _cmd_trajectory(scenario: dict, args, tol: Tolerances, seed: int) -> tuple[dict, str]:
+    """joint-state evolution over a time grid with entanglement profile"""
     gate = _gate_from_scenario(scenario, tol)
     psi = _input_from_scenario(scenario, n_qubits=2)
     grid = _grid_from_scenario(scenario, gate, tol, args.steps)
@@ -318,16 +326,11 @@ def _cmd_trajectory(scenario: dict, args, tol: Tolerances, seed: int) -> tuple[d
     profile = dynamics.entanglement_profile(traj)
     t1, t1_negativity = dynamics.find_entangled_instant(traj, tol.entanglement) or (None, None)
     body = {
-        "grid": {
-            "t_start": grid.t_start,
-            "t_end": grid.t_end,
-            "steps": grid.steps,
-            "epsilon": grid.epsilon,
-        },
+        "grid": {**vars(grid), "epsilon": grid.epsilon},
         "t1": t1,
         "t1_negativity": t1_negativity,
-        "max_negativity": max(p.negativity for p in profile),
-        "endpoint_purity": profile[-1].purity,
+        "max_negativity": float(traj.negativities.max()),
+        "endpoint_purity": float(traj.purities[-1]),
     }
     return body, _csv(profile)
 
@@ -346,7 +349,6 @@ def _map_report(m: maps.DynamicalMap, tol: Tolerances, rng) -> dict:
     direct = maps._images(m, probes)
     states._check_density(direct, "map images")
     rebuilt = sum(op @ probes @ op.conj().T for op in kraus.operators)
-    completeness = sum(op.conj().T @ op for op in kraus.operators)
     return {
         "which_qubit": m.which_qubit,
         "interval": m.interval,
@@ -358,11 +360,12 @@ def _map_report(m: maps.DynamicalMap, tol: Tolerances, rng) -> dict:
         "min_choi_eigenvalue": min_eig,
         "kraus_count": len(kraus.operators),
         "kraus_reconstruction_residual": float(np.max(np.abs(rebuilt - direct))),
-        "kraus_completeness_residual": float(np.max(np.abs(completeness - np.eye(2)))),
+        "kraus_completeness_residual": kraus.completeness_residual,
     }
 
 
 def _cmd_map(scenario: dict, args, tol: Tolerances, seed: int) -> tuple[dict, None]:
+    """reduced dynamical map of one qubit with Choi/Kraus/CPTP report"""
     gate = _gate_from_scenario(scenario, tol)
     _, which, env, marginals = _product_input(scenario, tol)
     grid = _grid_from_scenario(scenario, gate, tol)
@@ -382,6 +385,7 @@ def _cmd_map(scenario: dict, args, tol: Tolerances, seed: int) -> tuple[dict, No
 
 
 def _cmd_divisibility(scenario: dict, args, tol: Tolerances, seed: int) -> tuple[dict, None]:
+    """intermediate-map CP check and sub-interval witness"""
     gate = _gate_from_scenario(scenario, tol)
     rho, which, env, _ = _product_input(scenario, tol)
     grid = _grid_from_scenario(scenario, gate, tol)
@@ -423,6 +427,7 @@ def _cmd_divisibility(scenario: dict, args, tol: Tolerances, seed: int) -> tuple
 
 
 def _cmd_qft(scenario: dict, args, tol: Tolerances, seed: int) -> tuple[dict, str]:
+    """build and audit a QFT circuit"""
     if args.n is None and scenario.get("n_qubits") is None:
         raise ValueError("qft needs --n or an 'n_qubits' scenario entry")
     n = _flag_or(args.n, scenario.get("n_qubits", args.n), "n_qubits",
@@ -464,14 +469,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     subs = {}
-    for name, helptext in [
-        ("analyze-gate", "operator Schmidt analysis and entangling verdict of a 2-qubit gate"),
-        ("trajectory", "joint-state evolution over a time grid with entanglement profile"),
-        ("map", "reduced dynamical map of one qubit with Choi/Kraus/CPTP report"),
-        ("divisibility", "intermediate-map CP check and sub-interval witness"),
-        ("qft", "build and audit a QFT circuit"),
-    ]:
-        p = subs[name] = sub.add_parser(name, help=helptext)
+    for name, command in _COMMANDS.items():
+        p = subs[name] = sub.add_parser(name, help=command.__doc__)
         p.add_argument("--scenario", help="path to a JSON scenario file")
         p.add_argument("--out", help="write the JSON report here (CSV beside it when produced)")
         p.add_argument("--tol-cp", type=float, default=None, help="override the CP tolerance")

@@ -37,20 +37,27 @@ def _matrix(m, what: str, dim: int | None = None, *, square: bool = True) -> np.
     The one check of a matrix argument; each message starts with what, and
     a refused shape is quoted.
     """
-    a = _array(m, what)
-    if dim is not None and a.shape != (dim, dim):
-        raise ValueError(f"{what} must be {dim}x{dim}, got {a.shape}")
-    if a.ndim != 2 or (square and a.shape[0] != a.shape[1]):
-        raise ValueError(f"{what} must be a {'square ' if square else ''}matrix, got {a.shape}")
+    a = _shaped(m, what, dim, square)
     if not np.isfinite(a).all():
         raise ValueError(f"{what} has non-finite entries")
     return a
 
 
+def _shaped(m, what: str, dim: int | None = None, square: bool = True) -> np.ndarray:
+    """The shape half of _matrix, its entries unchecked: the defect measures report a
+    non-finite entry as inf or nan rather than refuse it."""
+    a = _array(m, what)
+    if dim is not None and a.shape != (dim, dim):
+        raise ValueError(f"{what} must be {dim}x{dim}, got {a.shape}")
+    if a.ndim != 2 or (square and a.shape[0] != a.shape[1]):
+        raise ValueError(f"{what} must be a {'square ' if square else ''}matrix, got {a.shape}")
+    return a
+
+
 def hermiticity_defect(m: np.ndarray) -> float:
-    """Max-abs deviation of m from its conjugate transpose; inf where m - m^dag overflows,
-    nan where it meets inf - inf."""
-    return float(_defects(np.asarray(m)))
+    """Max-abs deviation of a square matrix m from its conjugate transpose; inf where
+    m - m^dag overflows, nan where it meets inf - inf."""
+    return float(_defects(_shaped(m, "m")))
 
 
 def _defects(m: np.ndarray) -> np.ndarray:
@@ -61,8 +68,9 @@ def _defects(m: np.ndarray) -> np.ndarray:
 
 
 def unitarity_defect(u: np.ndarray) -> float:
-    """Max-abs deviation of u u^dag from the identity; inf or nan where u u^dag overflows."""
-    u = np.asarray(u)
+    """Max-abs deviation of u u^dag from the identity, u a square matrix; inf or nan where
+    u u^dag overflows."""
+    u = _shaped(u, "u")
     with np.errstate(over="ignore", invalid="ignore"):
         return float(np.max(np.abs(u @ u.conj().T - np.eye(u.shape[0]))))
 

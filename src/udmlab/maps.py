@@ -144,14 +144,18 @@ class KrausSet:
     """Kraus operators K_a, an (r, 2, 2) stack, with their r Choi-eigenvalue weights.
 
     Both are held as read-only copies; iterating, ``len`` and indexing the
-    stack give the operators one by one.
+    stack give the operators one by one. ``completeness_residual``,
+    max|sum_a K_a^dag K_a - 1|, is derived from the stack once and is no
+    field, so repr and fields() see only the two above.
     """
 
     operators: np.ndarray
     weights: np.ndarray
 
     def __post_init__(self):
-        _hold(self, operators=np.array(self.operators), weights=np.array(self.weights))
+        ops = np.array(self.operators)
+        residual = float(np.max(np.abs(sum(op.conj().T @ op for op in ops) - np.eye(2))))
+        _hold(self, operators=ops, weights=np.array(self.weights), completeness_residual=residual)
 
 
 @dataclass(frozen=True, eq=False)
@@ -278,8 +282,7 @@ def kraus_decompose(c: ChoiMatrix) -> KrausSet:
     # descending; Choi row index is (output, input), row-major over the pair
     ops = (evecs[:, keep] * np.sqrt(evals[keep])).T[::-1].reshape(-1, 2, 2)
     kraus = KrausSet(ops, evals[keep][::-1])
-    completeness = sum(op.conj().T @ op for op in kraus.operators)
-    if float(np.max(np.abs(completeness - np.eye(2)))) > 1e-8:
+    if kraus.completeness_residual > 1e-8:
         raise RuntimeError("Kraus completeness sum deviates from identity")
     return kraus
 

@@ -56,7 +56,7 @@ class PureState:
         with np.errstate(over="ignore"):  # a norm that overflows is inf, refused below
             norm = float(np.linalg.norm(a))
         if not 1e-12 <= norm < np.inf:
-            raise ValueError(f"cannot normalize amplitudes of norm {norm:.3g}")
+            raise ValueError(f"amplitudes must have a norm in [1e-12, inf), got norm {norm:.3g}")
         _hold(self, amplitudes=a / norm)
 
     @property

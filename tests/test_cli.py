@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import copy
 import io
@@ -19,6 +20,7 @@ from udmlab.dynamics import ProfilePoint
 from udmlab.tolerances import DEFAULT
 from conftest import (
     OVERFLOWING_GENERATOR,
+    SWAP,
     correlated_pair,
     plain,
     product_correlation,
@@ -79,6 +81,32 @@ def test_analyze_gate_rejects_one_qubit(scenario_file, capsys):
     assert err == f"error: gate.name must be one of {GATE_NAMES}, got 'x'\n"
 
 
+@pytest.mark.parametrize(
+    "name, want",
+    [
+        ("cphase", lambda phi, t: gates.c_phase(phi, t).unitary),
+        ("local-phase", lambda phi, t: gates.local_phase(phi, t).unitary),
+        ("swap", lambda phi, t: SWAP),
+        ("identity", lambda phi, t: np.eye(4)),
+    ],
+)
+def test_every_named_gate_builds_its_gate(name, want):
+    # one table of names and builders: a name without its own branch built the identity
+    assert list(cli._NAMED_GATES) == ["cphase", "local-phase", "swap", "identity"]
+    for phi, t in [(0.7, 1.0), (2.1, 0.4)]:
+        g = cli._gate_from_scenario({"gate": {"name": name, "phi": phi, "duration": t}}, DEFAULT)
+        assert g.duration == t and g.n_qubits == 2
+        np.testing.assert_allclose(g.unitary, want(phi, t), atol=1e-12)
+
+
+@pytest.mark.parametrize("name", ["cphase", "local-phase"])
+def test_a_phase_gate_without_phi_is_refused_after_its_duration(name):
+    with pytest.raises(ValueError, match="^gate.phi must be a finite number, got None$"):
+        cli._gate_from_scenario({"gate": {"name": name}}, DEFAULT)
+    with pytest.raises(ValueError, match="^gate.duration must be finite and > 0, got -1$"):
+        cli._gate_from_scenario({"gate": {"name": name, "duration": -1}}, DEFAULT)
+
+
 def test_trajectory_csv_and_summary(scenario_file, capsys, tmp_path):
     path = scenario_file(
         {"gate": CPI, "input": ["+", "+"], "grid": {"t_start": 0, "t_end": 1, "steps": 10}}
@@ -92,6 +120,14 @@ def test_trajectory_csv_and_summary(scenario_file, capsys, tmp_path):
     csv_lines = (tmp_path / "report.csv").read_text().splitlines()
     assert csv_lines[0] == "t,negativity,tau,purity"
     assert len(csv_lines) == 12  # header + 11 grid points
+
+
+def test_csv_writes_the_tau_of_a_mixed_joint_state_as_an_empty_cell():
+    k, mixed = np.diag([0.0, 0.0, 0.0, np.pi]), states.DensityMatrix(np.eye(4) / 4)
+    traj = dynamics.evolve_trajectory(k, mixed, dynamics.TimeGrid(0, 1, 2))
+    profile = dynamics.entanglement_profile(traj)
+    assert [p.tau for p in profile] == [None] * 3
+    assert cli._csv(profile) == "t,negativity,tau,purity\n0,0,,0.25\n0.5,0,,0.25\n1,0,,0.25\n"
 
 
 def test_trajectory_identity_has_no_t1(scenario_file, capsys):
@@ -636,6 +672,38 @@ def test_flag_the_command_does_not_read_is_rejected(argv, capsys):
         main(argv)
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+# each command's help, word for word as it was when the parser kept its own list
+COMMAND_HELP = {
+    "analyze-gate": "operator Schmidt analysis and entangling verdict of a 2-qubit gate",
+    "trajectory": "joint-state evolution over a time grid with entanglement profile",
+    "map": "reduced dynamical map of one qubit with Choi/Kraus/CPTP report",
+    "divisibility": "intermediate-map CP check and sub-interval witness",
+    "qft": "build and audit a QFT circuit",
+}
+
+
+def subcommands(parser):
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return [(a.dest, a.help) for a in action._choices_actions]
+
+
+def test_the_parser_lists_the_command_table_with_each_docstring_as_help():
+    assert subcommands(cli._PARSER) == [(n, f.__doc__) for n, f in cli._COMMANDS.items()]
+    assert subcommands(cli._PARSER) == list(COMMAND_HELP.items())
+
+
+def test_a_command_added_to_the_table_is_parsed_and_dispatched(capsys, monkeypatch):
+    def extra(scenario, args, tol, seed):
+        """an extra command"""
+        return {"extra": True}, None
+
+    monkeypatch.setitem(cli._COMMANDS, "extra", extra)
+    monkeypatch.setattr(cli, "_PARSER", cli._build_parser())
+    assert subcommands(cli._PARSER)[-1] == ("extra", "an extra command")
+    code, out, _ = run(capsys, "extra")
+    assert code == 0 and json.loads(out)["extra"] is True
 
 
 NO_SCIPY = """

@@ -243,6 +243,9 @@ def test_kraus_operators_are_the_per_eigenvalue_loops_byte_for_byte():
         ops, weights = kraus_by_loop(choi(m).matrix)
         assert ks.operators.shape == ops.shape and ks.operators.tobytes() == ops.tobytes()
         assert ks.weights.tobytes() == weights.tobytes()
+        # the residual the CLI reported and kraus_decompose checked, each with its own sum
+        completeness = sum(op.conj().T @ op for op in ops)
+        assert ks.completeness_residual == float(np.max(np.abs(completeness - np.eye(2))))
         ranks.add(len(ks.operators))
     assert ranks == {1, 2, 4}
 

@@ -14,7 +14,8 @@ that is no pair of finite times, and a grid, trajectory, map, Choi matrix,
 gate or state that is a plain array or tuple. Each passes through one of
 ``states._instance``, ``linalg._hermitian``, ``tolerances._integer`` with
 the bounds (1, 2) and ``linalg._check_phase``. Every matrix argument
-passes through ``linalg._matrix``, which quotes a refused shape; a unitary
+passes through ``linalg._matrix``, which quotes a refused shape (the
+defect measures through its shape half, ``linalg._shaped``); a unitary
 one through ``linalg._unitary``, which quotes the unitarity defect; a
 state's dimension through ``states._qubit_count``; a bounded count or
 index through ``tolerances._integer``; a name from a table through
@@ -58,6 +59,7 @@ from udmlab import (
     find_entangled_instant,
     gate_from_generator,
     generator_from_unitary,
+    hermiticity_defect,
     induced_map,
     intermediate_map,
     is_cptp,
@@ -76,6 +78,7 @@ from udmlab import (
     run_circuit,
     trace_distance,
     udm_witness_subinterval,
+    unitarity_defect,
     unitary_superoperator,
 )
 from udmlab.states import NAMED_AMPLITUDES
@@ -344,6 +347,17 @@ STRUCTURED = [
      r"^m must be a matrix, got \(4,\)$"),
     ("equal_up_to_phase-vector", lambda: equal_up_to_phase(np.ones(4), X),
      r"^a must be a matrix, got \(4,\)$"),
+    # the defect measures take the shape rule alone, as they report a non-finite
+    # entry: a 2x3 or a vector read 3.0 as a unitarity defect, and numpy's
+    # broadcast or AxisError as a Hermitian one
+    ("hermiticity_defect-2x3", lambda: hermiticity_defect(np.ones((2, 3))),
+     r"^m must be a square matrix, got \(2, 3\)$"),
+    ("hermiticity_defect-vector", lambda: hermiticity_defect(np.ones(3)),
+     r"^m must be a square matrix, got \(3,\)$"),
+    ("unitarity_defect-2x3", lambda: unitarity_defect(np.ones((2, 3))),
+     r"^u must be a square matrix, got \(2, 3\)$"),
+    ("unitarity_defect-vector", lambda: unitarity_defect(np.ones(3)),
+     r"^u must be a square matrix, got \(3,\)$"),
     ("DynamicalMap-nan", lambda: DynamicalMap(np.full((4, 4), np.nan), None, (0.0, 1.0), 1),
      "^superoperator has non-finite entries$"),
     ("DynamicalMap-ragged", lambda: DynamicalMap([[1, 0], [0]], None, (0.0, 1.0), 1),
