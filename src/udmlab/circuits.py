@@ -349,19 +349,18 @@ def _parts(v, limit):
 
 
 def dft_matrix(n: int) -> np.ndarray:
-    """DFT matrix on 2^n amplitudes: entries e^{2 pi i jk / 2^n} / 2^(n/2), 1 <= n <= 8."""
+    """DFT matrix on 2^n amplitudes: entries e^{2 pi i jk / 2^n} / 2^(n/2), 1 <= n <= 8.
+
+    It is built from the 2^n roots of unity e^{2 pi i r / 2^n}, each taken once and
+    indexed by jk mod 2^n, so no entry rounds an angle larger than 2 pi."""
     n = _integer(n, "n", 1, MAX_QUBITS)
     dim = 2**n
-    jk = np.outer(np.arange(dim), np.arange(dim))
-    return np.exp(2j * np.pi * jk / dim) / np.sqrt(dim)
+    r = np.arange(dim)
+    roots = np.exp(2j * np.pi * r / dim) / np.sqrt(dim)
+    return roots[np.outer(r, r) % dim]
 
 
 def circuit_to_dict(circuit: Circuit) -> dict:
-    gates = []
-    for g in circuit.gates:
-        entry: dict = {"name": g.name, "qubits": list(g.qubits)}
-        if g.phi is not None:
-            entry["phi"] = g.phi
-        gates.append(entry)
+    gates = [{k: v for k, v in vars(g).items() if v is not None} for g in circuit.gates]
     return {"n_qubits": circuit.n_qubits, "gates": gates}
 

@@ -179,8 +179,6 @@ class IntermediateMapResult:
 class WitnessReport:
     """Same-marginal, different-outcome witness for a sub-interval."""
 
-    t1: float
-    t_star: float
     trace_distance: float
     # Frobenius distance between the true joint state at t1 and the
     # product of its marginals: how correlated the cut state is
@@ -356,7 +354,7 @@ def udm_witness_subinterval(
     out_true = linalg._marginals(u2 @ sigma @ u2.conj().T)[which - 1]
     out_erased = linalg._marginals(u2 @ sigma_product @ u2.conj().T)[which - 1]
     dist = trace_distance(DensityMatrix(out_true), DensityMatrix(out_erased))
-    return WitnessReport(t1, t_star, dist, correlation)
+    return WitnessReport(dist, correlation)
 
 
 def local_pair_maps(

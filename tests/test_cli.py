@@ -395,6 +395,17 @@ def test_qft_report_embeds_circuit_description(capsys):
     assert [g["name"] for g in circuit["gates"]] == ["H", "CPHASE", "H", "SWAP"]
 
 
+def test_qft_default_input_is_the_explicit_zero_register(scenario_file, capsys):
+    # one input path: no 'input' reads as ["0"] * n, byte for byte
+    for n in range(2, 9):
+        default = run(capsys, "qft", "--scenario", scenario_file({"n_qubits": n}))
+        zeros = run(capsys, "qft", "--scenario", scenario_file({"n_qubits": n, "input": ["0"] * n}))
+        assert default[0] == 0 and default == zeros, n
+    # a null input is refused, not read as the default
+    code, _, err = run(capsys, "qft", "--scenario", scenario_file({"n_qubits": 2, "input": None}))
+    assert code == 2 and err.startswith("error: 'input' must be a list of per-qubit state names")
+
+
 def test_internal_invariant_violation_exits_3(scenario_file, capsys, monkeypatch):
     import udmlab.cli as cli_mod
 

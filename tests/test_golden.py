@@ -10,8 +10,9 @@ report printed to stdout, and ``report.csv`` the CSV written beside
 Most digits in the corpus do not depend on summation order: its qft cases
 run basis inputs and the default input, and it holds no malformed
 scenarios. The exception is each qft case's ``dft_residual``, the distance
-of ``circuit_unitary``'s product from the DFT, which pins that product's
-rounding bit for bit: scaling a CPHASE slice with numpy's fused complex
+of ``circuit_unitary``'s product from the exact DFT, summed by numpy rather
+than a BLAS dot so the thread count cannot move it, which pins that
+product's rounding bit for bit: scaling a CPHASE slice with numpy's fused complex
 multiply, instead of one rounded real product per component, moves it in
 the qft cases from n = 4 on. The trajectory cases' ``tau`` column
 depends only on elementwise products of the density stack, read off the

@@ -360,6 +360,11 @@ def test_witness_on_cpi_frozen_value():
     assert w.correlation_at_t1 > 0.1
 
 
+def test_witness_holds_what_it_measured():
+    # the cut and end times are the caller's arguments, not part of the result
+    assert [f.name for f in fields(maps_mod.WitnessReport)] == ["trace_distance", "correlation_at_t1"]
+
+
 def test_witness_vanishes_continuously_at_t1_zero():
     rho = densify(product_state(["+", "+"]))
     previous = 0.0

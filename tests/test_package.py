@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,6 +14,16 @@ from udmlab import circuits, dynamics, gates, linalg, maps, states
 def test_package_reexports_each_public_name(module):
     for name in module.__all__:
         assert getattr(udmlab, name) is getattr(module, name), name
+
+
+@pytest.mark.parametrize("module", [linalg, states, gates, dynamics, maps, circuits])
+def test_readme_tour_names_each_public_name(module):
+    # the library tour's row of the module: `name` followed by a non-identifier character
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    rows = [line for line in readme.splitlines() if line.startswith(f"| `{module.__name__}`")]
+    assert len(rows) == 1, module.__name__
+    missing = [name for name in module.__all__ if not re.search(rf"`{name}\W", rows[0])]
+    assert not missing, f"{module.__name__} row does not name {missing}"
 
 
 NEW_TOP_LEVEL_MODULES = """
