@@ -249,7 +249,7 @@ def _input_from_scenario(scenario: dict, n_qubits: int) -> states.PureState:
     # the 2^n rule of a state's dimension, under the field's name
     if isinstance(spec, list):
         n = states._qubit_count(2 ** len(spec), "input")
-        factors = [_choice(s, states.NAMED_AMPLITUDES, f"input[{i}]") for i, s in enumerate(spec)]
+        factors = [_choice(s, states.NAMED_STATES, f"input[{i}]") for i, s in enumerate(spec)]
         build = states.product_state
     elif isinstance(spec, dict) and "amplitudes" in spec:
         if not isinstance(spec["amplitudes"], list):
@@ -262,7 +262,7 @@ def _input_from_scenario(scenario: dict, n_qubits: int) -> states.PureState:
     else:
         raise ValueError(
             "'input' must be a list of per-qubit state names "
-            f"({sorted(states.NAMED_AMPLITUDES)}) or an object with 'amplitudes'"
+            f"({sorted(states.NAMED_STATES)}) or an object with 'amplitudes'"
         )
     if n != n_qubits:
         raise ValueError(f"input must be a {n_qubits}-qubit state, got {n} qubits")

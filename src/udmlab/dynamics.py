@@ -9,11 +9,10 @@ points form one (steps + 1, 4, 4) stack, evolved and audited as a whole:
 a ``Trajectory`` takes only the grid and the stack, and derives the
 purities and negativities from its states once, on construction; the
 drift check, the profile and ``find_entangled_instant`` read them from
-it. It holds a stack no one else can write, so its states and verdicts
-always agree: ``evolve_trajectory`` hands over its fresh stack read-only,
-which is kept as it is, and any other stack is copied. Tau is read off
-the density stack with the determinant that ``states.pure_entanglement``
-uses, with no eigendecomposition.
+it. It holds a copy of the stack that no one can write, so its states and
+verdicts always agree. Tau is read off the density stack with the
+determinant that ``states.pure_entanglement`` uses, with no
+eigendecomposition.
 """
 from __future__ import annotations
 
@@ -36,7 +35,8 @@ __all__ = [
 ]
 
 DEFAULT_STEPS = 100
-# caps one (steps + 1, 4, 4) stack and its temporaries: a MAX_STEPS CLI run peaks at 153 MB RSS
+# caps one (steps + 1, 4, 4) stack and its temporaries: `udmlab trajectory --steps 100000`
+# (CPHASE pi on |++>) peaks at 140.5 MB RSS, the child's ru_maxrss on numpy 2.4.6
 MAX_STEPS = 100_000
 
 
@@ -70,11 +70,10 @@ class Trajectory:
 
     The (steps + 1, 4, 4) stack is checked against the grid and as density
     matrices on construction, and its (steps + 1,) purities and negativities
-    are derived from it once. All three are read-only and nobody else can
-    write them: the stack given is kept only when it is read-only and owns
-    its memory, as the one ``evolve_trajectory`` hands over does, and is
-    copied otherwise. ``purities`` and ``negativities`` are no fields, so
-    repr and fields() see only the grid and the states.
+    are derived from it once. All three are held as copies no one can
+    write, so a later write to the stack given changes none of them.
+    ``purities`` and ``negativities`` are no fields, so repr and fields()
+    see only the grid and the states.
     """
 
     grid: TimeGrid
@@ -82,12 +81,10 @@ class Trajectory:
 
     def __post_init__(self):
         shape = (_instance(self.grid, TimeGrid, None, "grid").steps + 1, 4, 4)
-        states = self.joint_states
-        got = states.shape if isinstance(states, np.ndarray) else type(states).__name__
+        s = self.joint_states
+        got = s.shape if isinstance(s, np.ndarray) else type(s).__name__
         if got != shape:
             raise ValueError(f"joint_states must be an array of shape {shape}, got {got}")
-        # a stack its caller can still write is copied; evolve_trajectory's is kept as it is
-        s = states if not states.flags.writeable and states.base is None else np.array(states)
         _check_density(s, "joint_states")
         _hold(self, joint_states=s, purities=_purities(s), negativities=_negativities(s))
 
@@ -114,7 +111,6 @@ def evolve_trajectory(k, rho_in: DensityMatrix, grid: TimeGrid) -> Trajectory:
     rho0 = v.conj().T @ rho_in.matrix @ v  # eigenbasis once
     phase = np.exp(-1j * w * (grid.times() - grid.t_start)[:, None])
     states = v @ (phase[:, :, None] * phase.conj()[:, None, :] * rho0) @ v.conj().T
-    states.flags.writeable = False  # so Trajectory keeps it, with no copy
     traj = Trajectory(grid, states)
     drift = np.abs(traj.purities - traj.purities[0]).max()
     if drift > DEFAULT.positivity:

@@ -43,7 +43,7 @@ class Gate:
 
     Without a given unitary, the gate holds exp(-i K t*); a given one (an
     exact named matrix) is checked against that exponential. Both are held
-    as read-only copies: circuits share one gate among all their callers.
+    as copies no one can write: circuits share one gate among all their callers.
     """
 
     generator: np.ndarray
@@ -60,7 +60,7 @@ class Gate:
             u = linalg._unitary(self.unitary, "unitary", len(k))
             if (dev := float(np.max(np.abs(rebuilt - u)))) > DEFAULT.reconstruction:
                 raise ValueError(f"unitary must match exp(-i K t*), got max deviation {dev:.3g}")
-        _hold(self, generator=np.array(k), duration=duration, unitary=np.array(u))
+        _hold(self, generator=k, duration=duration, unitary=u)
 
     @property
     def n_qubits(self) -> int:

@@ -68,11 +68,11 @@ def _defects(m: np.ndarray) -> np.ndarray:
 
 
 def unitarity_defect(u: np.ndarray) -> float:
-    """Max-abs deviation of u u^dag from the identity, u a square matrix; inf or nan where
-    u u^dag overflows."""
+    """Max-abs deviation of u u^dag from the identity, u a square matrix, 0 for an empty
+    one; inf or nan where u u^dag overflows."""
     u = _shaped(u, "u")
     with np.errstate(over="ignore", invalid="ignore"):
-        return float(np.max(np.abs(u @ u.conj().T - np.eye(u.shape[0]))))
+        return float(np.max(np.abs(u @ u.conj().T - np.eye(u.shape[0])), initial=0.0))
 
 
 def partial_trace(rho, keep: int) -> np.ndarray:

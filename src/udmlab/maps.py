@@ -92,8 +92,8 @@ class DynamicalMap:
     ``interval`` is the (t_a, t_b) stretch of the evolution it describes,
     a pair of finite times; ``which_qubit`` says whether the described
     qubit is the left (1) or right (2) tensor factor. The superoperator is
-    a read-only copy. The map's ``ChoiMatrix``, which ``choi`` returns, is
-    derived from it once, with read-only arrays, and held as ``_choi``: no
+    held as a copy no one can write. The map's ``ChoiMatrix``, which
+    ``choi`` returns, is derived from it once and held as ``_choi``: no
     field, so repr and fields() see only the four above.
     """
 
@@ -106,7 +106,7 @@ class DynamicalMap:
         which = _integer(self.which_qubit, "which_qubit", 1, 2)
         if self.environment_state is not None:
             _instance(self.environment_state, DensityMatrix, 1, "environment_state")
-        s = np.array(linalg._matrix(self.superoperator, "superoperator", 4))
+        s = linalg._matrix(self.superoperator, "superoperator", 4)
         t_a, t_b = _sequence(self.interval, "interval", 2)
         interval = (_real(t_a, "interval start"), _real(t_b, "interval end"))
         # the superoperator as a 4-tensor carries axes (out-col, out-row, in-col,
@@ -123,16 +123,16 @@ class DynamicalMap:
 class ChoiMatrix:
     """Choi matrix of a map, a 4x4 Hermitian matrix, with its descending eigenvalues.
 
-    The matrix is checked by the Hermitian rule and held as a read-only
-    copy; its ``eigenvalues`` are derived from it once, read-only, and are
-    no field, so repr and fields() see only the matrix. Finite entries near
+    The matrix is checked by the Hermitian rule and held as a copy no one
+    can write; its ``eigenvalues`` are derived from it once, held alike, and
+    are no field, so repr and fields() see only the matrix. Finite entries near
     the float maximum can still give an infinite eigenvalue, which is refused.
     """
 
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.array(linalg._hermitian(self.matrix, "matrix", 4))
+        m = linalg._hermitian(self.matrix, "matrix", 4)
         w = np.linalg.eigvalsh(m)[::-1]
         if not (top := np.abs(w).max()) < np.inf:  # nan if one is nan
             raise ValueError(f"matrix must have a finite spectrum, got max|eigenvalue| {top}")
@@ -143,19 +143,20 @@ class ChoiMatrix:
 class KrausSet:
     """Kraus operators K_a, an (r, 2, 2) stack, with their r Choi-eigenvalue weights.
 
-    Both are held as read-only copies; iterating, ``len`` and indexing the
-    stack give the operators one by one. ``completeness_residual``,
-    max|sum_a K_a^dag K_a - 1|, is derived from the stack once and is no
-    field, so repr and fields() see only the two above.
+    Both are held as copies no one can write; iterating, ``len`` and
+    indexing the stack give the operators one by one.
+    ``completeness_residual``, max|sum_a K_a^dag K_a - 1|, is derived from
+    the stack once and is no field, so repr and fields() see only the two
+    above.
     """
 
     operators: np.ndarray
     weights: np.ndarray
 
     def __post_init__(self):
-        ops = np.array(self.operators)
+        ops = np.asarray(self.operators)
         residual = float(np.max(np.abs(sum(op.conj().T @ op for op in ops) - np.eye(2))))
-        _hold(self, operators=ops, weights=np.array(self.weights), completeness_residual=residual)
+        _hold(self, operators=ops, weights=np.asarray(self.weights), completeness_residual=residual)
 
 
 @dataclass(frozen=True, eq=False)

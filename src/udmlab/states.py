@@ -4,13 +4,13 @@ Convention used throughout the package: qubit 1 is the left (most
 significant) tensor factor, so the amplitude vector of a two-qubit state
 is ordered (g00, g01, g10, g11).
 
-States are frozen values, normalized on construction, that hold read-only
-arrays of their own. Separability of a pure two-qubit state is decided
-through the determinant |g00*g11 - g01*g10| of the coefficient matrix,
-which is the ratio condition g00/g01 = g10/g11 made total (no division by
-vanishing coefficients). For mixed states the partial-transpose criterion
-is exact at this dimension. ``_product`` alone decides the product state
-rho_1 (x) rho_2 a state-independent map needs.
+States are frozen values, normalized on construction, that hold arrays of
+their own which no one can write. Separability of a pure two-qubit state is
+decided through the determinant |g00*g11 - g01*g10| of the coefficient
+matrix, which is the ratio condition g00/g01 = g10/g11 made total (no
+division by vanishing coefficients). For mixed states the partial-transpose
+criterion is exact at this dimension. ``_product`` alone decides the product
+state rho_1 (x) rho_2 a state-independent map needs.
 """
 from __future__ import annotations
 
@@ -32,19 +32,10 @@ __all__ = [
     "trace_distance",
 ]
 
-NAMED_AMPLITUDES = {
-    "0": np.array([1.0, 0.0], dtype=complex),
-    "1": np.array([0.0, 1.0], dtype=complex),
-    "+": np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0),
-    "-": np.array([1.0, -1.0], dtype=complex) / np.sqrt(2.0),
-    "+i": np.array([1.0, 1.0j], dtype=complex) / np.sqrt(2.0),
-    "-i": np.array([1.0, -1.0j], dtype=complex) / np.sqrt(2.0),
-}
-
-
 @dataclass(frozen=True, eq=False)
 class PureState:
-    """Pure state of n qubits; amplitudes are normalized on construction and held read-only."""
+    """Pure state of n qubits; amplitudes are normalized on construction and held as a
+    copy no one can write."""
 
     amplitudes: np.ndarray
 
@@ -67,7 +58,7 @@ class PureState:
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Density matrix of n qubits; validates Hermiticity, trace and positivity, and holds
-    a read-only copy of the matrix."""
+    the matrix as a copy no one can write."""
 
     matrix: np.ndarray
 
@@ -75,7 +66,7 @@ class DensityMatrix:
         m = _matrix(self.matrix, "matrix")
         _qubit_count(len(m), "matrix")
         _check_density(m, "matrix")
-        _hold(self, matrix=np.array(m))
+        _hold(self, matrix=m)
 
     @property
     def n_qubits(self) -> int:
@@ -105,9 +96,21 @@ def _instance(value, kind, n_qubits: int | None, what: str):
     return value
 
 
+# the six single-qubit stabilizer states, built once: named_state and product_state share them
+NAMED_STATES = {
+    "0": PureState(np.array([1.0, 0.0], dtype=complex)),
+    "1": PureState(np.array([0.0, 1.0], dtype=complex)),
+    "+": PureState(np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)),
+    "-": PureState(np.array([1.0, -1.0], dtype=complex) / np.sqrt(2.0)),
+    "+i": PureState(np.array([1.0, 1.0j], dtype=complex) / np.sqrt(2.0)),
+    "-i": PureState(np.array([1.0, -1.0j], dtype=complex) / np.sqrt(2.0)),
+}
+
+
 def named_state(name: str) -> PureState:
-    """One of the six single-qubit stabilizer states: 0 1 + - +i -i."""
-    return PureState(NAMED_AMPLITUDES[_choice(name, NAMED_AMPLITUDES, "name")])
+    """One of the six single-qubit stabilizer states: 0 1 + - +i -i, the value shared
+    by every call."""
+    return NAMED_STATES[_choice(name, NAMED_STATES, "name")]
 
 
 def product_state(factors) -> PureState:
@@ -116,7 +119,7 @@ def product_state(factors) -> PureState:
     for i, f in enumerate(_sequence(factors, "factors")):
         what = f"factors[{i}]"
         if isinstance(f, str):
-            f = PureState(NAMED_AMPLITUDES[_choice(f, NAMED_AMPLITUDES, what)])
+            f = NAMED_STATES[_choice(f, NAMED_STATES, what)]
         amps = np.kron(amps, _instance(f, PureState, None, what).amplitudes)
     return PureState(amps)
 

@@ -10,7 +10,8 @@ scalar argument of a public entry point passes once through ``_real``
 name from a table through ``_choice`` and each sequence through
 ``_sequence``, and the caller keeps the value returned. None takes a
 boolean: True would read as a time, tolerance or qubit of 1. Every frozen
-value sets what it checked or derived through ``_hold``.
+value sets what it checked or derived through ``_hold``, which always copies
+an array into memory that no one can write.
 """
 import numbers
 import operator
@@ -78,12 +79,13 @@ def _sequence(value, what: str, length: int | None = None) -> tuple:
 
 
 def _hold(value, **attrs) -> None:
-    """Set each attribute of the frozen value, each ndarray among them made read-only:
-    the one way a value holds what it checked or derived. It never copies, so a caller
-    passes a copy of any array its own caller may still hold."""
+    """Set each attribute of the frozen value, each ndarray among them as a C-ordered copy
+    over an immutable bytes buffer, which numpy refuses to make writeable again: the one
+    way a value holds what it checked or derived, and the one place its arrays are
+    copied, so no caller copies and no held array shares memory with anything."""
     for name, attr in attrs.items():
         if isinstance(attr, np.ndarray):
-            attr.flags.writeable = False
+            attr = np.frombuffer(attr.tobytes(), attr.dtype).reshape(attr.shape)
         object.__setattr__(value, name, attr)
 
 

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -228,7 +229,7 @@ def test_a_trajectory_derives_its_purities_and_negativities():
     states = evolve_trajectory(K_CPI, densify(product_state(["+", "+"])), grid).joint_states
     traj = Trajectory(grid, states)
     assert [f.name for f in fields(Trajectory)] == ["grid", "joint_states"]
-    assert np.shares_memory(traj.joint_states, states)  # a view: no second MAX_STEPS stack
+    assert not np.shares_memory(traj.joint_states, states)  # every held array is a copy
     derived = (
         (traj.joint_states, states),
         (traj.purities, states_mod._purities(states)),
@@ -260,6 +261,38 @@ def test_a_later_write_to_the_given_stack_leaves_states_and_verdict_in_agreement
         t, neg = find_entangled_instant(traj)
         assert t == 0.25 and abs(neg - 0.191) < 1e-3
         s[:] = evolved
+
+
+def test_a_caller_who_makes_the_given_stack_writeable_again_cannot_reach_the_trajectory():
+    # a read-only stack that owns its memory was kept as it was, so setting its flag
+    # back and writing left (0.25, 0.191) over states that read the maximally mixed state
+    grid = TimeGrid(0.0, 1.0, 4)
+    evolved = evolve_trajectory(K_CPI, densify(product_state(["+", "+"])), grid).joint_states
+    s = evolved.copy()
+    s.flags.writeable = False
+    traj = Trajectory(grid, s)
+    s.flags.writeable = True
+    s[:] = np.eye(4) / 4
+    assert traj.joint_states.tobytes() == evolved.tobytes()
+    assert traj.negativities.tobytes() == states_mod._negativities(evolved).tobytes()
+    t, neg = find_entangled_instant(traj)
+    assert t == 0.25 and abs(neg - 0.191) < 1e-3
+
+
+def test_evolve_trajectory_peaks_below_three_and_a_half_stacks():
+    # the peak comes while the product that makes the stack runs, so the copy the
+    # Trajectory holds does not raise it: 3.32 stacks of (steps + 1) 4x4 complex
+    # matrices, with or without that copy, at 20,000 and at 100,000 steps
+    steps = 20_000
+    rho = densify(product_state(["+", "+"]))
+    tracemalloc.start()
+    try:
+        traj = evolve_trajectory(K_CPI, rho, TimeGrid(0.0, 1.0, steps))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert traj.joint_states.nbytes == (steps + 1) * 256
+    assert peak <= 3.5 * (steps + 1) * 256
 
 
 def test_profile_tau_matches_evolved_state_vector(rng):

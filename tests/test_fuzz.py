@@ -33,7 +33,7 @@ from hypothesis import example, given, settings, strategies as st
 from udmlab import (
     ChoiMatrix, DensityMatrix, DynamicalMap, Gate, PureState, TimeGrid, Trajectory, cli,
 )
-from udmlab.states import NAMED_AMPLITUDES
+from udmlab.states import NAMED_STATES
 from conftest import OVERFLOWING_GENERATOR, traced_peak
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -52,7 +52,7 @@ CASES = [_case(d) for d in sorted(GOLDEN.iterdir()) if d.is_dir()]
 PEAK_BOUND = 8 * 2**20
 VALUES = st.one_of(
     st.sampled_from([None, 1e308, -1e308, 10**400, "", "x", [], [[]], [[0, [1]], [1e308]], {}]),
-    st.lists(st.sampled_from(sorted(NAMED_AMPLITUDES)), max_size=20),
+    st.lists(st.sampled_from(sorted(NAMED_STATES)), max_size=20),
 )
 
 

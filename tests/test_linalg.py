@@ -102,6 +102,13 @@ def test_hermiticity_defect_that_overflows_is_inf_without_a_warning():
         assert np.isnan(linalg.hermiticity_defect(np.array([[0, np.inf], [np.inf, 0]])))
 
 
+def test_both_defects_of_an_empty_matrix_are_zero():
+    # unitarity_defect raised numpy's "zero-size array to reduction operation maximum"
+    empty = np.zeros((0, 0))
+    assert linalg.hermiticity_defect(empty) == 0.0
+    assert linalg.unitarity_defect(empty) == 0.0
+
+
 def test_pseudo_inverse_identity_and_diagonal():
     pinv, rank = linalg.pseudo_inverse(np.eye(4))
     np.testing.assert_allclose(pinv, np.eye(4), atol=1e-14)

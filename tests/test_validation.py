@@ -81,7 +81,7 @@ from udmlab import (
     unitarity_defect,
     unitary_superoperator,
 )
-from udmlab.states import NAMED_AMPLITUDES
+from udmlab.states import NAMED_STATES
 from udmlab.tolerances import _choice, _integer, _real, _sequence
 from conftest import X
 
@@ -495,7 +495,7 @@ def test_overflowing_values_are_refused_without_a_warning(call, message):
 # values alone would draw a bare scalar in about 5% of the examples)
 SCALARS = (
     st.none() | st.booleans() | st.integers() | st.sampled_from([10**400, -(10**400)])
-    | st.floats() | st.text(max_size=3) | st.sampled_from(sorted(NAMED_AMPLITUDES))
+    | st.floats() | st.text(max_size=3) | st.sampled_from(sorted(NAMED_STATES))
 )
 JSON_LIKE = SCALARS | st.recursive(
     SCALARS,
@@ -505,7 +505,7 @@ JSON_LIKE = SCALARS | st.recursive(
 )
 
 RULES = {
-    "choice": lambda v: _choice(v, NAMED_AMPLITUDES, "x"),
+    "choice": lambda v: _choice(v, NAMED_STATES, "x"),
     "sequence": lambda v: _sequence(v, "x"),
     "pair": lambda v: _sequence(v, "x", 2),
     "real": lambda v: _real(v, "x"),

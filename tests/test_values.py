@@ -1,12 +1,12 @@
-"""Every value type is frozen and holds read-only arrays of its own.
+"""Every value type is frozen and holds arrays of its own that no one can write.
 
 A verdict is read off values that were checked once on construction, so no
 write made afterwards may reach them: assigning any attribute raises
-``FrozenInstanceError``, every ndarray a value holds is read-only, and no
-such array shares memory with a writeable argument it came from. No value
-type is an exception.
+``FrozenInstanceError``, every ndarray a value holds is read-only and
+refuses to be made writeable again, and no such array shares memory with
+the argument it came from. No value type is an exception.
 """
-from dataclasses import FrozenInstanceError, fields
+from dataclasses import FrozenInstanceError, fields, is_dataclass
 
 import numpy as np
 import pytest
@@ -20,9 +20,13 @@ from udmlab import (
     PureState,
     TimeGrid,
     Trajectory,
+    densify,
+    evolve_trajectory,
     induced_map,
     is_cptp,
+    product_state,
 )
+from udmlab.states import NAMED_STATES
 
 K_CPI = np.diag([0.0, 0.0, 0.0, np.pi])
 ENV = DensityMatrix(np.eye(2) / 2)
@@ -66,6 +70,30 @@ def test_every_value_is_frozen_and_holds_read_only_arrays():
         for name in [*held, "n_qubits"]:
             with pytest.raises(FrozenInstanceError):
                 setattr(value, name, 5)
+
+
+def _held_arrays(value):
+    """(name, array) for each ndarray a value holds, through the values it holds."""
+    for name, attr in vars(value).items():
+        if isinstance(attr, np.ndarray):
+            yield name, attr
+        elif is_dataclass(attr):
+            yield from _held_arrays(attr)
+
+
+def test_no_held_array_can_be_made_writeable_again():
+    # a held array that owned its memory took flags.writeable = True, and a write after
+    # it changed the checked value
+    traj = evolve_trajectory(K_CPI, densify(product_state(["+", "+"])), TimeGrid(0, 1, 4))
+    held = [v for v, _ in _values()] + [traj] + list(NAMED_STATES.values())
+    for value in held:
+        arrays = list(_held_arrays(value))
+        assert arrays, type(value).__name__
+        for name, attr in arrays:
+            for a in (attr, attr.base):
+                with pytest.raises(ValueError, match="cannot set WRITEABLE flag"):
+                    a.flags.writeable = True
+                assert not a.flags.writeable, name
 
 
 def test_no_held_array_shares_memory_with_its_argument():
